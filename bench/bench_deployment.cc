@@ -116,12 +116,11 @@ BENCHMARK(BM_GeneratePdi);
 void BM_FullDeployment(benchmark::State& state) {
   Env& env = SharedEnv();
   for (auto _ : state) {
-    quarry::storage::Database warehouse;
-    auto report = env.quarry->Deploy(&warehouse);
-    if (!report.ok()) std::abort();
-    benchmark::DoNotOptimize(report->etl.rows_processed);
-    state.counters["etl_rows"] =
-        static_cast<double>(report->etl.rows_processed);
+    auto deployment = env.quarry->DeployServing();
+    if (!deployment.ok() || !deployment->success) std::abort();
+    const quarry::etl::ExecutionReport& etl = deployment->report.etl;
+    benchmark::DoNotOptimize(etl.rows_processed);
+    state.counters["etl_rows"] = static_cast<double>(etl.rows_processed);
   }
 }
 BENCHMARK(BM_FullDeployment)->Unit(benchmark::kMillisecond);

@@ -154,13 +154,12 @@ void PrintSeries() {
     ir.dimensions.push_back({"Supplier.s_name"});
     if (!(*quarry)->AddRequirement(ir).ok()) std::abort();
     quarry::Timer t_deploy;
-    quarry::storage::Database warehouse;
-    auto report = (*quarry)->Deploy(&warehouse);
-    if (!report.ok()) std::abort();
+    auto deployment = (*quarry)->DeployServing();
+    if (!deployment.ok() || !deployment->success) std::abort();
+    const quarry::etl::ExecutionReport& etl = deployment->report.etl;
     std::printf("%8.3f %10zu %10.1f | %10.1f %12lld %10.1f\n", sf,
                 source.TotalRows(), gen_ms, t_deploy.ElapsedMillis(),
-                static_cast<long long>(report->etl.rows_processed),
-                report->etl.total_millis);
+                static_cast<long long>(etl.rows_processed), etl.total_millis);
   }
   std::printf("\n");
 }

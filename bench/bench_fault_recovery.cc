@@ -115,8 +115,7 @@ BENCHMARK(BM_EtlRunCheckpointed);
 void BM_DeployTransactionalFaultsOff(benchmark::State& state) {
   Scenario& s = SharedScenario();
   for (auto _ : state) {
-    quarry::storage::Database target;
-    auto outcome = s.quarry->DeployResilient(&target);
+    auto outcome = s.quarry->DeployServing();
     if (!outcome.ok() || !outcome->success) std::abort();
     benchmark::DoNotOptimize(outcome->report.tables_created);
   }

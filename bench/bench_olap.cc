@@ -17,7 +17,7 @@ namespace {
 struct Env {
   quarry::storage::Database source{"tpch"};
   std::unique_ptr<quarry::core::Quarry> quarry;
-  quarry::storage::Database warehouse;
+  quarry::storage::GenerationStore::Pin warehouse;
   std::unique_ptr<quarry::olap::CubeQueryEngine> engine;
 
   Env() {
@@ -37,9 +37,13 @@ struct Env {
              .ok()) {
       std::abort();
     }
-    if (!quarry->Deploy(&warehouse).ok()) std::abort();
+    auto deployment = quarry->DeployServing();
+    if (!deployment.ok() || !deployment->success) std::abort();
+    auto pin = quarry->warehouse().Acquire();
+    if (!pin.ok()) std::abort();
+    warehouse = std::move(*pin);
     engine = std::make_unique<quarry::olap::CubeQueryEngine>(
-        &quarry->schema(), &quarry->mapping(), &warehouse);
+        &quarry->schema(), &quarry->mapping(), &warehouse.db());
   }
 };
 

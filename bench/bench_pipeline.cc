@@ -53,14 +53,14 @@ void PrintSeries() {
                 (*quarry)->flow().num_nodes(), outcome->etl.nodes_reused);
   }
   quarry::Timer t_deploy;
-  quarry::storage::Database warehouse;
-  auto deployment = (*quarry)->Deploy(&warehouse);
-  if (!deployment.ok()) std::abort();
+  auto deployment = (*quarry)->DeployServing();
+  if (!deployment.ok() || !deployment->success) std::abort();
+  const quarry::deployer::DeploymentReport& report = deployment->report;
   std::printf(
       "deploy     | %10.2f | tables=%d etl_rows=%lld integrity=%s\n",
-      t_deploy.ElapsedMillis(), deployment->tables_created,
-      static_cast<long long>(deployment->etl.rows_processed),
-      deployment->referential_integrity_ok ? "OK" : "BROKEN");
+      t_deploy.ElapsedMillis(), report.tables_created,
+      static_cast<long long>(report.etl.rows_processed),
+      report.referential_integrity_ok ? "OK" : "BROKEN");
   std::printf("\n");
 }
 

@@ -6,8 +6,8 @@
 //    small, and no query ever blocks on a publish;
 //  - rollback cost after an injected publish fault: the serving path
 //    resumes from the old generation with a pin acquire (O(1), independent
-//    of warehouse size), where the legacy in-place path's unit of recovery
-//    is a deep clone of the warehouse (O(rows)).
+//    of warehouse size), where an in-place deploy's unit of recovery
+//    would be a deep clone of the warehouse (O(rows)).
 // Every benchmark records the host context (core count, load average) via
 // bench_util.h so BENCH_serving.json can say what box the numbers are from.
 
@@ -208,8 +208,8 @@ BENCHMARK(BM_RollbackServing)
     ->Iterations(30)
     ->Unit(benchmark::kMicrosecond);
 
-// The legacy contrast: the in-place path's unit of recovery is restoring
-// the warehouse from its pre-deploy backup — a deep clone, O(rows). Same
+// The contrast: an in-place deploy's unit of recovery would be restoring
+// the warehouse from a pre-deploy backup — a deep clone, O(rows). Same
 // scales as BM_RollbackServing so the JSON can put the two side by side.
 void BM_RollbackLegacyClone(benchmark::State& state) {
   Scenario s(static_cast<double>(state.range(0)) / 1000.0);

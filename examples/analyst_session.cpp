@@ -70,14 +70,16 @@ int main() {
               << " ETL nodes reused)\n";
   }
 
-  quarry::storage::Database warehouse;
-  auto deployment = (*quarry)->Deploy(&warehouse);
+  auto deployment = (*quarry)->DeployServing();
   if (!deployment.ok()) return Fail(deployment.status());
-  std::cout << "warehouse deployed: " << deployment->tables_created
+  if (!deployment->success) return Fail(deployment->failure->cause);
+  std::cout << "warehouse deployed: " << deployment->report.tables_created
             << " tables\n\n";
 
+  auto pin = (*quarry)->warehouse().Acquire();
+  if (!pin.ok()) return Fail(pin.status());
   quarry::olap::CubeQueryEngine olap(&(*quarry)->schema(),
-                                     &(*quarry)->mapping(), &warehouse);
+                                     &(*quarry)->mapping(), &pin->db());
 
   std::cout << "=== revenue by part type ===\n";
   quarry::olap::CubeQuery by_type;

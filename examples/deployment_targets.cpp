@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <iostream>
+#include <memory>
 
 #include "core/quarry.h"
 #include "datagen/tpch.h"
@@ -73,21 +74,26 @@ int main() {
             << ktr->substr(0, 900) << "...\n\n";
 
   // --- deployment on the embedded engines -----------------------------------
-  quarry::storage::Database warehouse;
-  auto deployment = (*quarry)->Deploy(&warehouse);
+  auto deployment = (*quarry)->DeployServing();
   if (!deployment.ok()) return Fail(deployment.status());
+  if (!deployment->success) return Fail(deployment->failure->cause);
+  auto pin = (*quarry)->warehouse().Acquire();
+  if (!pin.ok()) return Fail(pin.status());
   std::cout << "deployed tables:";
-  for (const std::string& name : warehouse.TableNames()) {
+  for (const std::string& name : pin->db().TableNames()) {
     std::cout << " " << name << "("
-              << (*warehouse.GetTable(name))->num_rows() << ")";
+              << (*pin->db().GetTable(name))->num_rows() << ")";
   }
   std::cout << "\nreferential integrity: "
-            << (deployment->referential_integrity_ok ? "OK" : "BROKEN")
+            << (deployment->report.referential_integrity_ok ? "OK" : "BROKEN")
             << "\n\n";
 
   // --- expert tuning hook: indexes over the deployed schema ----------------
   // (paper §2.4: "validated DW designs are available for additional tunings
-  // by an expert user (e.g., indexes)")
+  // by an expert user (e.g., indexes)"). Published generations are
+  // immutable, so the tuning goes into a copy of the deployed warehouse.
+  std::unique_ptr<quarry::storage::Database> tuned = pin->db().Clone();
+  quarry::storage::Database& warehouse = *tuned;
   auto report = quarry::storage::ExecuteSql(
       &warehouse, "CREATE INDEX idx_rev_part ON fact_table_revenue "
                   "(p_partkey);");

@@ -124,13 +124,13 @@ int main() {
   }
 
   // Deploy the 5-requirement design once.
-  quarry::storage::Database warehouse;
-  auto deployment = (*quarry)->Deploy(&warehouse);
+  auto deployment = (*quarry)->DeployServing();
   if (!deployment.ok()) return Fail(deployment.status());
-  std::cout << "\ninitial deployment: " << deployment->tables_created
+  if (!deployment->success) return Fail(deployment->failure->cause);
+  std::cout << "\ninitial deployment: " << deployment->report.tables_created
             << " tables, integrity "
-            << (deployment->referential_integrity_ok ? "OK" : "BROKEN")
-            << ", ETL " << deployment->etl.rows_processed
+            << (deployment->report.referential_integrity_ok ? "OK" : "BROKEN")
+            << ", ETL " << deployment->report.etl.rows_processed
             << " rows processed\n";
 
   // --- change: ir_open_orders now also needs the order date dimension ----
@@ -153,13 +153,14 @@ int main() {
             << " measure(s); " << (*quarry)->requirements().size()
             << " requirements remain, all satisfied\n";
 
-  // Redeploy the evolved design to a fresh warehouse.
-  quarry::storage::Database warehouse2;
-  auto redeploy = (*quarry)->Deploy(&warehouse2);
+  // Redeploy the evolved design as the next warehouse generation.
+  auto redeploy = (*quarry)->DeployServing();
   if (!redeploy.ok()) return Fail(redeploy.status());
-  std::cout << "redeployment after evolution: " << redeploy->tables_created
-            << " tables, integrity "
-            << (redeploy->referential_integrity_ok ? "OK" : "BROKEN") << "\n";
+  if (!redeploy->success) return Fail(redeploy->failure->cause);
+  std::cout << "redeployment after evolution: "
+            << redeploy->report.tables_created << " tables, integrity "
+            << (redeploy->report.referential_integrity_ok ? "OK" : "BROKEN")
+            << ", generation " << redeploy->published_generation << "\n";
   std::cout << "\nevolution demo finished OK\n";
   return 0;
 }

@@ -94,12 +94,12 @@ int main() {
   if (auto outcome = (*quarry)->AddRequirement(*ir); !outcome.ok()) {
     return Fail(outcome.status());
   }
-  quarry::storage::Database warehouse;
-  auto deployment = (*quarry)->Deploy(&warehouse);
+  auto deployment = (*quarry)->DeployServing();
   if (!deployment.ok()) return Fail(deployment.status());
-  std::cout << "\ninitial DW deployed: " << deployment->tables_created
+  if (!deployment->success) return Fail(deployment->failure->cause);
+  std::cout << "\ninitial DW deployed: " << deployment->report.tables_created
             << " tables, ETL loaded ";
-  for (const auto& [table, rows] : deployment->etl.loaded) {
+  for (const auto& [table, rows] : deployment->report.etl.loaded) {
     std::cout << table << "=" << rows << " ";
   }
   std::cout << "\nelicitor tour finished OK\n";

@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
       "WHERE Customer.cu_segment = 'LOYALTY'");
   if (!outcome.ok()) return Fail(outcome.status());
 
-  quarry::storage::Database warehouse("dw");
-  auto report = (*q)->DeployResilient(&warehouse);
+  auto report = (*q)->DeployServing();
   if (!report.ok()) return Fail(report.status());
   if (!report->success) {
     std::cerr << "deployment did not commit\n";

@@ -39,7 +39,6 @@ using quarry::core::Quarry;
 struct Session {
   std::unique_ptr<quarry::storage::Database> source;
   std::unique_ptr<Quarry> quarry;
-  std::unique_ptr<quarry::storage::Database> warehouse;
 
   Status RequireQuarry() const {
     if (quarry == nullptr) {
@@ -63,7 +62,6 @@ Status CmdLoadTpch(Session* session, std::istringstream* args) {
                           session->source.get());
   QUARRY_RETURN_NOT_OK(q.status());
   session->quarry = std::move(*q);
-  session->warehouse.reset();
   std::cout << "loaded TPC-H sf=" << sf << " ("
             << session->source->TotalRows() << " rows)\n";
   return Status::OK();
@@ -160,11 +158,12 @@ Status CmdRemove(Session* session, std::istringstream* args) {
 
 Status CmdDeploy(Session* session) {
   QUARRY_RETURN_NOT_OK(session->RequireQuarry());
-  session->warehouse = std::make_unique<quarry::storage::Database>();
-  auto report = session->quarry->Deploy(session->warehouse.get());
-  QUARRY_RETURN_NOT_OK(report.status());
-  std::cout << "deployed " << report->tables_created << " tables; loaded";
-  for (const auto& [table, rows] : report->etl.loaded) {
+  auto deployment = session->quarry->DeployServing();
+  QUARRY_RETURN_NOT_OK(deployment.status());
+  if (!deployment->success) return deployment->failure->cause;
+  const quarry::deployer::DeploymentReport& report = deployment->report;
+  std::cout << "deployed " << report.tables_created << " tables; loaded";
+  for (const auto& [table, rows] : report.etl.loaded) {
     std::cout << " " << table << "=" << rows;
   }
   std::cout << "\n";
@@ -173,7 +172,7 @@ Status CmdDeploy(Session* session) {
 
 Status CmdQuery(Session* session, const std::string& rest) {
   QUARRY_RETURN_NOT_OK(session->RequireQuarry());
-  if (session->warehouse == nullptr) {
+  if (!session->quarry->warehouse().has_generation()) {
     return Status::InvalidArgument("deploy before querying");
   }
   // "<fact> BY a,b [WHERE pred]"
@@ -200,19 +199,17 @@ Status CmdQuery(Session* session, const std::string& rest) {
   for (const auto& measure : (*fact)->measures) {
     query.measures.push_back({measure.name, measure.aggregation, ""});
   }
-  quarry::olap::CubeQueryEngine engine(&session->quarry->schema(),
-                                       &session->quarry->mapping(),
-                                       session->warehouse.get());
-  auto result = engine.Execute(query);
-  QUARRY_RETURN_NOT_OK(result.status());
-  for (const std::string& column : result->columns) {
+  auto served = session->quarry->SubmitQuery(query);
+  QUARRY_RETURN_NOT_OK(served.status());
+  const quarry::etl::Dataset& result = served->data;
+  for (const std::string& column : result.columns) {
     std::cout << column << "\t";
   }
   std::cout << "\n";
   size_t shown = 0;
-  for (const auto& row : result->rows) {
+  for (const auto& row : result.rows) {
     if (shown++ == 10) {
-      std::cout << "... (" << result->rows.size() << " rows)\n";
+      std::cout << "... (" << result.rows.size() << " rows)\n";
       break;
     }
     for (const auto& value : row) std::cout << value.ToString() << "\t";

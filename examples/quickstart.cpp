@@ -60,17 +60,22 @@ int main() {
             << (*quarry)->schema().facts().size() << " fact(s), "
             << (*quarry)->schema().dimensions().size() << " dimension(s)\n";
 
-  // 4. Deployment: DDL + ETL run against the embedded warehouse.
-  quarry::storage::Database warehouse;
-  auto deployment = (*quarry)->Deploy(&warehouse);
+  // 4. Deployment: DDL + ETL run against the embedded warehouse, published
+  //    as its first generation.
+  auto deployment = (*quarry)->DeployServing();
   if (!deployment.ok()) return Fail(deployment.status());
-  std::cout << "deployed " << deployment->tables_created << " tables; ETL "
-            << "processed " << deployment->etl.rows_processed << " rows in "
-            << deployment->etl.total_millis << " ms\n";
+  if (!deployment->success) return Fail(deployment->failure->cause);
+  const quarry::deployer::DeploymentReport& report = deployment->report;
+  std::cout << "deployed " << report.tables_created << " tables; ETL "
+            << "processed " << report.etl.rows_processed << " rows in "
+            << report.etl.total_millis << " ms\n";
   std::cout << "\n--- generated DDL (excerpt) ---\n"
-            << deployment->ddl.substr(0, 400) << "...\n";
+            << report.ddl.substr(0, 400) << "...\n";
 
   // 5. Use the warehouse: top revenue rows with dimension context.
+  auto pin = (*quarry)->warehouse().Acquire();
+  if (!pin.ok()) return Fail(pin.status());
+  const quarry::storage::Database& warehouse = pin->db();
   const quarry::storage::Table& fact =
       **warehouse.GetTable("fact_table_revenue");
   const quarry::storage::Table& dim_part = **warehouse.GetTable("dim_Part");

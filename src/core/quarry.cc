@@ -97,12 +97,15 @@ std::vector<obs::OpTiming> SlowestOpsFromReport(
   return KeepSlowestThree(std::move(ops));
 }
 
+}  // namespace
+
 /// Attribution scope of one entry-point invocation: supplies a fallback
 /// ExecContext when the caller passed none (the request id must travel
 /// regardless), stamps the monotonic request id, times the request end to
-/// end and — via Finish(), exactly once — writes the per-kind metrics and
-/// the event-log completion record.
-class RequestScope {
+/// end, folds the entry point's result into the record (Describe) and —
+/// via Finish(), exactly once — writes the per-kind metrics and the
+/// event-log completion record.
+class Quarry::RequestScope {
  public:
   RequestScope(std::string kind, const ExecContext** ctx) {
     if (*ctx == nullptr) {
@@ -120,16 +123,77 @@ class RequestScope {
     record_.admission_wait_micros = micros;
   }
 
-  /// Defers profile-JSON rendering to Finish: the string is only built when
-  /// the request's latency crosses the slow threshold and the record will
-  /// actually keep it. Rendering eagerly on every fast query would charge
-  /// ~10% serialization tax to requests whose profile is dropped anyway.
-  /// The callable must stay valid until Finish runs.
-  void set_profile_renderer(std::function<std::string()> renderer) {
-    profile_renderer_ = std::move(renderer);
+  /// The flow a deployment's ETL profile is drawn over. It must stay
+  /// unchanged until Finish runs.
+  void set_profile_flow(const etl::Flow* flow) { profile_flow_ = flow; }
+
+  // Describe folds an entry point's result into the record and returns the
+  // status the request effectively completed with — the one both the
+  // request record and the tenant circuit breaker see. A profile renderer
+  // it installs references `result`, which must outlive Finish.
+
+  Status Describe(const Status& status) { return status; }
+
+  Status Describe(const Result<integrator::IntegrationOutcome>& outcome) {
+    return outcome.status();
   }
 
-  /// Completes the request: per-kind metrics + the event-log record.
+  Status Describe(const Result<etl::ExecutionReport>& report) {
+    if (report.ok()) {
+      record_.rows = report->rows_processed;
+      record_.slowest_ops = SlowestOpsFromReport(*report);
+    }
+    return report.status();
+  }
+
+  Status Describe(const Result<QueryResult>& result) {
+    if (result.ok()) {
+      record_.rows = static_cast<int64_t>(result->data.rows.size());
+      record_.generation = result->generation;
+      record_.stale = result->stale;
+      if (!result->profile.roots.empty()) {
+        record_.slowest_ops = SlowestOps(result->profile.roots);
+        profile_renderer_ = [&result] { return result->profile.ToJson(); };
+      }
+    }
+    return result.status();
+  }
+
+  /// Rows, generation, slowest operators, and the full ETL profile. A
+  /// deployment that "succeeded" as a Result but rolled back logically
+  /// completes with its DeploymentFailure cause.
+  Status Describe(const Result<deployer::DeploymentOutcome>& outcome) {
+    if (!outcome.ok()) return outcome.status();
+    const deployer::DeploymentOutcome& o = *outcome;
+    const Status status = !o.success && !o.partial && o.failure.has_value()
+                              ? o.failure->cause
+                              : Status::OK();
+    record_.rows = o.report.etl.rows_processed;
+    record_.generation = o.published_generation;
+    record_.slowest_ops = SlowestOpsFromReport(o.report.etl);
+    if (profile_flow_ != nullptr) {
+      profile_renderer_ = [this, status, &o] {
+        obs::RequestProfile profile;
+        profile.request_id = record_.id;
+        profile.kind = record_.kind;
+        profile.status =
+            status.ok() ? "ok" : StatusCodeToString(status.code());
+        profile.generation = o.published_generation;
+        profile.rows = o.report.etl.rows_processed;
+        profile.admission_wait_micros = record_.admission_wait_micros;
+        profile.total_micros = o.report.etl.total_millis * 1000.0;
+        profile.roots = etl::BuildProfileTrees(*profile_flow_, o.report.etl);
+        return profile.ToJson();
+      };
+    }
+    return status;
+  }
+
+  /// Completes the request: per-kind metrics + the event-log record. The
+  /// profile JSON is only rendered when the request's latency crosses the
+  /// slow threshold and the record will actually keep it: rendering
+  /// eagerly on every fast query would charge ~10% serialization tax to
+  /// requests whose profile is dropped anyway.
   void Finish(const Status& status) {
     record_.latency_micros =
         std::chrono::duration<double, std::micro>(
@@ -151,61 +215,11 @@ class RequestScope {
  private:
   std::unique_ptr<ExecContext> owned_;
   obs::RequestRecord record_;
+  const etl::Flow* profile_flow_ = nullptr;
   std::function<std::string()> profile_renderer_;
   std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
 };
-
-/// The status a deployment effectively completed with: a Result that is
-/// "ok" but rolled back logically carries its DeploymentFailure cause. Both
-/// the request record and the tenant circuit breaker see this status.
-Status EffectiveDeploymentStatus(
-    const Result<deployer::DeploymentOutcome>& outcome) {
-  if (!outcome.ok()) return outcome.status();
-  const deployer::DeploymentOutcome& o = *outcome;
-  if (!o.success && !o.partial && o.failure.has_value()) {
-    return o.failure->cause;
-  }
-  return Status::OK();
-}
-
-/// Folds a deployment outcome into the scope's record — rows, generation,
-/// slowest operators, and the full ETL profile (kept by the event log only
-/// when the request crosses the slow threshold) — then finishes it. A
-/// deployment that "succeeded" as a Result but rolled back logically
-/// reports its DeploymentFailure cause as the request status.
-void FinishDeploymentScope(RequestScope* scope,
-                           const Result<deployer::DeploymentOutcome>& outcome,
-                           const etl::Flow* flow) {
-  Status status = EffectiveDeploymentStatus(outcome);
-  if (outcome.ok()) {
-    const deployer::DeploymentOutcome& o = *outcome;
-    scope->record().rows = o.report.etl.rows_processed;
-    scope->record().generation = o.published_generation;
-    scope->record().slowest_ops = SlowestOpsFromReport(o.report.etl);
-    if (flow != nullptr) {
-      // Rendered only if Finish finds the deployment slow; `outcome` and
-      // `flow` outlive the Finish call below.
-      scope->set_profile_renderer([scope, status, &o, flow] {
-        obs::RequestProfile profile;
-        profile.request_id = scope->id();
-        profile.kind = scope->record().kind;
-        profile.status =
-            status.ok() ? "ok" : StatusCodeToString(status.code());
-        profile.generation = o.published_generation;
-        profile.rows = o.report.etl.rows_processed;
-        profile.admission_wait_micros =
-            scope->record().admission_wait_micros;
-        profile.total_micros = o.report.etl.total_millis * 1000.0;
-        profile.roots = etl::BuildProfileTrees(*flow, o.report.etl);
-        return profile.ToJson();
-      });
-    }
-  }
-  scope->Finish(status);
-}
-
-}  // namespace
 
 Quarry::Quarry(ontology::Ontology onto, ontology::SourceMapping mapping,
                const storage::Database* source, QuarryConfig config)
@@ -268,8 +282,8 @@ Quarry::Quarry(ontology::Ontology onto, ontology::SourceMapping mapping,
   // the event-log counters (RequestLog registers its own) — all eager so
   // the first scrape shows zeros, not gaps.
   for (const char* kind :
-       {"requirement", "requirement_remove", "deploy", "refresh",
-        "deploy_serving", "refresh_serving", "query"}) {
+       {"requirement", "requirement_remove", "deploy_serving",
+        "refresh_serving", "query"}) {
     RequestsTotal(kind);
     RequestFailuresTotal(kind);
     RequestMicrosHistogram(kind);
@@ -384,7 +398,13 @@ Result<integrator::IntegrationOutcome> Quarry::AddRequirement(
                           interpreter_->Interpret(ir, ctx));
   QUARRY_ASSIGN_OR_RETURN(integrator::IntegrationOutcome outcome,
                           design_->AddRequirement(ir, partial, ctx));
-  // Record every artifact of this step.
+  QUARRY_RETURN_NOT_OK(StoreRequirementArtifacts(ir, partial));
+  return outcome;
+}
+
+Status Quarry::StoreRequirementArtifacts(
+    const req::InformationRequirement& ir,
+    const interpreter::PartialDesign& partial) {
   QUARRY_SPAN("quarry.store_artifacts");
   QUARRY_RETURN_NOT_OK(repository_.StoreXml("xrq", ir.id, *req::ToXrq(ir)));
   QUARRY_RETURN_NOT_OK(
@@ -392,8 +412,7 @@ Result<integrator::IntegrationOutcome> Quarry::AddRequirement(
   QUARRY_RETURN_NOT_OK(
       repository_.StoreXml("partial_xlm", ir.id,
                            *etl::FlowToXlm(partial.flow)));
-  QUARRY_RETURN_NOT_OK(RefreshUnifiedArtifacts());
-  return outcome;
+  return RefreshUnifiedArtifacts();
 }
 
 Result<integrator::IntegrationOutcome> Quarry::AddRequirementFromQuery(
@@ -414,224 +433,89 @@ Status Quarry::RemoveRequirement(const std::string& ir_id) {
 
 Result<integrator::IntegrationOutcome> Quarry::ChangeRequirement(
     const req::InformationRequirement& ir, const ExecContext* ctx) {
-  QUARRY_RETURN_NOT_OK(
-      CheckContext(ctx, "change of requirement '" + ir.id + "'"));
-  QUARRY_RETURN_NOT_OK(design_->RemoveRequirement(ir.id));
-  return AddRequirement(ir, ctx);
-}
-
-Result<deployer::DeploymentReport> Quarry::Deploy(storage::Database* target) {
-  if (target == nullptr) {
-    return Status::InvalidArgument("target database is null");
-  }
-  deployer::Deployer dep(source_, target);
-  return dep.Deploy(design_->schema(), design_->flow(), *mapping_,
-                    config_.database_name);
-}
-
-Result<deployer::DeploymentOutcome> Quarry::DeployResilient(
-    storage::Database* target, deployer::DeployOptions options) {
-  const ExecContext* ctx = options.context;
-  RequestScope scope("deploy", &ctx);
-  options.context = ctx;
-  // Tenant quota gate first (§11): a tenant over its rate / in-flight share
-  // or behind a tripped breaker is shed before it can touch the shared
-  // design lane.
-  Result<TenantRegistry::Lease> lease = tenants_.Admit(ctx);
-  if (!lease.ok()) {
-    scope.Finish(lease.status());
-    return lease.status();
-  }
-  // Admission-gated like every other design-mutating entry point (§7): the
-  // direct call and SubmitDeploy pass the same single gate. (Only the
-  // legacy non-transactional Deploy() stays ungated.)
-  double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket = admission_->Admit(ctx, &wait);
-  scope.set_admission_wait(wait);
-  if (!ticket.ok()) {
-    lease->Complete(ticket.status());
-    scope.Finish(ticket.status());
-    return ticket.status();
-  }
-  std::lock_guard<std::mutex> lock(submit_mu_);
-  Result<deployer::DeploymentOutcome> outcome =
-      DeployResilientInternal(target, std::move(options));
-  lease->Complete(EffectiveDeploymentStatus(outcome));
-  FinishDeploymentScope(&scope, outcome, &design_->flow());
+  // Interpret before touching the design: the integrator swaps the old
+  // version out only once the new one is ready to integrate, and puts it
+  // back if that fails.
+  QUARRY_ASSIGN_OR_RETURN(interpreter::PartialDesign partial,
+                          interpreter_->Interpret(ir, ctx));
+  QUARRY_ASSIGN_OR_RETURN(integrator::IntegrationOutcome outcome,
+                          design_->ChangeRequirement(ir, partial, ctx));
+  QUARRY_RETURN_NOT_OK(StoreRequirementArtifacts(ir, partial));
   return outcome;
 }
 
-Result<deployer::DeploymentOutcome> Quarry::DeployResilientInternal(
-    storage::Database* target, deployer::DeployOptions options) {
-  if (target == nullptr) {
-    return Status::InvalidArgument("target database is null");
-  }
-  options.database_name = config_.database_name;
-  options.metadata = &repository_.store();
-  // The instance-wide scheduler config applies unless this deployment's
-  // options already ask for parallelism themselves.
-  if (options.exec.max_workers <= 1) options.exec = config_.etl_exec;
-  deployer::Deployer dep(source_, target);
-  return dep.DeployTransactional(design_->schema(), design_->flow(),
-                                 *mapping_, options);
-}
-
-Result<etl::ExecutionReport> Quarry::Refresh(storage::Database* target,
-                                             const ExecContext* ctx) {
-  RequestScope scope("refresh", &ctx);
+template <typename R, typename Body>
+R Quarry::Gated(const char* kind, Lane lane, const ExecContext* ctx,
+                Body body, const ShedFallback<R>& on_shed) {
+  RequestScope scope(kind, &ctx);
+  if (lane == Lane::kQuery) scope.record().lane = "query";
+  // Tenant quota gate before any lane (§11): a tenant over its rate /
+  // in-flight share or behind a tripped breaker is shed with a retry-after
+  // hint here, so it never occupies shared queue slots.
   Result<TenantRegistry::Lease> lease = tenants_.Admit(ctx);
   if (!lease.ok()) {
     scope.Finish(lease.status());
     return lease.status();
   }
+  AdmissionController& gate =
+      lane == Lane::kDesign ? *admission_ : *query_admission_;
   double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket = admission_->Admit(ctx, &wait);
-  scope.set_admission_wait(wait);
-  if (!ticket.ok()) {
-    lease->Complete(ticket.status());
-    scope.Finish(ticket.status());
-    return ticket.status();
-  }
-  std::lock_guard<std::mutex> lock(submit_mu_);
-  Result<etl::ExecutionReport> report = RefreshInternal(target, ctx);
-  if (report.ok()) {
-    scope.record().rows = report->rows_processed;
-    scope.record().slowest_ops = SlowestOpsFromReport(*report);
-  }
-  lease->Complete(report.status());
-  scope.Finish(report.status());
-  return report;
-}
-
-Result<etl::ExecutionReport> Quarry::RefreshInternal(storage::Database* target,
-                                                     const ExecContext* ctx) {
-  if (target == nullptr) {
-    return Status::InvalidArgument("target database is null");
-  }
-  QUARRY_NAMED_SPAN(span, "quarry.refresh");
-  if (RequestId(ctx) != 0) {
-    QUARRY_SPAN_ATTR(span, "request_id",
-                     static_cast<int64_t>(RequestId(ctx)));
-  }
-  if (!TenantId(ctx).empty()) {
-    QUARRY_SPAN_ATTR(span, "tenant", TenantId(ctx));
-  }
-  deployer::Deployer dep(source_, target);
-  return dep.Refresh(design_->flow(), {}, ctx, config_.etl_exec);
+  Result<AdmissionController::Ticket> ticket = gate.Admit(ctx, &wait);
+  // Held through Finish: a deployment's profile renderer reads the design.
+  std::unique_lock<std::mutex> design_lock(submit_mu_, std::defer_lock);
+  R result = [&]() -> R {
+    if (!ticket.ok()) {
+      return on_shed ? on_shed(ctx, &scope, ticket.status())
+                     : R(ticket.status());
+    }
+    scope.set_admission_wait(wait);
+    if (lane == Lane::kDesign) design_lock.lock();
+    return body(ctx, &scope);
+  }();
+  const Status status = scope.Describe(result);
+  lease->Complete(status);
+  scope.Finish(status);
+  return result;
 }
 
 Result<integrator::IntegrationOutcome> Quarry::SubmitRequirement(
     const req::InformationRequirement& ir, const ExecContext* ctx) {
-  RequestScope scope("requirement", &ctx);
-  Result<TenantRegistry::Lease> lease = tenants_.Admit(ctx);
-  if (!lease.ok()) {
-    scope.Finish(lease.status());
-    return lease.status();
-  }
-  double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket = admission_->Admit(ctx, &wait);
-  scope.set_admission_wait(wait);
-  if (!ticket.ok()) {
-    lease->Complete(ticket.status());
-    scope.Finish(ticket.status());
-    return ticket.status();
-  }
-  std::lock_guard<std::mutex> lock(submit_mu_);
-  Result<integrator::IntegrationOutcome> outcome = AddRequirement(ir, ctx);
-  lease->Complete(outcome.status());
-  scope.Finish(outcome.status());
-  return outcome;
+  return Gated<Result<integrator::IntegrationOutcome>>(
+      "requirement", Lane::kDesign, ctx,
+      [&](const ExecContext* c, RequestScope*) {
+        return AddRequirement(ir, c);
+      });
 }
 
 Result<integrator::IntegrationOutcome> Quarry::SubmitRequirementFromQuery(
     std::string_view query_text, const ExecContext* ctx) {
-  RequestScope scope("requirement", &ctx);
-  Result<TenantRegistry::Lease> lease = tenants_.Admit(ctx);
-  if (!lease.ok()) {
-    scope.Finish(lease.status());
-    return lease.status();
-  }
-  double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket = admission_->Admit(ctx, &wait);
-  scope.set_admission_wait(wait);
-  if (!ticket.ok()) {
-    lease->Complete(ticket.status());
-    scope.Finish(ticket.status());
-    return ticket.status();
-  }
-  std::lock_guard<std::mutex> lock(submit_mu_);
-  Result<integrator::IntegrationOutcome> outcome =
-      AddRequirementFromQuery(query_text, ctx);
-  lease->Complete(outcome.status());
-  scope.Finish(outcome.status());
-  return outcome;
+  return Gated<Result<integrator::IntegrationOutcome>>(
+      "requirement", Lane::kDesign, ctx,
+      [&](const ExecContext* c, RequestScope*) {
+        return AddRequirementFromQuery(query_text, c);
+      });
 }
 
 Status Quarry::SubmitRemoveRequirement(const std::string& ir_id,
                                        const ExecContext* ctx) {
-  RequestScope scope("requirement_remove", &ctx);
-  Result<TenantRegistry::Lease> lease = tenants_.Admit(ctx);
-  if (!lease.ok()) {
-    scope.Finish(lease.status());
-    return lease.status();
-  }
-  double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket = admission_->Admit(ctx, &wait);
-  scope.set_admission_wait(wait);
-  if (!ticket.ok()) {
-    lease->Complete(ticket.status());
-    scope.Finish(ticket.status());
-    return ticket.status();
-  }
-  Status status = [&] {
-    std::lock_guard<std::mutex> lock(submit_mu_);
-    QUARRY_RETURN_NOT_OK(CheckContext(ctx, "removal of '" + ir_id + "'"));
-    return RemoveRequirement(ir_id);
-  }();
-  lease->Complete(status);
-  scope.Finish(status);
-  return status;
-}
-
-Result<deployer::DeploymentOutcome> Quarry::SubmitDeploy(
-    storage::Database* target, deployer::DeployOptions options,
-    const ExecContext* ctx) {
-  // DeployResilient admits + locks itself — forwarding keeps one gate pass.
-  options.context = ctx;
-  return DeployResilient(target, std::move(options));
-}
-
-Result<etl::ExecutionReport> Quarry::SubmitRefresh(storage::Database* target,
-                                                   const ExecContext* ctx) {
-  return Refresh(target, ctx);
+  return Gated<Status>(
+      "requirement_remove", Lane::kDesign, ctx,
+      [&](const ExecContext* c, RequestScope*) -> Status {
+        QUARRY_RETURN_NOT_OK(CheckContext(c, "removal of '" + ir_id + "'"));
+        return RemoveRequirement(ir_id);
+      });
 }
 
 Result<deployer::DeploymentOutcome> Quarry::DeployServing(
     deployer::DeployOptions options, const ExecContext* ctx) {
-  if (ctx != nullptr) options.context = ctx;
-  const ExecContext* attributed = options.context;
-  RequestScope scope("deploy_serving", &attributed);
-  options.context = attributed;
-  Result<TenantRegistry::Lease> lease = tenants_.Admit(options.context);
-  if (!lease.ok()) {
-    scope.Finish(lease.status());
-    return lease.status();
-  }
-  double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket =
-      admission_->Admit(options.context, &wait);
-  scope.set_admission_wait(wait);
-  if (!ticket.ok()) {
-    lease->Complete(ticket.status());
-    scope.Finish(ticket.status());
-    return ticket.status();
-  }
-  std::lock_guard<std::mutex> lock(submit_mu_);
-  Result<deployer::DeploymentOutcome> outcome =
-      DeployServingInternal(std::move(options));
-  lease->Complete(EffectiveDeploymentStatus(outcome));
-  FinishDeploymentScope(&scope, outcome, &design_->flow());
-  return outcome;
+  return Gated<Result<deployer::DeploymentOutcome>>(
+      "deploy_serving", Lane::kDesign,
+      ctx != nullptr ? ctx : options.context,
+      [&](const ExecContext* c, RequestScope* scope) {
+        options.context = c;
+        scope->set_profile_flow(&design_->flow());
+        return DeployServingInternal(std::move(options));
+      });
 }
 
 Result<deployer::DeploymentOutcome> Quarry::DeployServingInternal(
@@ -645,11 +529,20 @@ Result<deployer::DeploymentOutcome> Quarry::DeployServingInternal(
     QUARRY_SPAN_ATTR(span, "tenant", TenantId(options.context));
   }
   BuildInFlight build(&serving_builds_in_flight_);
+  options.database_name = config_.database_name;
+  options.metadata = &repository_.store();
+  // The instance-wide scheduler config applies unless this deployment's
+  // options already ask for parallelism themselves.
+  if (options.exec.max_workers <= 1) options.exec = config_.etl_exec;
+  // The deployment record is written before the publish; a failed publish
+  // must take it back out.
+  docstore::DocumentStore metadata_before = repository_.store().Clone();
   std::unique_ptr<storage::Database> scratch = warehouse_.BeginEmptyBuild();
-  options.target_is_scratch = true;
+  deployer::Deployer dep(source_, scratch.get());
   QUARRY_ASSIGN_OR_RETURN(
       deployer::DeploymentOutcome outcome,
-      DeployResilientInternal(scratch.get(), std::move(options)));
+      dep.DeployTransactional(design_->schema(), design_->flow(), *mapping_,
+                              options));
   // A failed build never publishes: the scratch dies with this scope and
   // the currently-served generation is untouched. Best-effort partials do
   // publish — the stale lane and the metadata record mark them degraded.
@@ -664,136 +557,87 @@ Result<deployer::DeploymentOutcome> Quarry::DeployServingInternal(
       warehouse_.Publish(std::move(scratch), std::move(annex), annex_bytes);
   if (published.ok()) {
     outcome.published_generation = *published;
+    return outcome;
   }
-  if (!published.ok()) {
-    // O(1) rollback: nothing to restore — the built scratch is simply
-    // discarded and readers keep the previously published generation.
-    deployer::DeploymentFailure failure;
-    failure.stage = "publish";
-    failure.rolled_back = true;
-    failure.cause = published.status();
-    outcome.success = false;
-    outcome.partial = false;
-    outcome.failure = std::move(failure);
-  }
+  // O(1) rollback: the built scratch is simply discarded and readers keep
+  // the previously published generation.
+  repository_.store().RestoreFrom(metadata_before);
+  deployer::DeploymentFailure failure;
+  failure.stage = "publish";
+  failure.rolled_back = true;
+  failure.cause = published.status();
+  outcome.success = false;
+  outcome.partial = false;
+  outcome.failure = std::move(failure);
   return outcome;
 }
 
 Result<etl::ExecutionReport> Quarry::RefreshServing(const ExecContext* ctx) {
-  RequestScope scope("refresh_serving", &ctx);
-  Result<TenantRegistry::Lease> lease = tenants_.Admit(ctx);
-  if (!lease.ok()) {
-    scope.Finish(lease.status());
-    return lease.status();
-  }
-  double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket = admission_->Admit(ctx, &wait);
-  scope.set_admission_wait(wait);
-  if (!ticket.ok()) {
-    lease->Complete(ticket.status());
-    scope.Finish(ticket.status());
-    return ticket.status();
-  }
-  std::lock_guard<std::mutex> lock(submit_mu_);
-  Result<etl::ExecutionReport> report = [&]() -> Result<etl::ExecutionReport> {
-    if (!warehouse_.has_generation()) {
-      return Status::NotFound(
-          "no published warehouse generation to refresh — run DeployServing "
-          "first");
-    }
-    QUARRY_NAMED_SPAN(span, "quarry.refresh_serving");
-    QUARRY_SPAN_ATTR(span, "request_id", static_cast<int64_t>(scope.id()));
-    if (!TenantId(ctx).empty()) {
-      QUARRY_SPAN_ATTR(span, "tenant", TenantId(ctx));
-    }
-    BuildInFlight build(&serving_builds_in_flight_);
-    // Clone-merge-publish: readers keep serving generation N from their
-    // pins while the loaders merge the source delta into the clone.
-    std::unique_ptr<storage::Database> scratch = warehouse_.BeginBuild();
-    deployer::Deployer dep(source_, scratch.get());
-    QUARRY_ASSIGN_OR_RETURN(
-        etl::ExecutionReport result,
-        dep.Refresh(design_->flow(), {}, ctx, config_.etl_exec));
-    auto annex = std::make_shared<const md::MdSchema>(design_->schema());
-    const std::string annex_bytes = xml::Write(*annex->ToXml());
-    QUARRY_RETURN_NOT_OK(
-        warehouse_.Publish(std::move(scratch), std::move(annex), annex_bytes)
-            .status());
-    return result;
-  }();
-  if (report.ok()) {
-    scope.record().rows = report->rows_processed;
-    scope.record().generation = warehouse_.current_generation();
-    scope.record().slowest_ops = SlowestOpsFromReport(*report);
-  }
-  lease->Complete(report.status());
-  scope.Finish(report.status());
-  return report;
+  return Gated<Result<etl::ExecutionReport>>(
+      "refresh_serving", Lane::kDesign, ctx,
+      [&](const ExecContext* c,
+          RequestScope* scope) -> Result<etl::ExecutionReport> {
+        if (!warehouse_.has_generation()) {
+          return Status::NotFound(
+              "no published warehouse generation to refresh — run "
+              "DeployServing first");
+        }
+        QUARRY_NAMED_SPAN(span, "quarry.refresh_serving");
+        QUARRY_SPAN_ATTR(span, "request_id",
+                         static_cast<int64_t>(scope->id()));
+        if (!TenantId(c).empty()) {
+          QUARRY_SPAN_ATTR(span, "tenant", TenantId(c));
+        }
+        BuildInFlight build(&serving_builds_in_flight_);
+        // Clone-merge-publish: readers keep serving generation N from their
+        // pins while the loaders merge the source delta into the clone.
+        std::unique_ptr<storage::Database> scratch = warehouse_.BeginBuild();
+        deployer::Deployer dep(source_, scratch.get());
+        QUARRY_ASSIGN_OR_RETURN(
+            etl::ExecutionReport result,
+            dep.Refresh(design_->flow(), {}, c, config_.etl_exec));
+        auto annex = std::make_shared<const md::MdSchema>(design_->schema());
+        const std::string annex_bytes = xml::Write(*annex->ToXml());
+        QUARRY_ASSIGN_OR_RETURN(
+            scope->record().generation,
+            warehouse_.Publish(std::move(scratch), std::move(annex),
+                               annex_bytes));
+        return result;
+      });
 }
 
 Result<QueryResult> Quarry::SubmitQuery(const olap::CubeQuery& query,
                                         const QueryOptions& opts,
                                         const ExecContext* ctx) {
-  RequestScope scope("query", &ctx);
-  scope.record().lane = "query";
-  // Tenant quota gate before the query lane (§11): a flooding tenant burns
-  // its own token bucket / in-flight share and is shed with a retry-after
-  // hint here, so it never occupies shared queue slots.
-  Result<TenantRegistry::Lease> lease = tenants_.Admit(ctx);
-  if (!lease.ok()) {
-    scope.Finish(lease.status());
-    return lease.status();
-  }
-  auto finish_query = [&scope](const Result<QueryResult>& result) {
-    if (result.ok()) {
-      scope.record().rows = static_cast<int64_t>(result->data.rows.size());
-      scope.record().generation = result->generation;
-      scope.record().stale = result->stale;
-      if (!result->profile.roots.empty()) {
-        scope.record().slowest_ops = SlowestOps(result->profile.roots);
-        scope.set_profile_renderer(
-            [&result] { return result->profile.ToJson(); });
-      }
-    }
-    scope.Finish(result.status());
-  };
-
-  double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket =
-      query_admission_->Admit(ctx, &wait);
-  if (ticket.ok()) {
-    scope.set_admission_wait(wait);
-    Result<QueryResult> result = ExecutePinnedQuery(
-        query, /*stale=*/false, ctx, opts.collect_profile, wait);
-    lease->Complete(result.status());
-    finish_query(result);
-    return result;
-  }
-  // Graceful degradation (§9.3): under overload while a publish is pending,
-  // an opted-in caller may still be served generation N-1 through the
-  // bounded stale lane instead of being turned away.
-  if (ticket.status().IsOverloaded() && opts.allow_stale &&
-      serving_builds_in_flight_.load(std::memory_order_relaxed) > 0) {
-    Result<AdmissionController::Ticket> stale_ticket =
-        stale_admission_->Admit(ctx, &wait);
-    if (stale_ticket.ok()) {
-      scope.record().lane = "stale";
-      scope.set_admission_wait(wait);
-      Result<QueryResult> stale = ExecutePinnedQuery(
-          query, /*stale=*/true, ctx, opts.collect_profile, wait);
-      // Nothing to degrade onto (single published generation): surface the
-      // original overload, not the fallback's NotFound.
-      if (stale.ok() || !stale.status().IsNotFound()) {
-        lease->Complete(stale.status());
-        finish_query(stale);
+  return Gated<Result<QueryResult>>(
+      "query", Lane::kQuery, ctx,
+      [&](const ExecContext* c, RequestScope* scope) {
+        return ExecutePinnedQuery(query, /*stale=*/false, c,
+                                  opts.collect_profile,
+                                  scope->record().admission_wait_micros);
+      },
+      // Graceful degradation (§9.3): under overload while a publish is
+      // pending, an opted-in caller may still be served generation N-1
+      // through the bounded stale lane instead of being turned away.
+      [&](const ExecContext* c, RequestScope* scope,
+          const Status& shed) -> Result<QueryResult> {
+        if (!shed.IsOverloaded() || !opts.allow_stale ||
+            serving_builds_in_flight_.load(std::memory_order_relaxed) == 0) {
+          return shed;
+        }
+        double wait = 0.0;
+        Result<AdmissionController::Ticket> stale_ticket =
+            stale_admission_->Admit(c, &wait);
+        if (!stale_ticket.ok()) return shed;
+        Result<QueryResult> stale = ExecutePinnedQuery(
+            query, /*stale=*/true, c, opts.collect_profile, wait);
+        // Nothing to degrade onto (single published generation): surface
+        // the original overload, not the fallback's NotFound.
+        if (!stale.ok() && stale.status().IsNotFound()) return shed;
+        scope->record().lane = "stale";
+        scope->set_admission_wait(wait);
         return stale;
-      }
-      scope.record().lane = "query";
-    }
-  }
-  lease->Complete(ticket.status());
-  scope.Finish(ticket.status());
-  return ticket.status();
+      });
 }
 
 Result<QueryResult> Quarry::ExecutePinnedQuery(const olap::CubeQuery& query,

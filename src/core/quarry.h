@@ -2,6 +2,7 @@
 #define QUARRY_CORE_QUARRY_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -58,14 +59,14 @@ struct QuarryConfig {
   integrator::MdIntegrationOptions md_options;
   etl::CostModelConfig etl_cost;
   std::string database_name = "demo";
-  /// Gate in front of the design-mutating entry points — Submit* and the
-  /// direct Refresh / DeployResilient / *Serving calls alike
-  /// (docs/ROBUSTNESS.md §7, §9.4).
+  /// Gate in front of the design-mutating entry points — the Submit*
+  /// calls and DeployServing / RefreshServing alike (docs/ROBUSTNESS.md §7,
+  /// §9.4).
   AdmissionOptions admission;
   /// How ETL runs execute (docs/ROBUSTNESS.md §8): `max_workers > 1` runs
-  /// Deploy/Refresh flows on the wavefront scheduler. Applied to Refresh /
-  /// SubmitRefresh always, and to DeployResilient / SubmitDeploy unless the
-  /// caller's DeployOptions ask for parallelism themselves.
+  /// deploy/refresh flows on the wavefront scheduler. Applied to
+  /// RefreshServing always, and to DeployServing unless the caller's
+  /// DeployOptions ask for parallelism themselves.
   etl::ExecOptions etl_exec;
   /// Snapshot-isolated serving (docs/ROBUSTNESS.md §9).
   ServingOptions serving;
@@ -121,8 +122,9 @@ struct RecoveryReport {
 ///      satisfiability), and records every artifact (xRQ / partial and
 ///      unified xMD + xLM) in the metadata repository.
 ///   4. RemoveRequirement() / ChangeRequirement() accommodate evolution.
-///   5. Deploy() emits SQL + ktr, creates the DW star schema and runs the
-///      unified ETL to populate it.
+///   5. DeployServing() emits SQL + ktr, creates the DW star schema, runs
+///      the unified ETL to populate it and publishes the result as the next
+///      warehouse generation; RefreshServing() loads source changes.
 class Quarry {
  public:
   /// Validates the mapping against the ontology, snapshots source table
@@ -198,30 +200,14 @@ class Quarry {
   /// Removes a requirement and prunes the unified design.
   Status RemoveRequirement(const std::string& ir_id);
 
-  /// Replaces an integrated requirement with a new definition.
+  /// Replaces an integrated requirement with a new definition. Atomic: when
+  /// the new definition fails to integrate, the old one stays in place.
   Result<integrator::IntegrationOutcome> ChangeRequirement(
       const req::InformationRequirement& ir, const ExecContext* ctx = nullptr);
 
-  /// Deploys the unified design into `target`.
-  Result<deployer::DeploymentReport> Deploy(storage::Database* target);
-
-  /// Transactional deployment of the unified design into `target`
-  /// (docs/ROBUSTNESS.md): per-node ETL retries, rollback (or best-effort
-  /// partial keep) on failure, and a deployment record in the metadata
-  /// repository. `options.database_name` and `options.metadata` are
-  /// overridden with this instance's configuration and repository store;
-  /// attach a request lifecycle via `options.context`.
-  Result<deployer::DeploymentOutcome> DeployResilient(
-      storage::Database* target, deployer::DeployOptions options = {});
-
-  /// Incrementally refreshes an already-deployed `target` with whatever
-  /// changed in the source since the last Deploy/Refresh (idempotent
-  /// loaders skip known keys).
-  Result<etl::ExecutionReport> Refresh(storage::Database* target,
-                                       const ExecContext* ctx = nullptr);
-
-  /// The gate in front of the Submit* entry points. Exposed so callers can
-  /// observe load (in_flight / queue_depth) or share it across instances.
+  /// The design-lane gate in front of the Submit* entry points and
+  /// DeployServing / RefreshServing. Exposed so callers can observe load
+  /// (in_flight / queue_depth) or share it across instances.
   AdmissionController& admission() { return *admission_; }
 
   /// Multi-tenant quota gate in front of every admission lane
@@ -238,11 +224,13 @@ class Quarry {
 
   // --- admission-gated entry points (docs/ROBUSTNESS.md §7) ---------------
   //
-  // Each Submit* first passes the admission controller — waiting FIFO for a
-  // slot, or failing fast with kOverloaded / kDeadlineExceeded / kCancelled
-  // under load — then runs the corresponding operation with `ctx` attached.
-  // Design mutations are serialized internally, so concurrent Submit*
-  // callers are safe; the admission gate bounds how many of them pile up.
+  // Each Submit* (and DeployServing / RefreshServing below) first passes the
+  // tenant gate and the design-lane admission controller — waiting FIFO for
+  // a slot, or failing fast with kOverloaded / kDeadlineExceeded /
+  // kCancelled under load — then runs the corresponding operation with
+  // `ctx` attached. Design mutations are serialized internally, so
+  // concurrent callers are safe; the admission gate bounds how many of them
+  // pile up.
 
   Result<integrator::IntegrationOutcome> SubmitRequirement(
       const req::InformationRequirement& ir, const ExecContext* ctx = nullptr);
@@ -253,22 +241,14 @@ class Quarry {
   Status SubmitRemoveRequirement(const std::string& ir_id,
                                  const ExecContext* ctx = nullptr);
 
-  /// `options.context` is overridden with `ctx`.
-  Result<deployer::DeploymentOutcome> SubmitDeploy(
-      storage::Database* target, deployer::DeployOptions options = {},
-      const ExecContext* ctx = nullptr);
-
-  Result<etl::ExecutionReport> SubmitRefresh(storage::Database* target,
-                                             const ExecContext* ctx = nullptr);
-
   // --- snapshot-isolated serving (docs/ROBUSTNESS.md §9) ------------------
   //
-  // Instead of deploying into a caller-owned mutable Database, the serving
-  // path owns a GenerationStore of immutable published generations. Deploy /
-  // refresh build the next generation off to the side and atomically publish
-  // it on success; queries pin one generation for their whole run, so a
-  // concurrent refresh can never tear a result. A mid-build fault discards
-  // the scratch — rollback is O(1), never a full-warehouse RestoreFrom.
+  // The warehouse is a GenerationStore of immutable published generations.
+  // Deploy / refresh build the next generation off to the side and
+  // atomically publish it on success; queries pin one generation for their
+  // whole run, so a concurrent refresh can never tear a result. A mid-build
+  // fault discards the scratch — rollback is O(1), never a full-warehouse
+  // copy-back.
 
   /// The generation store behind the serving path. Read-only access for
   /// observation (current_generation, stats, Acquire for ad-hoc pins);
@@ -276,15 +256,19 @@ class Quarry {
   storage::GenerationStore& warehouse() { return warehouse_; }
   const storage::GenerationStore& warehouse() const { return warehouse_; }
 
-  /// Deploys the unified design as the next warehouse generation: builds a
-  /// scratch database off to the side (DeployTransactional with
-  /// target_is_scratch), and on success — or a best-effort partial —
-  /// publishes it together with a snapshot of the MD schema. On failure the
-  /// scratch is simply discarded: the currently-served generation is
-  /// untouched and readers never observe intermediate state. The publish
-  /// step itself is a fault site ("storage.generation.publish"); a publish
-  /// fault reports stage "publish" and likewise discards the scratch.
-  /// Admission-gated on the design lane.
+  /// Deploys the unified design as the next warehouse generation: builds an
+  /// empty scratch database off to the side (DeployTransactional: per-node
+  /// ETL retries, rollback or best-effort partial keep, a deployment record
+  /// in the metadata repository), and on success — or a best-effort
+  /// partial — publishes it together with a snapshot of the MD schema. On
+  /// failure the scratch is simply discarded: the currently-served
+  /// generation is untouched and readers never observe intermediate state.
+  /// The publish step itself is a fault site ("storage.generation.publish");
+  /// a publish fault reports stage "publish", discards the scratch and
+  /// restores the metadata repository to its pre-deploy state.
+  /// `options.database_name` and `options.metadata` are overridden with
+  /// this instance's configuration and repository store; `ctx`, when set,
+  /// overrides `options.context`. Admission-gated on the design lane.
   Result<deployer::DeploymentOutcome> DeployServing(
       deployer::DeployOptions options = {}, const ExecContext* ctx = nullptr);
 
@@ -323,12 +307,36 @@ class Quarry {
 
   Status RefreshUnifiedArtifacts();
 
-  // Un-gated bodies of the admission-gated public entry points. Callers
-  // hold submit_mu_ and have already passed the design-lane gate.
-  Result<deployer::DeploymentOutcome> DeployResilientInternal(
-      storage::Database* target, deployer::DeployOptions options);
-  Result<etl::ExecutionReport> RefreshInternal(storage::Database* target,
-                                               const ExecContext* ctx);
+  /// Stores a requirement's xRQ and partial xMD/xLM and refreshes the
+  /// unified xMD/xLM in the repository.
+  Status StoreRequirementArtifacts(const req::InformationRequirement& ir,
+                                   const interpreter::PartialDesign& partial);
+
+  /// Attribution of one entry-point invocation (request id, metrics, the
+  /// event-log record); defined in quarry.cc.
+  class RequestScope;
+
+  /// The admission lane a gated entry point waits in.
+  enum class Lane { kDesign, kQuery };
+
+  /// Serves a request its lane refused (SubmitQuery's stale lane), or
+  /// returns the refusal.
+  template <typename R>
+  using ShedFallback =
+      std::function<R(const ExecContext*, RequestScope*, const Status&)>;
+
+  /// The one gate every public entry point goes through: opens the request
+  /// scope of `kind`, takes the tenant lease and a `lane` ticket (recording
+  /// its wait), runs `body(ctx, &scope)` — under submit_mu_ on the design
+  /// lane — and completes the lease and the scope with the same effective
+  /// status. When the lane sheds, `on_shed` gets one chance to serve the
+  /// request anyway. R is Status or a Result.
+  template <typename R, typename Body>
+  R Gated(const char* kind, Lane lane, const ExecContext* ctx, Body body,
+          const ShedFallback<R>& on_shed = nullptr);
+
+  /// Un-gated body of DeployServing: the caller holds submit_mu_ and has
+  /// passed the design-lane gate.
   Result<deployer::DeploymentOutcome> DeployServingInternal(
       deployer::DeployOptions options);
 
@@ -355,9 +363,9 @@ class Quarry {
   std::unique_ptr<AdmissionController> stale_admission_;
   /// Per-tenant quotas/priorities/breakers checked before any lane (§11).
   TenantRegistry tenants_;
-  /// Serializes the design-mutating body of Submit* calls: the engine
-  /// itself is single-writer, the admission gate only bounds how many
-  /// requests wait for it.
+  /// Serializes the bodies of design-lane calls: the engine itself is
+  /// single-writer, the admission gate only bounds how many requests wait
+  /// for it.
   std::mutex submit_mu_;
   /// Published warehouse generations of the serving path (§9).
   storage::GenerationStore warehouse_;

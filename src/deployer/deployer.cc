@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <optional>
 #include <set>
 #include <thread>
@@ -110,26 +109,14 @@ json::Value DeploymentRecord(const DeployOptions& options,
 
 }  // namespace
 
-Result<DeploymentReport> Deployer::Deploy(
-    const md::MdSchema& schema, const etl::Flow& flow,
-    const ontology::SourceMapping& mapping,
-    const std::string& database_name) {
-  DeployOptions options;
-  options.database_name = database_name;
-  QUARRY_ASSIGN_OR_RETURN(
-      DeploymentOutcome outcome,
-      DeployTransactional(schema, flow, mapping, options));
-  if (!outcome.success) {
-    const DeploymentFailure& failure = *outcome.failure;
-    return failure.cause.WithContext("deployment stage '" + failure.stage +
-                                     "'");
-  }
-  return std::move(outcome.report);
-}
-
 Result<DeploymentOutcome> Deployer::DeployTransactional(
     const md::MdSchema& schema, const etl::Flow& flow,
     const ontology::SourceMapping& mapping, const DeployOptions& options) {
+  if (target_->num_tables() > 0) {
+    return Status::InvalidArgument(
+        "deployment target '" + target_->name() + "' is not empty (" +
+        std::to_string(target_->num_tables()) + " tables)");
+  }
   DeploymentOutcome outcome;
   DeploymentReport& report = outcome.report;
   QUARRY_NAMED_SPAN(deploy_span, "deploy");
@@ -149,14 +136,17 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
   double backoff_spent_ms = 0;
   const ExecContext* ctx = options.context;
 
-  // Pre-deploy snapshots: any mid-deploy failure restores both stores
-  // byte-identically (docs/ROBUSTNESS.md). A scratch target (a private,
-  // unpublished warehouse generation, §9) snapshots as empty: restoring it
-  // just clears the scratch, so the rollback path never deep-copies.
-  std::unique_ptr<storage::Database> db_snapshot =
-      options.target_is_scratch
-          ? std::make_unique<storage::Database>(target_->name())
-          : target_->Clone();
+  // The target starts empty, so every table in it is one this deploy
+  // created and undoing the target is erasing them (and the name the DDL's
+  // CREATE DATABASE set); the metadata store is snapshotted and restored
+  // byte-identically (docs/ROBUSTNESS.md).
+  const std::string target_name = target_->name();
+  auto erase_created_tables = [&]() {
+    for (const std::string& name : target_->TableNames()) {
+      target_->EraseTable(name);
+    }
+    target_->set_name(target_name);
+  };
   std::optional<docstore::DocumentStore> meta_snapshot;
   if (options.metadata != nullptr) {
     meta_snapshot = options.metadata->Clone();
@@ -167,7 +157,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
     DeployCounter("quarry_deploy_rollbacks_total",
                   "Deployments rolled back to the pre-deploy snapshot")
         .Increment();
-    target_->RestoreFrom(*db_snapshot);
+    erase_created_tables();
     if (options.metadata != nullptr) {
       options.metadata->RestoreFrom(*meta_snapshot);
     }
@@ -208,7 +198,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
   }
 
   // Stage 2: execute the DDL. A failed script leaves earlier statements
-  // applied, so every retry starts from the restored snapshot.
+  // applied, so every retry starts from an empty target again.
   {
     StageScope stage("ddl");
     QUARRY_SPAN("deploy.ddl");
@@ -226,7 +216,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
         break;
       }
       ddl_status = sql_report.status();
-      target_->RestoreFrom(*db_snapshot);
+      erase_created_tables();
       if (attempt < max_attempts) {
         BackoffSleep(options.retry, attempt, &backoff_prng,
                      &backoff_spent_ms, ctx);
@@ -261,7 +251,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
     // because the caller gave up" is indistinguishable from a half-deployed
     // warehouse.
     if (options.best_effort && !IsLifecycleError(etl_report.status())) {
-      // Keep only tables whose every loader completed; restore the rest.
+      // Keep only tables whose every loader completed; erase the rest.
       std::set<std::string> keep;
       for (const auto& [table, n] : checkpoint.loaded) keep.insert(table);
       std::set<std::string> completed(checkpoint.completed.begin(),
@@ -274,12 +264,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
         if (it != node.params.end()) keep.erase(it->second);
       }
       for (const std::string& name : target_->TableNames()) {
-        if (keep.count(name) > 0) continue;
-        if (db_snapshot->HasTable(name)) {
-          target_->RestoreTable((*db_snapshot->GetTable(name))->Clone());
-        } else {
-          target_->EraseTable(name);
-        }
+        if (keep.count(name) == 0) target_->EraseTable(name);
       }
       DeploymentFailure failure;
       failure.stage = "etl";

@@ -43,18 +43,10 @@ struct DeployOptions {
   /// (docs/ROBUSTNESS.md §7).
   const ExecContext* context = nullptr;
   /// Degraded mode: on an unrecoverable ETL fault, keep the tables whose
-  /// loaders completed (typically the dimensions), roll back only the
+  /// loaders completed (typically the dimensions), erase only the
   /// unfinished ones, and mark the deployment "partial" in the metadata
   /// store instead of rolling everything back.
   bool best_effort = false;
-  /// The target is a disposable scratch generation (serve-while-refresh,
-  /// docs/ROBUSTNESS.md §9): skip the pre-deploy deep Clone() of the
-  /// target and recover against an empty snapshot instead — rollback
-  /// becomes clearing the scratch (the caller discards it wholesale
-  /// anyway) rather than an O(rows) copy-back. The metadata store is still
-  /// snapshotted and rolled back normally. Only set this when nothing else
-  /// can observe the target until it is published.
-  bool target_is_scratch = false;
   /// Snapshot/rolled back together with the target; receives the
   /// deployment record in its "deployments" collection. Usually the
   /// metadata repository's underlying store. May be null.
@@ -65,10 +57,12 @@ struct DeployOptions {
 
 /// \brief Structured description of a failed (or degraded) deployment.
 struct DeploymentFailure {
-  std::string stage;        ///< "generate" | "ddl" | "etl" | "integrity" | "metadata"
+  /// "generate" | "ddl" | "etl" | "integrity" | "metadata", or "publish"
+  /// on the serving path (Quarry::DeployServing).
+  std::string stage;
   std::string failed_node;  ///< ETL node id (etl stage only).
   std::map<std::string, int64_t> rows_loaded;  ///< Completed loader progress.
-  bool rolled_back = false;  ///< Target + metadata restored to pre-deploy state.
+  bool rolled_back = false;  ///< Target emptied, metadata restored.
   std::vector<std::string> kept_tables;  ///< Best-effort survivors.
   Status cause;              ///< The underlying error.
 };
@@ -93,9 +87,10 @@ struct DeploymentOutcome {
 /// relational engine (the PostgreSQL stand-in) and the unified ETL flow run
 /// on the embedded ETL engine (the Pentaho stand-in) to populate it.
 ///
-/// Deployment is transactional (docs/ROBUSTNESS.md): the target database
-/// and the metadata store are snapshotted up front; any mid-deploy failure
-/// restores both byte-identically and reports a DeploymentFailure, unless
+/// Deployment is transactional (docs/ROBUSTNESS.md): it builds into an
+/// empty target, and the metadata store is snapshotted up front; any
+/// mid-deploy failure erases every table the deploy created, restores the
+/// metadata store byte-identically and reports a DeploymentFailure, unless
 /// best-effort mode keeps the fully-loaded tables and marks the deployment
 /// partial.
 class Deployer {
@@ -105,16 +100,9 @@ class Deployer {
   Deployer(const storage::Database* source, storage::Database* target)
       : source_(source), target_(target) {}
 
-  /// Generates DDL + ktr, executes the DDL against the target, runs the
-  /// flow to populate it, and verifies referential integrity. Thin wrapper
-  /// over DeployTransactional: on failure the target is already rolled
-  /// back and the structured failure's cause is returned as the Status.
-  Result<DeploymentReport> Deploy(const md::MdSchema& schema,
-                                  const etl::Flow& flow,
-                                  const ontology::SourceMapping& mapping,
-                                  const std::string& database_name = "demo");
-
-  /// The full-control deployment path. Only infrastructure misuse (e.g. a
+  /// Generates DDL + ktr, executes the DDL against the (empty) target, runs
+  /// the flow to populate it, verifies referential integrity and records
+  /// the deployment. Only infrastructure misuse (a non-empty target, a
   /// cyclic flow) yields a non-OK Result; a deployment that failed and was
   /// rolled back (or degraded to partial) comes back as an OK Result whose
   /// outcome carries the DeploymentFailure.

@@ -179,8 +179,22 @@ Result<IntegrationOutcome> DesignIntegrator::ChangeRequirement(
   // removing the old version of the requirement.
   QUARRY_RETURN_NOT_OK(
       CheckContext(ctx, "change of requirement '" + ir.id + "'"));
+  auto it = requirements_.find(ir.id);
+  if (it == requirements_.end()) {
+    return Status::NotFound("requirement '" + ir.id + "'");
+  }
+  md::MdSchema schema_backup = schema_;
+  etl::Flow flow_backup = flow_.Clone();
+  req::InformationRequirement previous = it->second;
   QUARRY_RETURN_NOT_OK(RemoveRequirement(ir.id));
-  return AddRequirement(ir, partial, ctx);
+  Result<IntegrationOutcome> outcome = AddRequirement(ir, partial, ctx);
+  if (!outcome.ok()) {
+    // The new definition does not integrate: the old one stays in place.
+    schema_ = std::move(schema_backup);
+    flow_ = std::move(flow_backup);
+    requirements_.emplace(previous.id, std::move(previous));
+  }
+  return outcome;
 }
 
 Status DesignIntegrator::VerifyAll() const {

@@ -65,7 +65,9 @@ class DesignIntegrator {
   /// become unsatisfied.
   Status RemoveRequirement(const std::string& ir_id);
 
-  /// Replaces a changed requirement: removal + re-integration.
+  /// Replaces a changed requirement: removal + re-integration. Atomic: if
+  /// the new definition fails to integrate, schema, flow and requirement
+  /// set are restored to the old definition's.
   Result<IntegrationOutcome> ChangeRequirement(
       const req::InformationRequirement& ir,
       const interpreter::PartialDesign& partial,

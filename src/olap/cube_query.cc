@@ -24,6 +24,11 @@ Node MakeNode(std::string id, OpType type,
   return node;
 }
 
+/// The answer column a measure is aggregated into.
+const std::string& OutputName(const QueryMeasure& m) {
+  return m.alias.empty() ? m.measure : m.alias;
+}
+
 }  // namespace
 
 Result<Flow> CubeQueryEngine::Compile(const CubeQuery& query) const {
@@ -139,9 +144,8 @@ Result<Flow> CubeQueryEngine::Compile(const CubeQuery& query) const {
         projected.end()) {
       projected.push_back(m.measure);
     }
-    std::string alias = m.alias.empty() ? m.measure : m.alias;
     agg_parts.push_back(std::string(md::AggFuncToEtlName(m.function)) + "(" +
-                        m.measure + ") AS " + alias);
+                        m.measure + ") AS " + OutputName(m));
   }
   QUARRY_RETURN_NOT_OK(flow.AddNode(MakeNode(
       "q_project", OpType::kProjection, {{"columns", Join(projected, ",")}})));
@@ -182,9 +186,18 @@ Result<etl::Dataset> CubeQueryEngine::Execute(const CubeQuery& query,
     profile->plan = etl::BuildProfileTrees(flow, profile->report);
   }
   QUARRY_RETURN_NOT_OK(run.status());
+  etl::Dataset out;
+  if (!scratch.HasTable("__result")) {
+    // An empty answer: the loader defers creating a table it has no rows
+    // to infer column types from. The columns are the aggregation's.
+    out.columns = query.group_by;
+    for (const QueryMeasure& m : query.measures) {
+      out.columns.push_back(OutputName(m));
+    }
+    return out;
+  }
   QUARRY_ASSIGN_OR_RETURN(const storage::Table* result,
                           scratch.GetTable("__result"));
-  etl::Dataset out;
   for (const storage::Column& c : result->schema().columns()) {
     out.columns.push_back(c.name);
   }

@@ -73,14 +73,6 @@ std::unique_ptr<Database> Database::Clone() const {
   return copy;
 }
 
-void Database::RestoreFrom(const Database& snapshot) {
-  name_ = snapshot.name_;
-  tables_.clear();
-  for (const auto& [name, table] : snapshot.tables_) {
-    tables_.emplace(name, table->Clone());
-  }
-}
-
 void Database::RestoreTable(std::unique_ptr<Table> table) {
   std::string name = table->name();
   tables_[std::move(name)] = std::move(table);

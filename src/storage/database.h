@@ -50,15 +50,12 @@ class Database {
 
   // -- recovery support (see docs/ROBUSTNESS.md) ----------------------------
 
-  /// Deep copy of the whole catalog (schemas, rows, indexes). Transactional
-  /// deployment snapshots the target before mutating it.
+  /// Deep copy of the whole catalog (schemas, rows, indexes). A refresh
+  /// builds the next warehouse generation on a clone of the current one.
   std::unique_ptr<Database> Clone() const;
 
-  /// Resets this database to the snapshot's state (name and tables).
-  void RestoreFrom(const Database& snapshot);
-
   /// Replaces (or inserts) one table wholesale, bypassing FK admission
-  /// checks — only for restoring a Clone()d snapshot of this database.
+  /// checks — only for restoring a Clone()d snapshot of one table.
   void RestoreTable(std::unique_ptr<Table> table);
 
   /// Removes a table without status or fault-injection accounting — only

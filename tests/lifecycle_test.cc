@@ -419,18 +419,13 @@ class DeployLifecycleTest : public ::testing::Test {
     design_ = std::move(*design);
   }
 
-  /// Seeds target + metadata with pre-existing content and returns the
-  /// outcome of a transactional deploy under `ctx`.
+  /// Seeds the metadata with pre-existing content and returns the outcome
+  /// of a transactional deploy into the (empty) target under `ctx`.
   DeploymentOutcome DeployUnder(const ExecContext* ctx, bool best_effort,
                                 uint64_t* target_fp_before,
                                 uint64_t* meta_fp_before,
                                 storage::Database* target,
                                 docstore::DocumentStore* meta) {
-    storage::TableSchema legacy("legacy");
-    EXPECT_TRUE(
-        legacy.AddColumn({"id", storage::DataType::kInt64, false}).ok());
-    Table* t = *target->CreateTable(std::move(legacy));
-    EXPECT_TRUE(t->Insert({Value::Int(7)}).ok());
     json::Object doc;
     doc.emplace_back("_id", json::Value("onto"));
     EXPECT_TRUE(meta->GetOrCreate("ontologies")
@@ -752,11 +747,11 @@ TEST_F(SubmitTest, SubmitRequirementAndDeployEndToEnd) {
       quarry_->SubmitRequirement(RevenueIr());
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_EQ(quarry_->requirements().size(), 1u);
-  storage::Database target;
-  auto deploy = quarry_->SubmitDeploy(&target);
+  auto deploy = quarry_->DeployServing();
   ASSERT_TRUE(deploy.ok()) << deploy.status();
   EXPECT_TRUE(deploy->success);
-  EXPECT_TRUE(target.HasTable("fact_table_revenue"));
+  EXPECT_TRUE(
+      quarry_->warehouse().Acquire()->db().HasTable("fact_table_revenue"));
   // The gate is fully released after each call.
   EXPECT_EQ(quarry_->admission().in_flight(), 0);
 }

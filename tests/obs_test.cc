@@ -273,8 +273,7 @@ TEST_F(ObsTest, FullPipelineEmitsSpansAndMetrics) {
       "ANALYZE turnover ON Sale "
       "MEASURE turnover = Sale.sl_amount SUM BY Product.pr_category");
   ASSERT_TRUE(outcome.ok()) << outcome.status();
-  storage::Database warehouse;
-  auto report = (*quarry)->DeployResilient(&warehouse);
+  auto report = (*quarry)->DeployServing();
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_TRUE(report->success);
   core::Quarry::Telemetry().StopTracing();

@@ -32,14 +32,21 @@ class CubeQueryTest : public ::testing::Test {
     ir.dimensions.push_back({"Part.p_type"});
     ir.dimensions.push_back({"Supplier.s_name"});
     ASSERT_TRUE(quarry_->AddRequirement(ir).ok());
-    ASSERT_TRUE(quarry_->Deploy(&warehouse_).ok());
+    auto deployment = quarry_->DeployServing();
+    ASSERT_TRUE(deployment.ok()) << deployment.status();
+    ASSERT_TRUE(deployment->success);
+    auto pin = quarry_->warehouse().Acquire();
+    ASSERT_TRUE(pin.ok()) << pin.status();
+    pin_ = std::move(*pin);
     engine_ = std::make_unique<CubeQueryEngine>(
-        &quarry_->schema(), &quarry_->mapping(), &warehouse_);
+        &quarry_->schema(), &quarry_->mapping(), &pin_.db());
   }
+
+  const storage::Database& warehouse() const { return pin_.db(); }
 
   storage::Database src_;
   std::unique_ptr<core::Quarry> quarry_;
-  storage::Database warehouse_;
+  storage::GenerationStore::Pin pin_;
   std::unique_ptr<CubeQueryEngine> engine_;
 };
 
@@ -61,7 +68,7 @@ TEST_F(CubeQueryTest, RollUpByDimensionAttribute) {
     rolled_up += row[1].as_double();
   }
   double fact_total = 0;
-  const storage::Table& fact = **warehouse_.GetTable("fact_table_revenue");
+  const storage::Table& fact = **warehouse().GetTable("fact_table_revenue");
   auto rev = *fact.schema().ColumnIndex("revenue");
   for (const storage::Row& row : fact.rows()) {
     fact_total += row[rev].as_double();
@@ -137,6 +144,28 @@ TEST_F(CubeQueryTest, TwoDimensionGroupBy) {
   auto coarse_result = engine_->Execute(coarse);
   ASSERT_TRUE(coarse_result.ok());
   EXPECT_GE(result->rows.size(), coarse_result->rows.size());
+}
+
+TEST_F(CubeQueryTest, EmptyAnswerIsAnEmptyDataset) {
+  CubeQuery query;
+  query.fact = "fact_table_revenue";
+  query.group_by = {"p_type"};
+  query.measures = {{"revenue", md::AggFunc::kSum, "total"}};
+  auto answer = engine_->Execute(query);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  ASSERT_GT(answer->rows.size(), 0u);
+
+  query.filters = {"p_type = 'NO SUCH TYPE'"};
+  auto empty = engine_->Execute(query);
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_EQ(empty->rows.size(), 0u);
+  EXPECT_EQ(empty->columns, answer->columns);
+
+  // The served path answers the same way.
+  auto served = quarry_->SubmitQuery(query);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(served->data.rows.size(), 0u);
+  EXPECT_EQ(served->data.columns, answer->columns);
 }
 
 TEST_F(CubeQueryTest, ErrorsAreDescriptive) {

@@ -147,10 +147,13 @@ TEST(QueryParserTest, EndToEndThroughQuarryImporter) {
       "WHERE Nation.n_name = 'SPAIN'");
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_EQ((*quarry)->requirements().size(), 1u);
-  storage::Database dw;
-  auto deployment = (*quarry)->Deploy(&dw);
+  auto deployment = (*quarry)->DeployServing();
   ASSERT_TRUE(deployment.ok()) << deployment.status();
-  EXPECT_GT((*dw.GetTable("fact_table_revenue"))->num_rows(), 0u);
+  ASSERT_TRUE(deployment->success);
+  EXPECT_GT((*(*quarry)->warehouse().Acquire()->db().GetTable(
+                 "fact_table_revenue"))
+                ->num_rows(),
+            0u);
   // Unknown importer name fails cleanly.
   EXPECT_TRUE((*quarry)->repository().Import("yaml", "x").status()
                   .IsNotFound());

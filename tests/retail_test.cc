@@ -79,15 +79,17 @@ TEST_F(RetailTest, FullLifecycleOnRetailDomain) {
   const md::Dimension& store_dim = **(*quarry)->schema().GetDimension("Store");
   EXPECT_EQ(store_dim.levels.back().concept_id, "Region");
 
-  storage::Database dw;
-  auto deployment = (*quarry)->Deploy(&dw);
+  auto deployment = (*quarry)->DeployServing();
   ASSERT_TRUE(deployment.ok()) << deployment.status();
-  EXPECT_TRUE(deployment->referential_integrity_ok);
-  EXPECT_GT((*dw.GetTable("fact_table_turnover"))->num_rows(), 0u);
+  ASSERT_TRUE(deployment->success);
+  EXPECT_TRUE(deployment->report.referential_integrity_ok);
+  auto dw = (*quarry)->warehouse().Acquire();
+  ASSERT_TRUE(dw.ok()) << dw.status();
+  EXPECT_GT((*dw->db().GetTable("fact_table_turnover"))->num_rows(), 0u);
 
   // Roll up turnover per category on the deployed warehouse.
   olap::CubeQueryEngine engine(&(*quarry)->schema(), &(*quarry)->mapping(),
-                               &dw);
+                               &dw->db());
   olap::CubeQuery query;
   query.fact = "fact_table_turnover";
   query.group_by = {"pr_category"};

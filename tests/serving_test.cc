@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 
 #include "common/fault_injection.h"
@@ -13,6 +14,7 @@
 #include "core/session.h"
 #include "datagen/tpch.h"
 #include "obs/metrics.h"
+#include "obs/request_log.h"
 #include "ontology/tpch_ontology.h"
 #include "storage/generation_store.h"
 
@@ -304,6 +306,7 @@ TEST_F(ServingTest, PublishFaultDuringRefreshKeepsServingTheOldGeneration) {
 }
 
 TEST_F(ServingTest, PublishFaultDuringDeployReportsThePublishStage) {
+  const uint64_t store_before = quarry_->repository().store().Fingerprint();
   fault::Injector::Instance().Enable(19);
   fault::Injector::Instance().Configure("storage.generation.publish",
                                         {0.0, /*trigger_on_hit=*/1, 0, -1});
@@ -317,6 +320,8 @@ TEST_F(ServingTest, PublishFaultDuringDeployReportsThePublishStage) {
   EXPECT_EQ(outcome->failure->stage, "publish");
   EXPECT_TRUE(outcome->failure->rolled_back);
   EXPECT_FALSE(quarry_->warehouse().has_generation());
+  // Nothing was published, so nothing is recorded as deployed either.
+  EXPECT_EQ(quarry_->repository().store().Fingerprint(), store_before);
 
   // The instance recovers without any restore step.
   auto retry = quarry_->DeployServing();
@@ -325,68 +330,103 @@ TEST_F(ServingTest, PublishFaultDuringDeployReportsThePublishStage) {
   EXPECT_EQ(quarry_->warehouse().current_generation(), 1u);
 }
 
-// The pre-serving failure mode this PR closes (kept as a regression
-// contrast): an in-place Refresh that dies mid-flow leaves the warehouse in
-// a state matching NEITHER the pre-refresh NOR the post-refresh content —
-// exactly what a concurrent reader would observe as a torn result. The
-// serving path under the identical fault never exposes such a state.
-TEST_F(ServingTest, InPlaceRefreshTearsStateWhereServingDoesNot) {
-  storage::Database dw;
-  ASSERT_TRUE(quarry_->Deploy(&dw).ok());
+// A refresh that dies mid-flow, after every loader but the last committed
+// into its scratch, never moves the served generation: readers keep seeing
+// the last published state, never a half-refreshed one.
+TEST_F(ServingTest, RefreshFaultNeverTearsTheServedGeneration) {
+  ASSERT_TRUE(quarry_->DeployServing().ok());
   GrowSource(1);
-  const uint64_t fp_pre = dw.Fingerprint();
 
-  // Dry run on a clone: count loader executions and capture the content a
-  // completed refresh produces.
-  std::unique_ptr<storage::Database> probe = dw.Clone();
+  // Dry run: count the loader executions of a completed refresh.
   fault::Injector::Instance().Enable(23);
-  ASSERT_TRUE(quarry_->Refresh(probe.get()).ok());
+  ASSERT_TRUE(quarry_->RefreshServing().ok());
   const int64_t loader_runs =
       fault::Injector::Instance().HitCount("etl.exec.Loader.write");
   ASSERT_GE(loader_runs, 2) << "need >= 2 loaders for a torn state";
-  const uint64_t fp_post = probe->Fingerprint();
+  fault::Injector::Instance().Disable();
+  const uint64_t generation = quarry_->warehouse().current_generation();
+  const uint64_t fp_served =
+      quarry_->warehouse().Acquire()->db().Fingerprint();
 
   // Fail the LAST loader: every other table has committed by then.
-  fault::Injector::Instance().Enable(23);  // reset counters
-  fault::Injector::Instance().Configure("etl.exec.Loader.write",
-                                        {0.0, loader_runs, 0, -1});
-  EXPECT_FALSE(quarry_->Refresh(&dw).ok());
-  const uint64_t fp_torn = dw.Fingerprint();
-  EXPECT_NE(fp_torn, fp_pre);   // some tables already refreshed
-  EXPECT_NE(fp_torn, fp_post);  // but not all of them: torn state
-
-  // Serving path, identical fault: the published generation never moves.
-  fault::Injector::Instance().ClearConfigs();
-  fault::Injector::Instance().Disable();
-  ASSERT_TRUE(quarry_->DeployServing().ok());
-  const uint64_t fp_gen1 = quarry_->warehouse().Acquire()->db().Fingerprint();
   GrowSource(2);
-  fault::Injector::Instance().Enable(23);
+  fault::Injector::Instance().Enable(23);  // reset counters
   fault::Injector::Instance().Configure("etl.exec.Loader.write",
                                         {0.0, loader_runs, 0, -1});
   EXPECT_FALSE(quarry_->RefreshServing().ok());
   fault::Injector::Instance().ClearConfigs();
   fault::Injector::Instance().Disable();
-  EXPECT_EQ(quarry_->warehouse().current_generation(), 1u);
-  EXPECT_EQ(quarry_->warehouse().Acquire()->db().Fingerprint(), fp_gen1);
+  EXPECT_EQ(quarry_->warehouse().current_generation(), generation);
+  EXPECT_EQ(quarry_->warehouse().Acquire()->db().Fingerprint(), fp_served);
 }
 
-// Regression for the admission gap: the direct design-mutating entry points
-// used to bypass the controller that gates Submit*.
+// Every entry point passes the one gate: with its lane saturated, each of
+// the six sheds with kOverloaded, writes exactly one request record of its
+// kind carrying the shed status, and releases its tenant lease.
 TEST_F(ServingTest, DirectRefreshAndDeployPassTheAdmissionGate) {
   QuarryConfig config;
   config.admission = {/*max_in_flight=*/1, /*max_queue_depth=*/0,
                       /*queue_timeout_millis=*/-1.0, /*lane=*/""};
+  config.serving.query_admission = {/*max_in_flight=*/1,
+                                    /*max_queue_depth=*/0,
+                                    /*queue_timeout_millis=*/-1.0,
+                                    /*lane=*/""};
   std::unique_ptr<Quarry> quarry = MakeQuarry(config);
+  const std::string tenant = "gate_tenant";
+  ASSERT_TRUE(quarry->RegisterTenant(tenant, TenantQuota{}).ok());
+  ExecContext ctx;
+  ctx.set_tenant(tenant);
+  InformationRequirement ir = quarry->requirements().at("ir_revenue");
+  ir.id = "ir_revenue_2";
 
-  auto slot = quarry->admission().Admit();
-  ASSERT_TRUE(slot.ok());
-  storage::Database dw;
-  EXPECT_TRUE(quarry->Refresh(&dw).status().IsOverloaded());
-  EXPECT_TRUE(quarry->DeployResilient(&dw).status().IsOverloaded());
-  EXPECT_TRUE(quarry->DeployServing().status().IsOverloaded());
-  EXPECT_TRUE(quarry->RefreshServing().status().IsOverloaded());
-  slot->Release();
+  struct EntryPoint {
+    const char* kind;
+    std::function<Status()> call;
+  };
+  const EntryPoint entry_points[] = {
+      {"requirement",
+       [&] { return quarry->SubmitRequirement(ir, &ctx).status(); }},
+      {"requirement",
+       [&] {
+         return quarry
+             ->SubmitRequirementFromQuery(
+                 "ANALYZE qty ON Lineitem MEASURE qty = Lineitem.l_quantity "
+                 "SUM BY Part.p_type",
+                 &ctx)
+             .status();
+       }},
+      {"requirement_remove",
+       [&] { return quarry->SubmitRemoveRequirement("ir_revenue", &ctx); }},
+      {"deploy_serving",
+       [&] { return quarry->DeployServing({}, &ctx).status(); }},
+      {"refresh_serving",
+       [&] { return quarry->RefreshServing(&ctx).status(); }},
+      {"query",
+       [&] { return quarry->SubmitQuery(RevenueByType(), {}, &ctx).status(); }},
+  };
+
+  auto design_slot = quarry->admission().Admit();
+  auto query_slot = quarry->query_admission().Admit();
+  ASSERT_TRUE(design_slot.ok());
+  ASSERT_TRUE(query_slot.ok());
+  obs::RequestLog& log = obs::RequestLog::Instance();
+  for (const EntryPoint& entry : entry_points) {
+    SCOPED_TRACE(entry.kind);
+    const uint64_t recorded_before = log.total_recorded();
+    EXPECT_TRUE(entry.call().IsOverloaded());
+    ASSERT_EQ(log.total_recorded(), recorded_before + 1);
+    const obs::RequestRecord record = log.Snapshot().back();
+    EXPECT_EQ(record.kind, entry.kind);
+    EXPECT_EQ(record.tenant, tenant);
+    EXPECT_EQ(record.status, "Overloaded");
+    for (const TenantStatus& status : quarry->tenants().Snapshot()) {
+      if (status.id == tenant) {
+        EXPECT_EQ(status.in_flight, 0);
+      }
+    }
+  }
+  design_slot->Release();
+  query_slot->Release();
 
   auto outcome = quarry->DeployServing();
   ASSERT_TRUE(outcome.ok()) << outcome.status();

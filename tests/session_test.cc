@@ -53,10 +53,10 @@ TEST_F(SessionTest, SaveThenLoadRebuildsIdenticalDesign) {
   EXPECT_TRUE(xml::DeepEqual(*original->schema().ToXml(),
                              *(*restored)->schema().ToXml()));
   // The restored instance is fully operational.
-  storage::Database dw;
-  auto deployment = (*restored)->Deploy(&dw);
+  auto deployment = (*restored)->DeployServing();
   ASSERT_TRUE(deployment.ok()) << deployment.status();
-  EXPECT_TRUE(deployment->referential_integrity_ok);
+  ASSERT_TRUE(deployment->success);
+  EXPECT_TRUE(deployment->report.referential_integrity_ok);
 }
 
 TEST_F(SessionTest, LoadDetectsDivergingSourceData) {

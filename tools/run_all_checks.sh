@@ -18,6 +18,11 @@
 #                  closed-loop flooder vs a high-priority tenant, asserting
 #                  the §11 priority-isolation invariants
 #                  (tools/run_load_smoke.sh)
+#   9. quarry_bench smoke — every quarry_bench workload at tiny sizes
+#                  (python3 quarry_bench/run.py --smoke). quarry_bench
+#                  compiles src/ as a package of its own, outside tier-1,
+#                  so a public-API change that breaks it would otherwise
+#                  leave ctest green.
 #
 # Every step runs even after an earlier one fails, so one broken gate cannot
 # mask another; the script prints a per-step PASS/FAIL summary at the end and
@@ -82,6 +87,10 @@ vectorized_bench_smoke() {
   "${build_dir}/bench/bench_etl_vectorized" --smoke
 }
 
+quarry_bench_smoke() {
+  (cd "${repo_root}" && python3 quarry_bench/run.py --smoke)
+}
+
 run_step "tier-1 build+ctest" tier1
 run_step "tsan slice" "${repo_root}/tools/run_tsan.sh"
 run_step "crash matrix (asan)" "${repo_root}/tools/run_crash_matrix.sh"
@@ -91,6 +100,7 @@ run_step "vectorized bench smoke" vectorized_bench_smoke
 run_step "metrics doc lint" "${repo_root}/tools/check_metrics_doc.sh"
 run_step "http smoke" "${repo_root}/tools/run_http_smoke.sh" "${build_dir}"
 run_step "load smoke" "${repo_root}/tools/run_load_smoke.sh" "${build_dir}"
+run_step "quarry_bench smoke" quarry_bench_smoke
 if [[ "${RUN_ALL_CHECKS_SOAK:-0}" == "1" ]]; then
   run_step "serving soak (asan)" "${repo_root}/tools/run_soak.sh"
 fi

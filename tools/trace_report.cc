@@ -124,19 +124,15 @@ int main(int argc, char** argv) {
     if (!outcome.ok()) return Fail(outcome.status(), "adding requirement");
   }
 
-  quarry::storage::Database warehouse;
-  auto deployed = (*q)->DeployResilient(&warehouse);
+  // Publish a generation, refresh it, and run profiled cube queries so the
+  // trace and the request log carry request-scoped serving spans too.
+  auto deployed = (*q)->DeployServing();
   if (!deployed.ok()) return Fail(deployed.status(), "deploying");
   if (!deployed->success) {
     return Fail(deployed->failure->cause, "deployment failed");
   }
-  auto refreshed = (*q)->Refresh(&warehouse);
+  auto refreshed = (*q)->RefreshServing();
   if (!refreshed.ok()) return Fail(refreshed.status(), "refreshing");
-
-  // Serving path: publish a generation and run profiled cube queries so the
-  // trace and the request log carry request-scoped serving spans too.
-  auto served = (*q)->DeployServing();
-  if (!served.ok()) return Fail(served.status(), "deploying serving");
 
   // Two demo tenants so the serving spans carry tenant attribution and the
   // per-tenant rollup below has rows (docs/ROBUSTNESS.md §11).
