@@ -1,28 +1,18 @@
-// Row-at-a-time vs vectorized chunk execution (DESIGN.md §8,
-// BENCH_vectorized.json): the same scan-heavy TPC-H flow runs through both
-// executor modes and the wall-clock ratio is the headline number. Every
-// measured pair also cross-checks the target fingerprints — a speedup that
-// changes bytes is a bug, not a win — so the bench doubles as a coarse
-// differential test on real TPC-H data.
-//
-// Scenarios, per scale factor:
-//   scan_agg             lineitem scan -> filter (l_quantity < 24) ->
-//                        derived revenue column -> projection -> group-by
-//                        aggregation -> tiny loader. Scan-dominated with a
-//                        3-row output: the acceptance scenario (>= 2x at
-//                        sf 0.02).
-//   filter_project_load  same scan + filter + projection but loading every
-//                        surviving row. The loader's row-at-a-time merge is
-//                        shared by both modes, so this bounds how much of
-//                        the pipeline the chunk kernels can actually
-//                        accelerate when the sink is write-heavy.
+// Chunk-runtime ETL throughput (DESIGN.md §8, BENCH_vectorized.json): two
+// scan-heavy TPC-H flows (bench/etl_bench_flows.h) run through the
+// executor at three scale factors, best-of-N wall clock each. Every
+// iteration of a configuration must land on the same target fingerprint
+// and rows_processed — a run whose bytes wobble is a bug, not a number.
+// Byte-equivalence with the row-at-a-time reference executor is the
+// differential harness's job (tests/etl_parallel_test.cc runs both flows).
 //
 // Flags:
-//   --smoke      one small scale factor, one iteration, hard-assert
-//                fingerprint equality and that the chunk kernels really ran
-//                (exit 1 otherwise) — wired into tools/run_all_checks.sh
+//   --smoke      one small scale factor, two iterations; exits 1 when
+//                the iterations disagree or the chunk kernels never ran —
+//                wired into tools/run_all_checks.sh
 //   --sf=CSV     comma-separated scale factors (default 0.005,0.01,0.02)
-//   --iters=N    timed iterations per mode, best-of (default 5; smoke 1)
+//   --iters=N    timed iterations per flow, best-of (default 5; smoke 2,
+//                so the iteration-stability check has something to compare)
 
 #include <algorithm>
 #include <chrono>
@@ -31,7 +21,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +28,7 @@
 #include "datagen/tpch.h"
 #include "etl/exec/executor.h"
 #include "etl/flow.h"
+#include "etl_bench_flows.h"
 #include "obs/metrics.h"
 #include "storage/database.h"
 
@@ -58,7 +48,7 @@ Options ParseArgs(int argc, char** argv) {
     if (arg == "--smoke") {
       opts.smoke = true;
       opts.scale_factors = {0.005};
-      opts.iters = 1;
+      opts.iters = 2;
     } else if (arg.rfind("--sf=", 0) == 0) {
       opts.scale_factors.clear();
       std::string list = arg.substr(5);
@@ -80,86 +70,36 @@ Options ParseArgs(int argc, char** argv) {
   return opts;
 }
 
-etl::Node MakeNode(const std::string& id, etl::OpType type,
-                   std::map<std::string, std::string> params) {
-  etl::Node node;
-  node.id = id;
-  node.type = type;
-  node.params = std::move(params);
-  return node;
-}
-
-/// Shared scan front: lineitem -> extract -> filter -> revenue column ->
-/// projection onto (l_returnflag, l_quantity, revenue).
-void AddScanFront(etl::Flow* flow) {
-  (void)flow->AddNode(
-      MakeNode("ds", etl::OpType::kDatastore, {{"table", "lineitem"}}));
-  (void)flow->AddNode(
-      MakeNode("ex", etl::OpType::kExtraction, {{"table", "lineitem"}}));
-  (void)flow->AddNode(MakeNode("sel", etl::OpType::kSelection,
-                               {{"predicate", "l_quantity < 24"}}));
-  (void)flow->AddNode(
-      MakeNode("fn", etl::OpType::kFunction,
-               {{"column", "revenue"},
-                {"expr", "l_extendedprice * (1 - l_discount)"}}));
-  (void)flow->AddNode(
-      MakeNode("proj", etl::OpType::kProjection,
-               {{"columns", "l_returnflag,l_quantity,revenue"}}));
-  (void)flow->AddEdge("ds", "ex");
-  (void)flow->AddEdge("ex", "sel");
-  (void)flow->AddEdge("sel", "fn");
-  (void)flow->AddEdge("fn", "proj");
-}
-
-etl::Flow BuildScanAggFlow() {
-  etl::Flow flow("scan_agg");
-  AddScanFront(&flow);
-  (void)flow.AddNode(MakeNode(
-      "agg", etl::OpType::kAggregation,
-      {{"group", "l_returnflag"}, {"aggs", "SUM(revenue) AS revenue"}}));
-  (void)flow.AddNode(
-      MakeNode("load", etl::OpType::kLoader, {{"table", "fact_revenue"}}));
-  (void)flow.AddEdge("proj", "agg");
-  (void)flow.AddEdge("agg", "load");
-  return flow;
-}
-
-etl::Flow BuildFilterProjectLoadFlow() {
-  etl::Flow flow("filter_project_load");
-  AddScanFront(&flow);
-  (void)flow.AddNode(
-      MakeNode("load", etl::OpType::kLoader, {{"table", "wide_out"}}));
-  (void)flow.AddEdge("proj", "load");
-  return flow;
-}
-
-struct ModeResult {
+struct FlowResult {
   double best_ms = 0.0;
   uint64_t fingerprint = 0;
   int64_t rows_processed = 0;
+  bool stable = true;  ///< Every iteration matched the first's bytes.
 };
 
-ModeResult RunMode(const storage::Database& source, const etl::Flow& flow,
-                   bool vectorized, int iters) {
-  ModeResult result;
+FlowResult RunFlow(const storage::Database& source, const etl::Flow& flow,
+                   int iters) {
+  FlowResult result;
   result.best_ms = 1e30;
   for (int i = 0; i < iters; ++i) {
     storage::Database target("dw");
     etl::Executor executor(&source, &target);
-    etl::ExecOptions options;
-    options.vectorized = vectorized;
     const auto start = std::chrono::steady_clock::now();
-    auto report = executor.Run(flow, options, etl::RetryPolicy{}, nullptr);
+    auto report = executor.Run(flow, etl::ExecOptions{}, etl::RetryPolicy{},
+                               nullptr);
     const auto end = std::chrono::steady_clock::now();
     if (!report.ok()) {
-      std::fprintf(stderr, "flow %s (%s) failed: %s\n",
-                   flow.name().c_str(), vectorized ? "vectorized" : "row",
+      std::fprintf(stderr, "flow %s failed: %s\n", flow.name().c_str(),
                    report.status().ToString().c_str());
       std::exit(1);
     }
     const double ms =
         std::chrono::duration<double, std::milli>(end - start).count();
     result.best_ms = std::min(result.best_ms, ms);
+    if (i > 0 && (target.Fingerprint() != result.fingerprint ||
+                  report->rows_processed != result.rows_processed)) {
+      result.stable = false;
+    }
     result.fingerprint = target.Fingerprint();
     result.rows_processed = report->rows_processed;
   }
@@ -179,7 +119,7 @@ int Main(int argc, char** argv) {
 
   std::printf("{\n  \"bench\": \"bench_etl_vectorized\",\n");
   std::printf("  \"smoke\": %s,\n", opts.smoke ? "true" : "false");
-  std::printf("  \"iters_per_mode\": %d,\n", opts.iters);
+  std::printf("  \"iters_per_flow\": %d,\n", opts.iters);
   std::printf("  \"host_hw_concurrency\": %u,\n",
               std::thread::hardware_concurrency());
   std::printf("  \"host_load_avg_1min\": %.2f,\n", LoadAverage1Min());
@@ -200,40 +140,30 @@ int Main(int argc, char** argv) {
     const int64_t lineitem_rows =
         static_cast<int64_t>((*source.GetTable("lineitem"))->num_rows());
 
-    for (const etl::Flow& flow :
-         {BuildScanAggFlow(), BuildFilterProjectLoadFlow()}) {
-      ModeResult row = RunMode(source, flow, /*vectorized=*/false,
-                               opts.iters);
-      ModeResult vec = RunMode(source, flow, /*vectorized=*/true,
-                               opts.iters);
-      const double speedup = vec.best_ms > 0.0 ? row.best_ms / vec.best_ms
-                                               : 0.0;
-      const bool bytes_equal = row.fingerprint == vec.fingerprint &&
-                               row.rows_processed == vec.rows_processed;
-      if (!bytes_equal) ++failures;
+    for (const etl::Flow& flow : {benchflows::BuildScanAggFlow(),
+                                  benchflows::BuildFilterProjectLoadFlow()}) {
+      FlowResult run = RunFlow(source, flow, opts.iters);
+      if (!run.stable) {
+        ++failures;
+        std::fprintf(stderr,
+                     "UNSTABLE: flow %s sf %g changed bytes or "
+                     "rows_processed between iterations\n",
+                     flow.name().c_str(), sf);
+      }
       if (!first) std::printf(",\n");
       first = false;
       std::printf(
           "    {\"flow\": \"%s\", \"scale_factor\": %g, "
-          "\"lineitem_rows\": %lld, \"row_ms\": %.2f, "
-          "\"vectorized_ms\": %.2f, \"speedup\": %.2f, "
-          "\"bytes_equal\": %s}",
-          flow.name().c_str(), sf,
-          static_cast<long long>(lineitem_rows), row.best_ms, vec.best_ms,
-          speedup, bytes_equal ? "true" : "false");
-      if (!bytes_equal) {
-        std::fprintf(stderr,
-                     "DIVERGENCE: flow %s sf %g row fp %llu vec fp %llu\n",
-                     flow.name().c_str(), sf,
-                     static_cast<unsigned long long>(row.fingerprint),
-                     static_cast<unsigned long long>(vec.fingerprint));
-      }
+          "\"lineitem_rows\": %lld, \"best_ms\": %.2f, "
+          "\"rows_processed\": %lld, \"stable\": %s}",
+          flow.name().c_str(), sf, static_cast<long long>(lineitem_rows),
+          run.best_ms, static_cast<long long>(run.rows_processed),
+          run.stable ? "true" : "false");
     }
   }
   std::printf("\n  ]\n}\n");
 
-  // The vectorized arms must have gone through the chunk kernels — a silent
-  // row-path fallback would make every "speedup" above meaningless.
+  // The runs must have gone through the chunk kernels.
   const int64_t chunk_rows = obs::MetricsRegistry::Instance()
                                  .counter("quarry_etl_chunk_rows_total")
                                  .value() -
@@ -246,7 +176,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "%d invariant(s) failed\n", failures);
     return 1;
   }
-  std::fprintf(stderr, "etl vectorized bench: all fingerprints matched\n");
+  std::fprintf(stderr, "etl chunk bench: every iteration matched\n");
   return 0;
 }
 

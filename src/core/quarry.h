@@ -63,10 +63,12 @@ struct QuarryConfig {
   /// calls and DeployServing / RefreshServing alike (docs/ROBUSTNESS.md §7,
   /// §9.4).
   AdmissionOptions admission;
-  /// How ETL runs execute (docs/ROBUSTNESS.md §8): `max_workers > 1` runs
-  /// deploy/refresh flows on the wavefront scheduler. Applied to
-  /// RefreshServing always, and to DeployServing unless the caller's
-  /// DeployOptions ask for parallelism themselves.
+  /// How ETL runs execute: every run goes through the chunk kernels
+  /// (DESIGN.md §8) with `chunk_size` rows per chunk; `max_workers > 1`
+  /// runs deploy/refresh flows on the wavefront scheduler
+  /// (docs/ROBUSTNESS.md §8). Applied to RefreshServing always, and to
+  /// DeployServing unless the caller's DeployOptions ask for parallelism
+  /// themselves.
   etl::ExecOptions etl_exec;
   /// Snapshot-isolated serving (docs/ROBUSTNESS.md §9).
   ServingOptions serving;

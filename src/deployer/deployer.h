@@ -31,9 +31,11 @@ struct DeployOptions {
   /// Applied per ETL node, and as the attempt count for DDL execution and
   /// the metadata record write.
   etl::RetryPolicy retry;
-  /// How the ETL population stage executes: `exec.max_workers > 1` runs
-  /// independent nodes on the wavefront scheduler (docs/ROBUSTNESS.md §8);
-  /// target tables stay byte-identical to a serial run either way.
+  /// How the ETL population stage executes: the chunk kernels cut
+  /// `exec.chunk_size` rows per chunk (DESIGN.md §8), and
+  /// `exec.max_workers > 1` runs independent nodes on the wavefront
+  /// scheduler (docs/ROBUSTNESS.md §8); target tables are byte-identical
+  /// whatever either knob says.
   etl::ExecOptions exec;
   /// Request lifecycle (nullable): cancellation + deadline are checked at
   /// every stage boundary and cooperatively inside the ETL stage; budgets

@@ -17,39 +17,26 @@
 
 namespace quarry::etl {
 
-/// \brief An intermediate operator result: named columns over rows.
-///
-/// Two interchangeable payloads (DESIGN.md §8):
-///   - row form: `rows` holds materialized storage::Rows (the classic
-///     representation; `columnar` is false).
-///   - columnar form: `chunks` holds typed storage::Chunks and `rows` is
-///     empty (`columnar` is true). Produced only by the vectorized kernels.
-/// Consumers that need rows call MaterializeRows() (or the free helper
-/// DatasetRows); both forms describe the same logical relation, and the
-/// round-trip is value-exact, so fingerprints and per-node row counts never
-/// depend on which form a node happened to produce.
+/// \brief A materialized relation: named columns over rows. The shape of a
+/// cube-query answer (olap::CubeQueryEngine::Execute, core::QueryResult).
 struct Dataset {
   std::vector<std::string> columns;
   std::vector<storage::Row> rows;
-  bool columnar = false;
+};
+
+/// \brief An operator's output inside the executor: named columns over a
+/// stream of storage::Chunks (DESIGN.md §8). Kernels keep the chunk
+/// boundaries their input had, so per-chunk work stays bounded by
+/// ExecOptions::chunk_size; a zero-column relation still counts its rows
+/// because every chunk carries its own row count.
+struct Relation {
+  std::vector<std::string> columns;
   std::vector<storage::Chunk> chunks;
 
-  /// Logical row count regardless of payload form.
   int64_t row_count() const {
-    if (!columnar) return static_cast<int64_t>(rows.size());
     int64_t n = 0;
     for (const storage::Chunk& c : chunks) n += c.num_rows();
     return n;
-  }
-
-  /// The relation as materialized rows (selection vectors applied), in
-  /// chunk order. For a row-form dataset this copies `rows`.
-  std::vector<storage::Row> MaterializeRows() const {
-    if (!columnar) return rows;
-    std::vector<storage::Row> out;
-    out.reserve(static_cast<size_t>(row_count()));
-    for (const storage::Chunk& c : chunks) c.AppendRowsTo(&out);
-    return out;
   }
 };
 
@@ -106,7 +93,7 @@ double BoundedBackoffMillis(const RetryPolicy& policy, int failed_attempts,
 struct Checkpoint {
   std::string flow_name;
   std::vector<std::string> completed;      ///< Node ids, in completion order.
-  std::map<std::string, Dataset> datasets; ///< Failure-time intermediates.
+  std::map<std::string, Relation> datasets;  ///< Failure-time intermediates.
   std::map<std::string, int64_t> loaded;   ///< Rows written by completed loaders.
   std::string failed_node;                 ///< Set when the producing run failed.
   bool valid = false;                      ///< A run has populated this.
@@ -121,41 +108,12 @@ struct ExecOptions {
   /// sequenced in topological order (tests/etl_parallel_test.cc proves it
   /// differentially). Values above the node count just idle extra workers.
   int max_workers = 1;
-  /// Run operators through the vectorized chunk kernels (DESIGN.md §8)
-  /// where one exists (HasVectorizedKernel); other operators silently fall
-  /// back to the row kernels. Off by default: results are byte-identical
-  /// either way (tests/etl_parallel_test.cc proves it differentially), so
-  /// vectorization is purely a throughput knob. Composes with max_workers —
-  /// the scheduler runs whichever kernel the options select.
-  bool vectorized = false;
-  /// Rows per chunk in vectorized mode. Values < 1 behave like 1.
+  /// Rows per chunk wherever a kernel cuts rows into chunks (the Datastore
+  /// scan, Sort's output); every other kernel keeps its input's chunk
+  /// boundaries. Values < 1 behave like 1. Results never depend on it
+  /// (tests/property_test.cc P8 sweeps it).
   int64_t chunk_size = 1024;
 };
-
-/// True when the vectorized runtime has a chunk kernel for this operator
-/// type. Operators without one (Sort, Union, SurrogateKey) run their row
-/// kernel even in vectorized mode.
-bool HasVectorizedKernel(OpType type);
-
-/// The dataset's rows. Row-form datasets are returned directly (no copy);
-/// columnar datasets are materialized into `*scratch`, which must outlive
-/// the returned reference. Lets row kernels consume either payload form.
-const std::vector<storage::Row>& DatasetRows(
-    const Dataset& data, std::vector<storage::Row>* scratch);
-
-/// The dataset as chunks of at most `chunk_size` rows. Columnar datasets
-/// are returned directly (their existing chunk boundaries are kept — they
-/// already bound per-chunk work); row-form datasets are transposed into
-/// `*scratch`, which must outlive the returned reference.
-const std::vector<storage::Chunk>& DatasetChunks(
-    const Dataset& data, int64_t chunk_size,
-    std::vector<storage::Chunk>* scratch);
-
-/// Lower-bound memory estimate for `rows` rows of `columns` columns — the
-/// unit of the intermediate-bytes budget. Deliberately linear in rows so
-/// per-chunk charges in vectorized mode sum to exactly the node-level
-/// charge of the row path (a budget still trips at the same node).
-int64_t ApproxRowsBytes(int64_t rows, size_t columns);
 
 /// Per-node execution statistics.
 struct NodeStats {
@@ -194,12 +152,12 @@ std::vector<obs::ProfileNode> BuildProfileTrees(const Flow& flow,
 /// \brief Executes logical ETL flows (xLM) — the repo's stand-in for
 /// Pentaho PDI (see DESIGN.md §2).
 ///
-/// Operators are evaluated in topological order, materializing one Dataset
-/// per node. Loader semantics: the target table is created on first use
-/// (column types inferred from the data) unless it already exists; target
-/// columns the dataset lacks load as NULL; when the Loader declares `keys`,
-/// a row whose key already exists *merges* — its non-NULL values fill the
-/// existing row's NULL cells. This makes dimension and fact loads
+/// Operators are evaluated in topological order, materializing one
+/// Relation per node. Loader semantics: the target table is created on
+/// first use (column types inferred from the data) unless it already
+/// exists; target columns the dataset lacks load as NULL; when the Loader
+/// declares `keys`, a row whose key already exists *merges* — its non-NULL
+/// values fill the existing row's NULL cells. This makes dimension and fact loads
 /// idempotent and lets several partial loaders of one integrated flow
 /// converge on the same table (e.g. two requirements contributing different
 /// measures of a merged fact).
@@ -210,10 +168,14 @@ std::vector<obs::ProfileNode> BuildProfileTrees(const Flow& flow,
 /// Checkpoint attached, a failed Run leaves enough state behind for
 /// Resume() to continue from the last completed operator.
 ///
+/// Kernels (etl/exec/vectorized.cc) process their input chunk by chunk;
+/// `ExecOptions::chunk_size` sets how many rows a chunk holds.
+///
 /// Lifecycle (docs/ROBUSTNESS.md §7): with an ExecContext attached, the
 /// executor checks cancellation + deadline before every node attempt and
-/// cooperatively every kCancelBatchRows rows inside row-loop operators, and
-/// charges each node's output against the row/byte budgets. A lifecycle
+/// again before every chunk a kernel processes (the Datastore scan, which
+/// takes its table snapshot up front, excepted), and charges each node's
+/// output against the row/byte budgets chunk by chunk. A lifecycle
 /// error (kCancelled / kDeadlineExceeded / kResourceExhausted) is never
 /// retried and fails the run exactly like an operator fault — loader tables
 /// roll back to their per-attempt snapshot and the checkpoint is populated,
@@ -229,11 +191,6 @@ std::vector<obs::ProfileNode> BuildProfileTrees(const Flow& flow,
 /// the catalog a sibling extraction is reading from cannot be overlapped.
 class Executor {
  public:
-  /// Row-loop operators poll ExecContext::Check once per this many rows:
-  /// frequent enough to bound cancellation latency on huge inputs, rare
-  /// enough to stay invisible next to per-row work (BENCH_lifecycle.json).
-  static constexpr int64_t kCancelBatchRows = 1024;
-
   /// `source` provides Datastore tables; `target` receives Loader output.
   /// Both pointers must outlive the executor. They may alias.
   Executor(const storage::Database* source, storage::Database* target)
@@ -263,7 +220,7 @@ class Executor {
   /// skipped (their checkpointed outputs feed the remaining ones) and the
   /// checkpoint keeps advancing, so Resume can itself be resumed. The
   /// checkpoint's completed *set* may come from a serial or a parallel run;
-  /// either executor mode resumes it.
+  /// a serial or a parallel Resume accepts either.
   Result<ExecutionReport> Resume(const Flow& flow, Checkpoint* checkpoint,
                                  const RetryPolicy& retry = {},
                                  const ExecContext* ctx = nullptr);
@@ -308,7 +265,7 @@ class Executor {
 
   /// Outcome of one node's full attempt loop.
   struct NodeAttempt {
-    Result<Dataset> result = Status::Internal("node never attempted");
+    Result<Relation> result = Status::Internal("node never attempted");
     int attempts = 1;
     LoaderEffect loader;  ///< Valid only when `result` is OK.
   };
@@ -319,37 +276,28 @@ class Executor {
                                       Checkpoint* checkpoint, bool resume,
                                       const ExecContext* ctx);
 
-  /// Runs one operator once. `inputs` are the predecessor datasets in edge
-  /// order (resolved by the caller, so concurrent workers never look up the
-  /// shared dataset map while another thread mutates it). With
-  /// `options.vectorized` set, operators that have a chunk kernel dispatch
-  /// to RunNodeVectorized after the shared per-node fault point.
-  Result<Dataset> RunNode(const Node& node,
-                          const std::vector<const Dataset*>& inputs,
-                          LoaderEffect* loader, const ExecContext* ctx,
-                          const ExecOptions& options);
-
-  /// The vectorized chunk kernels (etl/exec/vectorized.cc). Processes the
-  /// inputs chunk by chunk with a per-chunk lifecycle check, fault point
-  /// ("etl.exec.vec.chunk") and budget charge; produces a columnar Dataset
-  /// (except Loader, which stays a sink). Must agree byte-for-byte with the
-  /// row kernels — the three-way differential harness enforces it.
-  Result<Dataset> RunNodeVectorized(const Node& node,
-                                    const std::vector<const Dataset*>& inputs,
-                                    LoaderEffect* loader,
-                                    const ExecContext* ctx,
-                                    const ExecOptions& options);
+  /// Runs one operator once through its chunk kernel (vectorized.cc): the
+  /// per-operator fault point ("etl.exec.<Op>"), then the kernel, which
+  /// checks the context, charges the budgets and may hit the mid-stream
+  /// fault point ("etl.exec.vec.chunk") chunk by chunk.
+  /// `inputs` are the predecessor relations in edge order (resolved by the
+  /// caller, so concurrent workers never look up the shared map while
+  /// another thread mutates it). Loaders are sinks and return no chunks.
+  Result<Relation> RunNode(const Node& node,
+                           const std::vector<const Relation*>& inputs,
+                           LoaderEffect* loader, const ExecContext* ctx,
+                           const ExecOptions& options);
 
   /// The per-node attempt loop shared by the serial path and the scheduler:
-  /// context pre-check, loader table snapshot, RunNode, budget charges
-  /// inside the attempt, loader rollback on failure, bounded backoff
-  /// between attempts. Lifecycle errors are never retried.
+  /// context pre-check, loader table snapshot, RunNode (budget charges ride
+  /// inside it), loader rollback on failure, bounded backoff between
+  /// attempts. Lifecycle errors are never retried.
   /// `protect_loader_always` forces the loader snapshot even without
   /// retries/checkpoint/ctx (parallel runs always protect: a sibling's
   /// failure must never leave this loader's table half-written).
   NodeAttempt ExecuteNode(const Node& node,
-                          const std::vector<const Dataset*>& inputs,
-                          int64_t rows_in, const RetryPolicy& retry,
+                          const std::vector<const Relation*>& inputs,
+                          const RetryPolicy& retry,
                           const ExecContext* ctx, bool protect_loader_always,
                           Prng* backoff_prng, BackoffBudget* backoff,
                           const ExecOptions& options);

@@ -1,11 +1,11 @@
 #ifndef QUARRY_ETL_EXEC_KERNEL_UTIL_H_
 #define QUARRY_ETL_EXEC_KERNEL_UTIL_H_
 
-// Internal helpers shared by the row-at-a-time operator kernels
-// (executor.cc) and the vectorized chunk kernels (vectorized.cc). Both
-// modes must agree exactly — the aggregation accumulate/finalize logic in
-// particular lives here so SUM's int/double widening, first-seen group
-// order and NULL handling cannot drift apart between them.
+// Internal helpers of the chunk kernels (vectorized.cc), shared with the
+// row-at-a-time reference executor the tests compare them against
+// (tests/etl_reference.h). The aggregation accumulate/finalize logic in
+// particular lives here so SUM's int/double widening and NULL handling are
+// stated once.
 
 #include <algorithm>
 #include <string>

@@ -116,7 +116,7 @@ void CountNodeDone(const Node& node, int64_t rows_out, double micros) {
 Result<ExecutionReport> Scheduler::Run(
     const Flow& flow, const std::vector<std::string>& order,
     const RetryPolicy& retry, Checkpoint* checkpoint, const ExecContext* ctx,
-    std::set<std::string> completed, std::map<std::string, Dataset> done,
+    std::set<std::string> completed, std::map<std::string, Relation> done,
     std::map<std::string, size_t> remaining_consumers, ExecutionReport report,
     bool resumed_any, Timer total) {
   flow_ = &flow;
@@ -216,14 +216,14 @@ void Scheduler::Worker(int worker_index) {
     ReadyDepthGauge().Set(static_cast<double>(ready_.size()));
     const Node& node = *flow_->GetNode(id).value();
     // Resolve inputs to pointers while holding the lock: map nodes are
-    // stable under unrelated insert/erase, and a dataset is only erased
+    // stable under unrelated insert/erase, and a relation is only erased
     // once its last consumer *completed*, which this node has not.
-    std::vector<const Dataset*> inputs;
+    std::vector<const Relation*> inputs;
     int64_t rows_in = 0;
     for (const std::string& pred : preds_.at(id)) {
-      const Dataset& dataset = done_.at(pred);
-      inputs.push_back(&dataset);
-      rows_in += dataset.row_count();
+      const Relation& input = done_.at(pred);
+      inputs.push_back(&input);
+      rows_in += input.row_count();
     }
     ++in_flight_;
     lock.unlock();
@@ -243,7 +243,7 @@ void Scheduler::Worker(int worker_index) {
       // shared stream for bit-compatibility with the determinism tests.
       Prng backoff_prng(retry_.jitter_seed ^
                         static_cast<uint64_t>(std::hash<std::string>{}(id)));
-      outcome = executor_->ExecuteNode(node, inputs, rows_in, retry_, ctx_,
+      outcome = executor_->ExecuteNode(node, inputs, retry_, ctx_,
                                        /*protect_loader_always=*/true,
                                        &backoff_prng, &backoff_, options_);
       if (outcome.result.ok()) {

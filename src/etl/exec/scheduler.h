@@ -38,10 +38,10 @@ namespace quarry::etl {
 /// Resume (serial or parallel) continues exactly where the run stopped.
 ///
 /// All shared run state lives behind one mutex; node execution itself runs
-/// unlocked. Input datasets are resolved to pointers under the mutex before
+/// unlocked. Input relations are resolved to pointers under the mutex before
 /// the worker releases it (map nodes are stable under unrelated erase), and
-/// a dataset is only freed when its last consumer has *completed*, so no
-/// worker ever reads a dataset another thread may drop.
+/// a relation is only freed when its last consumer has *completed*, so no
+/// worker ever reads a relation another thread may drop.
 class Scheduler {
  public:
   Scheduler(Executor* executor, const ExecOptions& options)
@@ -60,7 +60,7 @@ class Scheduler {
                               const RetryPolicy& retry, Checkpoint* checkpoint,
                               const ExecContext* ctx,
                               std::set<std::string> completed,
-                              std::map<std::string, Dataset> done,
+                              std::map<std::string, Relation> done,
                               std::map<std::string, size_t> remaining_consumers,
                               ExecutionReport report, bool resumed_any,
                               Timer total);
@@ -101,7 +101,7 @@ class Scheduler {
   /// are scheduling-only and never appear here).
   std::map<std::string, std::vector<std::string>> preds_;
   std::set<std::string> completed_;
-  std::map<std::string, Dataset> done_;
+  std::map<std::string, Relation> done_;
   std::map<std::string, size_t> remaining_consumers_;
   ExecutionReport report_;
   size_t pending_ = 0;  ///< Uncompleted nodes (successes decrement).

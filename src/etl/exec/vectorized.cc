@@ -1,13 +1,15 @@
-// Vectorized chunk kernels for the ETL executor (DESIGN.md §8).
+// The ETL executor's operator kernels (DESIGN.md §8): one chunk kernel per
+// operator type, and no other execution path.
 //
-// Each kernel processes its input as storage::Chunks: a lifecycle check, a
-// fault point ("etl.exec.vec.chunk") and a budget charge run once per chunk
-// instead of once per node, so cancellation/deadline/budget trips land at
-// chunk granularity while totals stay exactly equal to the row path
-// (ApproxRowsBytes is linear in rows). Every kernel must produce output
-// byte-identical to its row counterpart in executor.cc — identical row
-// order, identical Values, identical error statuses. The three-way
-// differential harness (tests/etl_parallel_test.cc) enforces this.
+// Every kernel consumes its inputs as storage::Chunks and emits a Relation
+// of chunks. A ChunkGate runs before each input chunk: it checks the
+// request context and, once per node attempt, consults the mid-stream
+// fault site ("etl.exec.vec.chunk"); emitted rows are charged against the
+// budgets chunk by chunk. Results must not depend on chunk boundaries: the
+// differential harness (tests/etl_parallel_test.cc, tests/property_test.cc
+// P8) compares every kernel with the row-at-a-time reference executor in
+// tests/etl_reference.h — identical row order, identical Values, identical
+// error statuses — at chunk sizes 1, 7, 1024 and rows+1.
 
 #include <algorithm>
 #include <memory>
@@ -41,63 +43,71 @@ namespace {
 
 obs::Counter& ChunkRowsCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Instance().counter(
-      "quarry_etl_chunk_rows_total",
-      "Rows processed by vectorized chunk kernels");
+      "quarry_etl_chunk_rows_total", "Rows processed by chunk kernels");
   return c;
 }
 
-void CountChunk(const Node& node, int64_t rows) {
-  obs::MetricsRegistry::Instance()
-      .counter("quarry_etl_chunk_batches_total",
-               "Chunks processed by vectorized kernels, by operator type",
-               {{"op", OpTypeToString(node.type)}})
-      .Increment();
-  ChunkRowsCounter().Increment(rows);
+/// Lower-bound memory estimate for `rows` rows of `columns` columns — the
+/// unit of the intermediate-bytes budget. Ignores string payloads so a
+/// charge costs O(1), and is linear in rows so a node's per-chunk charges
+/// sum to the same total however its input was chunked.
+int64_t ApproxRowsBytes(int64_t rows, size_t columns) {
+  return rows * static_cast<int64_t>(sizeof(storage::Row) +
+                                     columns * sizeof(storage::Value));
 }
 
-/// Per-chunk lifecycle gate: the context check uses the same message as the
-/// row path's BatchChecker so lifecycle errors read identically, and the
-/// fault site lets the fault matrix kill a node mid-stream.
-Status ChunkGate(const ExecContext* ctx, const std::string& node_id) {
-  if (ctx != nullptr) {
-    QUARRY_RETURN_NOT_OK(ctx->Check("node '" + node_id + "'"));
-  }
-  QUARRY_FAULT_POINT("etl.exec.vec.chunk");
-  return Status::OK();
-}
-
-/// Budget charges for the rows a kernel emits, chunk by chunk. Finish()
-/// keeps row-path parity for nodes that emitted no chunks: the row path
-/// always charges once per node, even for zero rows.
-class OutputCharger {
+/// Per-attempt chunk bookkeeping shared by every kernel. Enter() runs
+/// before each input chunk: it polls the request context, so cancellation
+/// latency is bounded by one chunk, then Count()s the chunk. Count() also
+/// consults the mid-stream fault site at the attempt's second chunk;
+/// consulting it once per attempt keeps a node's fault surface independent
+/// of its input size, so a retry budget can absorb it. Charge() bills
+/// emitted rows against the row and byte budgets; loaders, which emit
+/// nothing, bill the rows they write with ChargeRows().
+class ChunkGate {
  public:
-  OutputCharger(const ExecContext* ctx, const std::string& node_id,
-                size_t columns)
-      : ctx_(ctx), node_id_(node_id), columns_(columns) {}
+  ChunkGate(const Node& node, const ExecContext* ctx)
+      : ctx_(ctx),
+        where_("node '" + node.id + "'"),
+        batches_(obs::MetricsRegistry::Instance().counter(
+            "quarry_etl_chunk_batches_total",
+            "Chunks processed by chunk kernels, by operator type",
+            {{"op", OpTypeToString(node.type)}})) {}
 
-  Status Charge(int64_t rows) {
-    charged_ = true;
-    if (ctx_ == nullptr) return Status::OK();
-    QUARRY_RETURN_NOT_OK(ctx_->ChargeRows(rows, "node '" + node_id_ + "'"));
-    return ctx_->ChargeBytes(
-        ApproxRowsBytes(rows, columns_),
-        "node '" + node_id_ + "'");
+  Status Enter(const Chunk& chunk) {
+    if (ctx_ != nullptr) QUARRY_RETURN_NOT_OK(ctx_->Check(where_));
+    return Count(chunk);
   }
 
-  Status Finish() { return charged_ ? Status::OK() : Charge(0); }
+  Status Count(const Chunk& chunk) {
+    if (++counted_ == 2) QUARRY_FAULT_POINT("etl.exec.vec.chunk");
+    batches_.Increment();
+    ChunkRowsCounter().Increment(static_cast<int64_t>(chunk.num_rows()));
+    return Status::OK();
+  }
+
+  Status ChargeRows(size_t rows) const {
+    if (ctx_ == nullptr) return Status::OK();
+    return ctx_->ChargeRows(static_cast<int64_t>(rows), where_);
+  }
+
+  Status Charge(size_t rows, size_t columns) const {
+    if (ctx_ == nullptr) return Status::OK();
+    QUARRY_RETURN_NOT_OK(ChargeRows(rows));
+    return ctx_->ChargeBytes(
+        ApproxRowsBytes(static_cast<int64_t>(rows), columns), where_);
+  }
 
  private:
   const ExecContext* ctx_;
-  const std::string& node_id_;
-  size_t columns_;
-  bool charged_ = false;
+  const std::string where_;
+  obs::Counter& batches_;
+  int counted_ = 0;
 };
 
-/// Expression evaluation against a chunk row. A hash map replaces RowView's
-/// linear name scan (first occurrence wins, like RowView::Get), values come
-/// straight from the segments, and the tree walk mirrors Expr::Eval
-/// case-for-case — including AND/OR short-circuiting, so an unknown column
-/// in a short-circuited branch stays unnoticed exactly like the row path.
+/// Expression evaluation against a chunk row: Expr::EvalWith with a hash
+/// map in place of RowView's linear name scan (first occurrence wins, like
+/// RowView::Get) and values read straight from the segments.
 class ChunkEval {
  public:
   explicit ChunkEval(const std::vector<std::string>& columns) {
@@ -107,50 +117,13 @@ class ChunkEval {
   }
 
   Result<Value> Eval(const Expr& e, const Chunk& chunk, uint32_t phys) const {
-    switch (e.kind()) {
-      case Expr::Kind::kLiteral:
-        return e.literal();
-      case Expr::Kind::kColumn: {
-        auto it = index_.find(e.column());
-        if (it == index_.end()) {
-          return Status::NotFound("column '" + e.column() + "' in row");
-        }
-        return chunk.segment(it->second).At(phys);
+    return e.EvalWith([&](const std::string& name) -> Result<Value> {
+      auto it = index_.find(name);
+      if (it == index_.end()) {
+        return Status::NotFound("column '" + name + "' in row");
       }
-      case Expr::Kind::kUnary: {
-        QUARRY_ASSIGN_OR_RETURN(Value v, Eval(*e.args()[0], chunk, phys));
-        if (e.op() == "-") {
-          if (v.is_null()) return Value::Null();
-          if (v.is_int()) return Value::Int(-v.as_int());
-          if (v.is_double()) return Value::Double(-v.as_double());
-          return Status::InvalidArgument("negation of non-numeric value");
-        }
-        if (e.op() == "NOT") return Value::Bool(!ExprTruthy(v));
-        return Status::Internal("unknown unary op '" + e.op() + "'");
-      }
-      case Expr::Kind::kBinary: {
-        if (e.op() == "AND") {
-          QUARRY_ASSIGN_OR_RETURN(Value a, Eval(*e.args()[0], chunk, phys));
-          if (!ExprTruthy(a)) return Value::Bool(false);
-          QUARRY_ASSIGN_OR_RETURN(Value b, Eval(*e.args()[1], chunk, phys));
-          return Value::Bool(ExprTruthy(b));
-        }
-        if (e.op() == "OR") {
-          QUARRY_ASSIGN_OR_RETURN(Value a, Eval(*e.args()[0], chunk, phys));
-          if (ExprTruthy(a)) return Value::Bool(true);
-          QUARRY_ASSIGN_OR_RETURN(Value b, Eval(*e.args()[1], chunk, phys));
-          return Value::Bool(ExprTruthy(b));
-        }
-        QUARRY_ASSIGN_OR_RETURN(Value a, Eval(*e.args()[0], chunk, phys));
-        QUARRY_ASSIGN_OR_RETURN(Value b, Eval(*e.args()[1], chunk, phys));
-        if (e.op() == "+" || e.op() == "-" || e.op() == "*" ||
-            e.op() == "/") {
-          return EvalArithmetic(e.op(), a, b);
-        }
-        return EvalComparison(e.op(), a, b);
-      }
-    }
-    return Status::Internal("corrupt expression");
+      return chunk.segment(it->second).At(phys);
+    });
   }
 
  private:
@@ -327,10 +300,9 @@ Row ChunkKey(const Chunk& chunk, const std::vector<size_t>& positions,
   return key;
 }
 
-/// First non-NULL value's type across the chunks' live rows, in row order —
-/// the chunked twin of the row path's InferColumnType.
-Result<DataType> InferColumnTypeChunks(const std::vector<Chunk>& chunks,
-                                       size_t column) {
+/// First non-NULL value's type across the chunks' live rows, in row order.
+Result<DataType> InferColumnType(const std::vector<Chunk>& chunks,
+                                 size_t column) {
   for (const Chunk& chunk : chunks) {
     const ValueSegment& seg = chunk.segment(column);
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
@@ -341,484 +313,513 @@ Result<DataType> InferColumnTypeChunks(const std::vector<Chunk>& chunks,
   return DataType::kString;  // All-NULL column: arbitrary but stable.
 }
 
-}  // namespace
+bool AnyNull(const Row& key) {
+  return std::any_of(key.begin(), key.end(),
+                     [](const Value& v) { return v.is_null(); });
+}
 
-Result<Dataset> Executor::RunNodeVectorized(
-    const Node& node, const std::vector<const Dataset*>& inputs,
-    LoaderEffect* loader, const ExecContext* ctx, const ExecOptions& options) {
-  auto input = [&](size_t i) -> const Dataset& { return *inputs[i]; };
-  switch (node.type) {
-    case OpType::kDatastore: {
-      QUARRY_ASSIGN_OR_RETURN(const storage::Table* table,
-                              source_->GetTable(Param(node, "table")));
-      Dataset out;
-      out.columnar = true;
-      for (const storage::Column& c : table->schema().columns()) {
-        out.columns.push_back(c.name);
-      }
-      OutputCharger charge(ctx, node.id, out.columns.size());
-      for (Chunk& chunk : table->ScanChunks(options.chunk_size)) {
-        QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
-        CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
-        QUARRY_RETURN_NOT_OK(
-            charge.Charge(static_cast<int64_t>(chunk.num_rows())));
-        out.chunks.push_back(std::move(chunk));
-      }
-      QUARRY_RETURN_NOT_OK(charge.Finish());
-      return out;
+/// Appends `in`'s chunks to `out` unchanged: they share the immutable
+/// segments (Extraction, Union).
+Status AppendShared(const Relation& in, ChunkGate* gate, Relation* out) {
+  for (const Chunk& chunk : in.chunks) {
+    QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
+    QUARRY_RETURN_NOT_OK(gate->Charge(chunk.num_rows(), out->columns.size()));
+    out->chunks.push_back(chunk);
+  }
+  return Status::OK();
+}
+
+/// Appends one computed column named `column` to every chunk (Function,
+/// SurrogateKey). `value(chunk, phys)` runs on live rows only, in row
+/// order; dead (filtered-out) slots stay NULL and are never computed, so an
+/// expression that would fail on a filtered row doesn't.
+template <typename ValueFn>
+Result<Relation> AppendColumn(const Relation& in, const std::string& column,
+                              ChunkGate* gate, ValueFn value) {
+  Relation out;
+  out.columns = in.columns;
+  out.columns.push_back(column);
+  for (const Chunk& chunk : in.chunks) {
+    QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
+    std::vector<Value> values(chunk.capacity());
+    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      const uint32_t phys = chunk.PhysicalRow(i);
+      QUARRY_ASSIGN_OR_RETURN(values[phys], value(chunk, phys));
     }
-    case OpType::kExtraction: {
-      const Dataset& in = input(0);
-      Dataset out;
-      out.columnar = true;
-      out.columns = in.columns;
-      std::vector<Chunk> scratch;
-      OutputCharger charge(ctx, node.id, out.columns.size());
-      for (const Chunk& chunk :
-           DatasetChunks(in, options.chunk_size, &scratch)) {
-        QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
-        CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
-        QUARRY_RETURN_NOT_OK(
-            charge.Charge(static_cast<int64_t>(chunk.num_rows())));
-        out.chunks.push_back(chunk);  // Shares the immutable segments.
+    std::vector<Chunk::SegmentPtr> segments = chunk.segments();
+    segments.push_back(std::make_shared<const ValueSegment>(
+        ValueSegment::FromValues(std::move(values))));
+    QUARRY_RETURN_NOT_OK(gate->Charge(chunk.num_rows(), out.columns.size()));
+    out.chunks.emplace_back(chunk.capacity(), std::move(segments),
+                            chunk.selection());
+  }
+  return out;
+}
+
+Result<Relation> ScanKernel(const Node& node, const storage::Database& source,
+                            int64_t chunk_size, ChunkGate* gate) {
+  QUARRY_ASSIGN_OR_RETURN(const storage::Table* table,
+                          source.GetTable(Param(node, "table")));
+  Relation out;
+  for (const storage::Column& c : table->schema().columns()) {
+    out.columns.push_back(c.name);
+  }
+  // The scan's work is the snapshot ScanChunks takes before this loop, so
+  // polling the context per chunk here could only discard a finished scan
+  // without cutting any latency; the next node's pre-check sees a
+  // cancellation just as soon.
+  for (Chunk& chunk : table->ScanChunks(chunk_size)) {
+    QUARRY_RETURN_NOT_OK(gate->Count(chunk));
+    QUARRY_RETURN_NOT_OK(gate->Charge(chunk.num_rows(), out.columns.size()));
+    out.chunks.push_back(std::move(chunk));
+  }
+  return out;
+}
+
+Result<Relation> SelectionKernel(const Node& node, const Relation& in,
+                                 ChunkGate* gate) {
+  QUARRY_ASSIGN_OR_RETURN(Expr::Ptr pred, ParseExpr(Param(node, "predicate")));
+  Relation out;
+  out.columns = in.columns;
+  ChunkEval eval(in.columns);
+  std::optional<FastCompare> fast = TryFastCompare(*pred, in.columns);
+  for (const Chunk& chunk : in.chunks) {
+    QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
+    std::vector<uint32_t> sel;
+    if (fast.has_value() && FastCompareEligible(*fast, chunk)) {
+      RunFastCompare(*fast, chunk, &sel);
+    } else {
+      for (size_t i = 0; i < chunk.num_rows(); ++i) {
+        const uint32_t phys = chunk.PhysicalRow(i);
+        QUARRY_ASSIGN_OR_RETURN(Value v, eval.Eval(*pred, chunk, phys));
+        if (ExprTruthy(v)) sel.push_back(phys);
       }
-      QUARRY_RETURN_NOT_OK(charge.Finish());
-      return out;
     }
-    case OpType::kSelection: {
-      QUARRY_ASSIGN_OR_RETURN(Expr::Ptr pred,
-                              ParseExpr(Param(node, "predicate")));
-      const Dataset& in = input(0);
-      Dataset out;
-      out.columnar = true;
-      out.columns = in.columns;
-      ChunkEval eval(in.columns);
-      std::optional<FastCompare> fast = TryFastCompare(*pred, in.columns);
-      std::vector<Chunk> scratch;
-      OutputCharger charge(ctx, node.id, out.columns.size());
-      for (const Chunk& chunk :
-           DatasetChunks(in, options.chunk_size, &scratch)) {
-        QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
-        CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
-        std::vector<uint32_t> sel;
-        if (fast.has_value() && FastCompareEligible(*fast, chunk)) {
-          RunFastCompare(*fast, chunk, &sel);
-        } else {
-          for (size_t i = 0; i < chunk.num_rows(); ++i) {
-            const uint32_t phys = chunk.PhysicalRow(i);
-            QUARRY_ASSIGN_OR_RETURN(Value v, eval.Eval(*pred, chunk, phys));
-            if (ExprTruthy(v)) sel.push_back(phys);
-          }
+    if (sel.empty()) continue;  // Fully filtered chunks are dropped.
+    QUARRY_RETURN_NOT_OK(gate->Charge(sel.size(), out.columns.size()));
+    if (sel.size() == chunk.num_rows()) {
+      out.chunks.push_back(chunk);  // Nothing filtered: reuse as-is.
+    } else {
+      out.chunks.emplace_back(
+          chunk.capacity(), chunk.segments(),
+          std::make_shared<const std::vector<uint32_t>>(std::move(sel)));
+    }
+  }
+  return out;
+}
+
+Result<Relation> ProjectionKernel(const Node& node, const Relation& in,
+                                  ChunkGate* gate) {
+  Relation out;
+  out.columns = SplitNonEmpty(Param(node, "columns"));
+  QUARRY_ASSIGN_OR_RETURN(auto positions,
+                          ColumnPositions(in.columns, out.columns, node.id));
+  for (const Chunk& chunk : in.chunks) {
+    QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
+    QUARRY_RETURN_NOT_OK(gate->Charge(chunk.num_rows(), out.columns.size()));
+    std::vector<Chunk::SegmentPtr> segments;
+    segments.reserve(positions.size());
+    for (size_t p : positions) segments.push_back(chunk.segment_ptr(p));
+    out.chunks.emplace_back(chunk.capacity(), std::move(segments),
+                            chunk.selection());
+  }
+  return out;
+}
+
+Result<Relation> FunctionKernel(const Node& node, const Relation& in,
+                                ChunkGate* gate) {
+  QUARRY_ASSIGN_OR_RETURN(Expr::Ptr expr, ParseExpr(Param(node, "expr")));
+  std::string column = Param(node, "column");
+  if (column.empty()) {
+    return Status::ExecutionError("function '" + node.id +
+                                  "' lacks a column param");
+  }
+  ChunkEval eval(in.columns);
+  return AppendColumn(in, column, gate,
+                      [&](const Chunk& chunk, uint32_t phys) {
+                        return eval.Eval(*expr, chunk, phys);
+                      });
+}
+
+Result<Relation> SurrogateKeyKernel(const Node& node, const Relation& in,
+                                    ChunkGate* gate) {
+  std::vector<std::string> keys = SplitNonEmpty(Param(node, "keys"));
+  std::string column = Param(node, "column");
+  if (column.empty() || keys.empty()) {
+    return Status::ExecutionError("surrogate key '" + node.id +
+                                  "' needs column and keys params");
+  }
+  QUARRY_ASSIGN_OR_RETURN(auto positions,
+                          ColumnPositions(in.columns, keys, node.id));
+  // Dense ids in first-seen key order.
+  std::unordered_map<Row, int64_t, RowKeyHash, RowKeyEq> ids;
+  return AppendColumn(
+      in, column, gate,
+      [&](const Chunk& chunk, uint32_t phys) -> Result<Value> {
+        auto it = ids.try_emplace(ChunkKey(chunk, positions, phys),
+                                  static_cast<int64_t>(ids.size()) + 1)
+                      .first;
+        return Value::Int(it->second);
+      });
+}
+
+Result<Relation> JoinKernel(const Node& node, const Relation& left,
+                            const Relation& right, ChunkGate* gate) {
+  std::vector<std::string> left_keys = SplitNonEmpty(Param(node, "left"));
+  std::vector<std::string> right_keys = SplitNonEmpty(Param(node, "right"));
+  if (left_keys.empty() || left_keys.size() != right_keys.size()) {
+    return Status::ExecutionError("join '" + node.id +
+                                  "' has mismatched key lists");
+  }
+  std::string join_type = Param(node, "type");
+  if (join_type.empty()) join_type = "inner";
+  if (join_type != "inner" && join_type != "left") {
+    return Status::ExecutionError("join '" + node.id +
+                                  "': unsupported type '" + join_type + "'");
+  }
+  QUARRY_ASSIGN_OR_RETURN(auto left_pos,
+                          ColumnPositions(left.columns, left_keys, node.id));
+  QUARRY_ASSIGN_OR_RETURN(
+      auto right_pos, ColumnPositions(right.columns, right_keys, node.id));
+
+  // Build on the right input: key -> matching (chunk, physical row) pairs
+  // in row order. NULL keys never enter the table (SQL: they never match).
+  struct RowRef {
+    const Chunk* chunk;
+    uint32_t phys;
+  };
+  std::unordered_map<Row, std::vector<RowRef>, RowKeyHash, RowKeyEq> build;
+  for (const Chunk& chunk : right.chunks) {
+    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      const uint32_t phys = chunk.PhysicalRow(i);
+      Row key = ChunkKey(chunk, right_pos, phys);
+      if (AnyNull(key)) continue;
+      build[std::move(key)].push_back({&chunk, phys});
+    }
+  }
+
+  Relation out;
+  out.columns = left.columns;
+  out.columns.insert(out.columns.end(), right.columns.begin(),
+                     right.columns.end());
+  const bool left_join = join_type == "left";
+  for (const Chunk& chunk : left.chunks) {
+    QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
+    // Probe: one (left physical row, right row) pair per output row, in
+    // probe order; a null right row pads a left-join miss with NULLs.
+    std::vector<uint32_t> left_phys;
+    std::vector<const RowRef*> right_rows;
+    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      const uint32_t phys = chunk.PhysicalRow(i);
+      Row key = ChunkKey(chunk, left_pos, phys);
+      auto it = AnyNull(key) ? build.end() : build.find(key);
+      if (it == build.end()) {
+        if (left_join) {
+          left_phys.push_back(phys);
+          right_rows.push_back(nullptr);
         }
-        if (sel.empty()) continue;  // Fully filtered chunks are dropped.
-        QUARRY_RETURN_NOT_OK(
-            charge.Charge(static_cast<int64_t>(sel.size())));
-        if (sel.size() == chunk.num_rows()) {
-          out.chunks.push_back(chunk);  // Nothing filtered: reuse as-is.
-        } else {
-          out.chunks.emplace_back(
-              chunk.segments(),
-              std::make_shared<const std::vector<uint32_t>>(std::move(sel)));
-        }
+        continue;
       }
-      QUARRY_RETURN_NOT_OK(charge.Finish());
-      return out;
+      for (const RowRef& ref : it->second) {
+        left_phys.push_back(phys);
+        right_rows.push_back(&ref);
+      }
     }
-    case OpType::kProjection: {
-      std::vector<std::string> keep = SplitNonEmpty(Param(node, "columns"));
-      const Dataset& in = input(0);
-      QUARRY_ASSIGN_OR_RETURN(auto positions,
-                              ColumnPositions(in.columns, keep, node.id));
-      Dataset out;
-      out.columns = keep;
-      out.columnar = !positions.empty();
-      std::vector<Chunk> scratch;
-      OutputCharger charge(ctx, node.id, out.columns.size());
-      for (const Chunk& chunk :
-           DatasetChunks(in, options.chunk_size, &scratch)) {
-        QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
-        CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
-        QUARRY_RETURN_NOT_OK(
-            charge.Charge(static_cast<int64_t>(chunk.num_rows())));
-        if (positions.empty()) {
-          // Zero-column projection: a chunk cannot carry rows without
-          // segments, so emit empty Rows like the row path does.
-          out.rows.resize(out.rows.size() + chunk.num_rows());
+    if (left_phys.empty()) continue;
+    std::vector<Chunk::SegmentPtr> segments;
+    segments.reserve(out.columns.size());
+    for (size_t c = 0; c < left.columns.size(); ++c) {
+      segments.push_back(std::make_shared<const ValueSegment>(
+          chunk.segment(c).Gather(left_phys)));
+    }
+    for (size_t c = 0; c < right.columns.size(); ++c) {
+      std::vector<Value> col;
+      col.reserve(right_rows.size());
+      for (const RowRef* ref : right_rows) {
+        col.push_back(ref == nullptr ? Value::Null()
+                                     : ref->chunk->segment(c).At(ref->phys));
+      }
+      segments.push_back(std::make_shared<const ValueSegment>(
+          ValueSegment::FromValues(std::move(col))));
+    }
+    QUARRY_RETURN_NOT_OK(gate->Charge(left_phys.size(), out.columns.size()));
+    out.chunks.emplace_back(left_phys.size(), std::move(segments));
+  }
+  return out;
+}
+
+Result<Relation> AggregationKernel(const Node& node, const Relation& in,
+                                   ChunkGate* gate) {
+  std::vector<std::string> group = SplitNonEmpty(Param(node, "group"));
+  QUARRY_ASSIGN_OR_RETURN(auto specs, ParseAggSpecs(Param(node, "aggs")));
+  QUARRY_ASSIGN_OR_RETURN(auto group_pos,
+                          ColumnPositions(in.columns, group, node.id));
+  std::vector<int> agg_pos(specs.size(), -1);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].input == "*") continue;
+    QUARRY_ASSIGN_OR_RETURN(
+        auto pos, ColumnPositions(in.columns, {specs[i].input}, node.id));
+    agg_pos[i] = static_cast<int>(pos[0]);
+  }
+
+  std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq> groups;
+  std::vector<Row> group_order;  // First-seen order: deterministic output.
+  for (const Chunk& chunk : in.chunks) {
+    QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
+    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      const uint32_t phys = chunk.PhysicalRow(i);
+      Row key = ChunkKey(chunk, group_pos, phys);
+      auto [it, inserted] =
+          groups.try_emplace(key, std::vector<AggState>(specs.size()));
+      if (inserted) group_order.push_back(key);
+      std::vector<AggState>& states = it->second;
+      for (size_t s = 0; s < specs.size(); ++s) {
+        if (specs[s].input == "*") {
+          kernel::AccumulateAggStar(&states[s]);
           continue;
         }
-        std::vector<Chunk::SegmentPtr> segments;
-        segments.reserve(positions.size());
-        for (size_t p : positions) segments.push_back(chunk.segment_ptr(p));
-        out.chunks.emplace_back(std::move(segments), chunk.selection());
+        kernel::AccumulateAgg(
+            &states[s], chunk.segment(static_cast<size_t>(agg_pos[s])).At(phys));
       }
-      QUARRY_RETURN_NOT_OK(charge.Finish());
-      return out;
     }
-    case OpType::kFunction: {
-      QUARRY_ASSIGN_OR_RETURN(Expr::Ptr expr, ParseExpr(Param(node, "expr")));
-      std::string column = Param(node, "column");
-      if (column.empty()) {
-        return Status::ExecutionError("function '" + node.id +
-                                      "' lacks a column param");
+  }
+
+  Relation out;
+  out.columns = group;
+  for (const AggSpec& s : specs) out.columns.push_back(s.output);
+  QUARRY_RETURN_NOT_OK(gate->Charge(group_order.size(), out.columns.size()));
+  if (group_order.empty()) return out;
+  std::vector<std::vector<Value>> cols(out.columns.size());
+  for (auto& col : cols) col.reserve(group_order.size());
+  for (const Row& key : group_order) {
+    const std::vector<AggState>& states = groups.at(key);
+    for (size_t g = 0; g < group_pos.size(); ++g) cols[g].push_back(key[g]);
+    for (size_t s = 0; s < specs.size(); ++s) {
+      cols[group_pos.size() + s].push_back(
+          kernel::FinalizeAgg(specs[s].function, states[s]));
+    }
+  }
+  std::vector<Chunk::SegmentPtr> segments;
+  segments.reserve(cols.size());
+  for (auto& col : cols) {
+    segments.push_back(std::make_shared<const ValueSegment>(
+        ValueSegment::FromValues(std::move(col))));
+  }
+  out.chunks.emplace_back(group_order.size(), std::move(segments));
+  return out;
+}
+
+/// Stable sort on the `by` columns. Plain by design — no product flow
+/// emits Sort (imported xLM and test flows do): the input is materialized,
+/// sorted as rows and re-cut into chunks of `chunk_size`.
+Result<Relation> SortKernel(const Node& node, const Relation& in,
+                            int64_t chunk_size, ChunkGate* gate) {
+  std::vector<std::string> by = SplitNonEmpty(Param(node, "by"));
+  QUARRY_ASSIGN_OR_RETURN(auto positions,
+                          ColumnPositions(in.columns, by, node.id));
+  const bool desc = Param(node, "desc") == "true";
+  std::vector<Row> rows;
+  for (const Chunk& chunk : in.chunks) {
+    QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
+    chunk.AppendRowsTo(&rows);
+  }
+  std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+    for (size_t p : positions) {
+      int cmp = a[p].Compare(b[p]);
+      if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
+    }
+    return false;
+  });
+  Relation out;
+  out.columns = in.columns;
+  out.chunks = storage::ChunkRows(rows, in.columns.size(), chunk_size);
+  QUARRY_RETURN_NOT_OK(gate->Charge(rows.size(), out.columns.size()));
+  return out;
+}
+
+Result<Relation> UnionKernel(const Node& node,
+                             const std::vector<const Relation*>& inputs,
+                             ChunkGate* gate) {
+  Relation out;
+  out.columns = inputs[0]->columns;
+  for (const Relation* in : inputs) {
+    if (in->columns != out.columns) {
+      return Status::ExecutionError("union '" + node.id +
+                                    "' inputs have different schemas");
+    }
+  }
+  for (const Relation* in : inputs) {
+    QUARRY_RETURN_NOT_OK(AppendShared(*in, gate, &out));
+  }
+  return out;
+}
+
+/// Writes the input into the target table. The table is created on first
+/// use (column types inferred from the data) and gains any column the data
+/// has and it lacks; target columns the data lacks load as NULL; with
+/// `keys`, a row whose key already exists merges into the existing row by
+/// filling its NULL cells (Executor class comment).
+Status LoaderKernel(const Node& node, const Relation& data,
+                    storage::Database* target, ChunkGate* gate,
+                    int64_t* written) {
+  std::string table_name = Param(node, "table");
+  if (table_name.empty()) {
+    return Status::ExecutionError("loader '" + node.id +
+                                  "' lacks a table param");
+  }
+  std::vector<std::string> keys = SplitNonEmpty(Param(node, "keys"));
+  if (!target->HasTable(table_name) && data.row_count() == 0) {
+    // No rows and no pre-created table: defer creation (column types
+    // cannot be inferred from an empty input; guessing would poison later
+    // loads into the same table). Deployed designs always pre-create their
+    // tables via DDL, so this only affects ad-hoc runs.
+    return Status::OK();
+  }
+  if (!target->HasTable(table_name)) {
+    storage::TableSchema schema(table_name);
+    for (size_t c = 0; c < data.columns.size(); ++c) {
+      QUARRY_ASSIGN_OR_RETURN(DataType type, InferColumnType(data.chunks, c));
+      QUARRY_RETURN_NOT_OK(schema.AddColumn({data.columns[c], type, true}));
+    }
+    if (!keys.empty()) QUARRY_RETURN_NOT_OK(schema.SetPrimaryKey(keys));
+    QUARRY_RETURN_NOT_OK(target->CreateTable(std::move(schema)).status());
+  }
+  QUARRY_ASSIGN_OR_RETURN(storage::Table * table,
+                          target->GetTable(table_name));
+  // Columns the target lacks are added to it (ALTER TABLE ADD COLUMN), so
+  // loaders an integrated flow merged onto one fact table can each
+  // contribute their measure columns.
+  for (size_t c = 0; c < data.columns.size(); ++c) {
+    if (table->schema().ColumnIndex(data.columns[c]).has_value()) continue;
+    QUARRY_ASSIGN_OR_RETURN(DataType type, InferColumnType(data.chunks, c));
+    QUARRY_RETURN_NOT_OK(table->AddColumn({data.columns[c], type, true}));
+  }
+  std::vector<int> positions;  // per target column; -1 = NULL
+  for (const storage::Column& c : table->schema().columns()) {
+    auto it = std::find(data.columns.begin(), data.columns.end(), c.name);
+    positions.push_back(it == data.columns.end()
+                            ? -1
+                            : static_cast<int>(it - data.columns.begin()));
+  }
+  std::vector<size_t> key_positions;
+  if (!keys.empty()) {
+    QUARRY_ASSIGN_OR_RETURN(key_positions,
+                            ColumnPositions(data.columns, keys, node.id));
+  }
+  // key -> row index in the target table (merge semantics).
+  std::unordered_map<Row, size_t, RowKeyHash, RowKeyEq> existing_rows;
+  if (!key_positions.empty()) {
+    std::vector<size_t> tk;
+    for (const std::string& k : keys) {
+      tk.push_back(*table->schema().ColumnIndex(k));
+    }
+    for (size_t r = 0; r < table->num_rows(); ++r) {
+      existing_rows.emplace(ExtractKey(table->rows()[r], tk), r);
+    }
+  }
+  for (const Chunk& chunk : data.chunks) {
+    QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
+    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      const uint32_t phys = chunk.PhysicalRow(i);
+      Row row;
+      row.reserve(data.columns.size());
+      for (size_t c = 0; c < data.columns.size(); ++c) {
+        row.push_back(chunk.segment(c).At(phys));
       }
-      const Dataset& in = input(0);
-      Dataset out;
-      out.columnar = true;
-      out.columns = in.columns;
-      out.columns.push_back(column);
-      ChunkEval eval(in.columns);
-      std::vector<Chunk> scratch;
-      OutputCharger charge(ctx, node.id, out.columns.size());
-      for (const Chunk& chunk :
-           DatasetChunks(in, options.chunk_size, &scratch)) {
-        QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
-        CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
-        // Dead (filtered-out) slots stay NULL and are never evaluated, so
-        // an expression that would error on a filtered row doesn't — same
-        // as the row path, which never sees that row at all.
-        std::vector<Value> values(chunk.capacity());
-        for (size_t i = 0; i < chunk.num_rows(); ++i) {
-          const uint32_t phys = chunk.PhysicalRow(i);
-          QUARRY_ASSIGN_OR_RETURN(Value v, eval.Eval(*expr, chunk, phys));
-          values[phys] = std::move(v);
+      Row key;
+      if (!key_positions.empty()) {
+        key = ExtractKey(row, key_positions);
+        auto it = existing_rows.find(key);
+        if (it != existing_rows.end()) {
+          // Merge: fill NULL cells the input can provide.
+          const size_t target_row = it->second;
+          for (size_t c = 0; c < positions.size(); ++c) {
+            if (positions[c] < 0) continue;
+            const Value& incoming = row[static_cast<size_t>(positions[c])];
+            if (incoming.is_null()) continue;
+            if (!table->rows()[target_row][c].is_null()) continue;
+            QUARRY_RETURN_NOT_OK(table->SetCell(target_row, c, incoming));
+          }
+          continue;
         }
-        std::vector<Chunk::SegmentPtr> segments = chunk.segments();
-        segments.push_back(std::make_shared<const ValueSegment>(
-            ValueSegment::FromValues(std::move(values))));
-        QUARRY_RETURN_NOT_OK(
-            charge.Charge(static_cast<int64_t>(chunk.num_rows())));
-        out.chunks.emplace_back(std::move(segments), chunk.selection());
       }
-      QUARRY_RETURN_NOT_OK(charge.Finish());
+      Row out;
+      out.reserve(positions.size());
+      for (int p : positions) {
+        out.push_back(p < 0 ? Value::Null() : row[static_cast<size_t>(p)]);
+      }
+      QUARRY_RETURN_NOT_OK(table->Insert(std::move(out)));
+      if (!key_positions.empty()) {
+        existing_rows.emplace(std::move(key), table->num_rows() - 1);
+      }
+      ++*written;
+    }
+    // Loaders are sinks: they charge the rows they consumed.
+    QUARRY_RETURN_NOT_OK(gate->ChargeRows(chunk.num_rows()));
+  }
+  // Mid-write fault site: fires after the rows above landed in the target,
+  // leaving exactly the half-written state the loader snapshot in
+  // ExecuteNode must roll back before a retry.
+  QUARRY_FAULT_POINT("etl.exec.Loader.write");
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<Relation> Executor::RunNode(const Node& node,
+                                   const std::vector<const Relation*>& inputs,
+                                   LoaderEffect* loader,
+                                   const ExecContext* ctx,
+                                   const ExecOptions& options) {
+  QUARRY_FAULT_POINT(std::string("etl.exec.") + OpTypeToString(node.type));
+  ChunkGate gate(node, ctx);
+  auto input = [&](size_t i) -> const Relation& { return *inputs[i]; };
+  switch (node.type) {
+    case OpType::kDatastore:
+      return ScanKernel(node, *source_, options.chunk_size, &gate);
+    case OpType::kExtraction: {
+      Relation out;
+      out.columns = input(0).columns;
+      QUARRY_RETURN_NOT_OK(AppendShared(input(0), &gate, &out));
       return out;
     }
-    case OpType::kJoin: {
+    case OpType::kSelection:
+      return SelectionKernel(node, input(0), &gate);
+    case OpType::kProjection:
+      return ProjectionKernel(node, input(0), &gate);
+    case OpType::kFunction:
+      return FunctionKernel(node, input(0), &gate);
+    case OpType::kSurrogateKey:
+      return SurrogateKeyKernel(node, input(0), &gate);
+    case OpType::kJoin:
       if (inputs.size() != 2) {
         return Status::ExecutionError("join '" + node.id +
                                       "' needs exactly 2 inputs");
       }
-      const Dataset& left = input(0);
-      const Dataset& right = input(1);
-      std::vector<std::string> left_keys = SplitNonEmpty(Param(node, "left"));
-      std::vector<std::string> right_keys =
-          SplitNonEmpty(Param(node, "right"));
-      if (left_keys.empty() || left_keys.size() != right_keys.size()) {
-        return Status::ExecutionError("join '" + node.id +
-                                      "' has mismatched key lists");
+      return JoinKernel(node, input(0), input(1), &gate);
+    case OpType::kAggregation:
+      return AggregationKernel(node, input(0), &gate);
+    case OpType::kSort:
+      return SortKernel(node, input(0), options.chunk_size, &gate);
+    case OpType::kUnion:
+      if (inputs.size() < 2) {
+        return Status::ExecutionError("union '" + node.id +
+                                      "' needs >= 2 inputs");
       }
-      std::string join_type = Param(node, "type");
-      if (join_type.empty()) join_type = "inner";
-      if (join_type != "inner" && join_type != "left") {
-        return Status::ExecutionError(
-            "join '" + node.id + "': unsupported type '" + join_type + "'");
-      }
-      QUARRY_ASSIGN_OR_RETURN(
-          auto left_pos, ColumnPositions(left.columns, left_keys, node.id));
-      QUARRY_ASSIGN_OR_RETURN(
-          auto right_pos,
-          ColumnPositions(right.columns, right_keys, node.id));
-
-      // Build on the right input, identically to the row path: the build
-      // side is materialized once (row access by index is what probing
-      // needs), NULL keys never enter the table.
-      std::vector<Row> right_scratch;
-      const std::vector<Row>& right_rows = DatasetRows(right, &right_scratch);
-      std::unordered_map<Row, std::vector<size_t>, RowKeyHash, RowKeyEq>
-          build;
-      build.reserve(right_rows.size());
-      for (size_t i = 0; i < right_rows.size(); ++i) {
-        Row key = ExtractKey(right_rows[i], right_pos);
-        bool has_null =
-            std::any_of(key.begin(), key.end(),
-                        [](const Value& v) { return v.is_null(); });
-        if (has_null) continue;  // SQL: NULL keys never match.
-        build[std::move(key)].push_back(i);
-      }
-
-      Dataset out;
-      out.columnar = true;
-      out.columns = left.columns;
-      out.columns.insert(out.columns.end(), right.columns.begin(),
-                         right.columns.end());
-      const bool left_join = join_type == "left";
-      std::vector<Chunk> scratch;
-      OutputCharger charge(ctx, node.id, out.columns.size());
-      for (const Chunk& chunk :
-           DatasetChunks(left, options.chunk_size, &scratch)) {
-        QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
-        CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
-        // Probe: one (left physical row, right row index) pair per output
-        // row, in probe order — identical to the row path's output order.
-        std::vector<uint32_t> left_phys;
-        std::vector<int64_t> right_idx;  // -1 = NULL-padded (left join).
-        for (size_t i = 0; i < chunk.num_rows(); ++i) {
-          const uint32_t phys = chunk.PhysicalRow(i);
-          Row key = ChunkKey(chunk, left_pos, phys);
-          bool has_null =
-              std::any_of(key.begin(), key.end(),
-                          [](const Value& v) { return v.is_null(); });
-          auto it = has_null ? build.end() : build.find(key);
-          if (it == build.end()) {
-            if (left_join) {
-              left_phys.push_back(phys);
-              right_idx.push_back(-1);
-            }
-            continue;
-          }
-          for (size_t ridx : it->second) {
-            left_phys.push_back(phys);
-            right_idx.push_back(static_cast<int64_t>(ridx));
-          }
-        }
-        if (left_phys.empty()) continue;
-        std::vector<Chunk::SegmentPtr> segments;
-        segments.reserve(out.columns.size());
-        for (size_t c = 0; c < left.columns.size(); ++c) {
-          segments.push_back(std::make_shared<const ValueSegment>(
-              chunk.segment(c).Gather(left_phys)));
-        }
-        for (size_t c = 0; c < right.columns.size(); ++c) {
-          std::vector<Value> col;
-          col.reserve(right_idx.size());
-          for (int64_t ridx : right_idx) {
-            col.push_back(ridx < 0
-                              ? Value::Null()
-                              : right_rows[static_cast<size_t>(ridx)][c]);
-          }
-          segments.push_back(std::make_shared<const ValueSegment>(
-              ValueSegment::FromValues(std::move(col))));
-        }
-        QUARRY_RETURN_NOT_OK(
-            charge.Charge(static_cast<int64_t>(left_phys.size())));
-        out.chunks.emplace_back(std::move(segments));
-      }
-      QUARRY_RETURN_NOT_OK(charge.Finish());
-      return out;
-    }
-    case OpType::kAggregation: {
-      const Dataset& in = input(0);
-      std::vector<std::string> group = SplitNonEmpty(Param(node, "group"));
-      QUARRY_ASSIGN_OR_RETURN(auto specs, ParseAggSpecs(Param(node, "aggs")));
-      QUARRY_ASSIGN_OR_RETURN(auto group_pos,
-                              ColumnPositions(in.columns, group, node.id));
-      std::vector<int> agg_pos(specs.size(), -1);
-      for (size_t i = 0; i < specs.size(); ++i) {
-        if (specs[i].input == "*") continue;
-        QUARRY_ASSIGN_OR_RETURN(
-            auto pos, ColumnPositions(in.columns, {specs[i].input}, node.id));
-        agg_pos[i] = static_cast<int>(pos[0]);
-      }
-
-      std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq>
-          groups;
-      std::vector<Row> group_order;  // First-seen order, like the row path.
-      std::vector<Chunk> scratch;
-      for (const Chunk& chunk :
-           DatasetChunks(in, options.chunk_size, &scratch)) {
-        QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
-        CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
-        for (size_t i = 0; i < chunk.num_rows(); ++i) {
-          const uint32_t phys = chunk.PhysicalRow(i);
-          Row key = ChunkKey(chunk, group_pos, phys);
-          auto [it, inserted] =
-              groups.try_emplace(key, std::vector<AggState>(specs.size()));
-          if (inserted) group_order.push_back(key);
-          std::vector<AggState>& states = it->second;
-          for (size_t s = 0; s < specs.size(); ++s) {
-            if (specs[s].input == "*") {
-              kernel::AccumulateAggStar(&states[s]);
-              continue;
-            }
-            Value v = chunk.segment(static_cast<size_t>(agg_pos[s]))
-                          .At(phys);
-            kernel::AccumulateAgg(&states[s], v);
-          }
-        }
-      }
-
-      Dataset out;
-      out.columns = group;
-      for (const AggSpec& s : specs) out.columns.push_back(s.output);
-      OutputCharger charge(ctx, node.id, out.columns.size());
-      if (out.columns.empty()) {
-        // Degenerate no-group no-agg shape: rows without segments cannot
-        // live in a chunk, so fall back to (empty) Rows.
-        out.rows.resize(group_order.size());
-      } else if (!group_order.empty()) {
-        std::vector<std::vector<Value>> cols(out.columns.size());
-        for (auto& col : cols) col.reserve(group_order.size());
-        for (const Row& key : group_order) {
-          const std::vector<AggState>& states = groups.at(key);
-          for (size_t g = 0; g < group_pos.size(); ++g) {
-            cols[g].push_back(key[g]);
-          }
-          for (size_t s = 0; s < specs.size(); ++s) {
-            cols[group_pos.size() + s].push_back(
-                kernel::FinalizeAgg(specs[s].function, states[s]));
-          }
-        }
-        std::vector<Chunk::SegmentPtr> segments;
-        segments.reserve(cols.size());
-        for (auto& col : cols) {
-          segments.push_back(std::make_shared<const ValueSegment>(
-              ValueSegment::FromValues(std::move(col))));
-        }
-        out.columnar = true;
-        out.chunks.emplace_back(std::move(segments));
-      } else {
-        out.columnar = true;
-      }
-      QUARRY_RETURN_NOT_OK(
-          charge.Charge(static_cast<int64_t>(group_order.size())));
-      return out;
-    }
+      return UnionKernel(node, inputs, &gate);
     case OpType::kLoader: {
-      const Dataset& data = input(0);
-      std::string table_name = Param(node, "table");
-      if (table_name.empty()) {
-        return Status::ExecutionError("loader '" + node.id +
-                                      "' lacks a table param");
-      }
-      std::vector<std::string> keys = SplitNonEmpty(Param(node, "keys"));
-      std::vector<Chunk> scratch;
-      const std::vector<Chunk>& chunks =
-          DatasetChunks(data, options.chunk_size, &scratch);
-      int64_t total_rows = 0;
-      for (const Chunk& c : chunks) {
-        total_rows += static_cast<int64_t>(c.num_rows());
-      }
-      auto charge_rows = [&](int64_t rows) -> Status {
-        if (ctx == nullptr) return Status::OK();
-        return ctx->ChargeRows(rows, "node '" + node.id + "'");
-      };
-      if (!target_->HasTable(table_name) && total_rows == 0) {
-        // No rows and no pre-created table: defer creation, exactly like
-        // the row kernel (see executor.cc for the rationale).
-        QUARRY_RETURN_NOT_OK(charge_rows(0));
-        loader->table = table_name;
-        loader->fired = true;  // rows stays 0
-        Dataset out;
-        out.columns = data.columns;
-        return out;
-      }
-      if (!target_->HasTable(table_name)) {
-        storage::TableSchema schema(table_name);
-        for (size_t c = 0; c < data.columns.size(); ++c) {
-          QUARRY_ASSIGN_OR_RETURN(DataType type,
-                                  InferColumnTypeChunks(chunks, c));
-          QUARRY_RETURN_NOT_OK(
-              schema.AddColumn({data.columns[c], type, true}));
-        }
-        if (!keys.empty()) QUARRY_RETURN_NOT_OK(schema.SetPrimaryKey(keys));
-        QUARRY_RETURN_NOT_OK(
-            target_->CreateTable(std::move(schema)).status());
-      }
-      QUARRY_ASSIGN_OR_RETURN(storage::Table * table,
-                              target_->GetTable(table_name));
-      for (size_t c = 0; c < data.columns.size(); ++c) {
-        if (table->schema().ColumnIndex(data.columns[c]).has_value()) {
-          continue;
-        }
-        QUARRY_ASSIGN_OR_RETURN(DataType type,
-                                InferColumnTypeChunks(chunks, c));
-        QUARRY_RETURN_NOT_OK(
-            table->AddColumn({data.columns[c], type, true}));
-      }
-      std::vector<int> positions;  // per target column; -1 = NULL
-      for (const storage::Column& c : table->schema().columns()) {
-        auto it =
-            std::find(data.columns.begin(), data.columns.end(), c.name);
-        positions.push_back(
-            it == data.columns.end()
-                ? -1
-                : static_cast<int>(it - data.columns.begin()));
-      }
-      std::vector<size_t> key_positions;
-      if (!keys.empty()) {
-        QUARRY_ASSIGN_OR_RETURN(
-            auto kp, ColumnPositions(data.columns, keys, node.id));
-        key_positions = kp;
-      }
       int64_t written = 0;
-      std::unordered_map<Row, size_t, RowKeyHash, RowKeyEq> existing_rows;
-      if (!key_positions.empty()) {
-        std::vector<size_t> tk;
-        for (const std::string& k : keys) {
-          tk.push_back(*table->schema().ColumnIndex(k));
-        }
-        for (size_t r = 0; r < table->num_rows(); ++r) {
-          existing_rows.emplace(ExtractKey(table->rows()[r], tk), r);
-        }
-      }
-      for (const Chunk& chunk : chunks) {
-        QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
-        CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
-        for (size_t i = 0; i < chunk.num_rows(); ++i) {
-          const uint32_t phys = chunk.PhysicalRow(i);
-          Row row;
-          row.reserve(data.columns.size());
-          for (size_t c = 0; c < data.columns.size(); ++c) {
-            row.push_back(chunk.segment(c).At(phys));
-          }
-          if (!key_positions.empty()) {
-            Row key = ExtractKey(row, key_positions);
-            auto it = existing_rows.find(key);
-            if (it != existing_rows.end()) {
-              // Merge: fill NULL cells the dataset can provide.
-              size_t target_row = it->second;
-              for (size_t c = 0; c < positions.size(); ++c) {
-                if (positions[c] < 0) continue;
-                const Value& incoming =
-                    row[static_cast<size_t>(positions[c])];
-                if (incoming.is_null()) continue;
-                if (!table->rows()[target_row][c].is_null()) continue;
-                QUARRY_RETURN_NOT_OK(
-                    table->SetCell(target_row, c, incoming));
-              }
-              continue;
-            }
-            Row out;
-            out.reserve(positions.size());
-            for (int p : positions) {
-              out.push_back(p < 0 ? Value::Null()
-                                  : row[static_cast<size_t>(p)]);
-            }
-            QUARRY_RETURN_NOT_OK(table->Insert(std::move(out)));
-            existing_rows.emplace(std::move(key), table->num_rows() - 1);
-            ++written;
-            continue;
-          }
-          Row out;
-          out.reserve(positions.size());
-          for (int p : positions) {
-            out.push_back(p < 0 ? Value::Null()
-                                : row[static_cast<size_t>(p)]);
-          }
-          QUARRY_RETURN_NOT_OK(table->Insert(std::move(out)));
-          ++written;
-        }
-        // Loaders charge their input (they are sinks): one charge per
-        // chunk written, summing to the row path's rows_in charge.
-        QUARRY_RETURN_NOT_OK(
-            charge_rows(static_cast<int64_t>(chunk.num_rows())));
-      }
-      if (chunks.empty()) QUARRY_RETURN_NOT_OK(charge_rows(0));
-      // Same mid-write fault site and cadence as the row kernel: fires
-      // after all rows landed, before the effect is reported.
-      QUARRY_FAULT_POINT("etl.exec.Loader.write");
-      loader->table = table_name;
+      QUARRY_RETURN_NOT_OK(
+          LoaderKernel(node, input(0), target_, &gate, &written));
+      loader->table = Param(node, "table");
       loader->rows = written;
       loader->fired = true;
-      Dataset out;
-      out.columns = data.columns;
-      return out;  // Loaders are sinks; emit an empty dataset.
+      Relation out;  // Loaders are sinks: no chunks.
+      out.columns = input(0).columns;
+      return out;
     }
-    case OpType::kSort:
-    case OpType::kUnion:
-    case OpType::kSurrogateKey:
-      break;  // No chunk kernel; the dispatcher never sends these here.
   }
-  return Status::Internal("operator type has no vectorized kernel");
+  return Status::Internal("unknown operator type");
 }
 
 }  // namespace quarry::etl

@@ -50,6 +50,17 @@ bool ExprTruthy(const Value& v) {
   return !v.is_null() && v.is_bool() && v.as_bool();
 }
 
+Result<Value> EvalUnary(const std::string& op, const Value& v) {
+  if (op == "-") {
+    if (v.is_null()) return Value::Null();
+    if (v.is_int()) return Value::Int(-v.as_int());
+    if (v.is_double()) return Value::Double(-v.as_double());
+    return Status::InvalidArgument("negation of non-numeric value");
+  }
+  if (op == "NOT") return Value::Bool(!ExprTruthy(v));
+  return Status::Internal("unknown unary op '" + op + "'");
+}
+
 Result<Value> EvalArithmetic(const std::string& op, const Value& a,
                              const Value& b) {
   if (a.is_null() || b.is_null()) return Value::Null();
@@ -94,44 +105,7 @@ Result<Value> EvalComparison(const std::string& op, const Value& a,
 }
 
 Result<Value> Expr::Eval(const RowView& row) const {
-  switch (kind_) {
-    case Kind::kLiteral:
-      return literal_;
-    case Kind::kColumn:
-      return row.Get(column_);
-    case Kind::kUnary: {
-      QUARRY_ASSIGN_OR_RETURN(Value v, args_[0]->Eval(row));
-      if (op_ == "-") {
-        if (v.is_null()) return Value::Null();
-        if (v.is_int()) return Value::Int(-v.as_int());
-        if (v.is_double()) return Value::Double(-v.as_double());
-        return Status::InvalidArgument("negation of non-numeric value");
-      }
-      if (op_ == "NOT") return Value::Bool(!ExprTruthy(v));
-      return Status::Internal("unknown unary op '" + op_ + "'");
-    }
-    case Kind::kBinary: {
-      if (op_ == "AND") {
-        QUARRY_ASSIGN_OR_RETURN(Value a, args_[0]->Eval(row));
-        if (!ExprTruthy(a)) return Value::Bool(false);
-        QUARRY_ASSIGN_OR_RETURN(Value b, args_[1]->Eval(row));
-        return Value::Bool(ExprTruthy(b));
-      }
-      if (op_ == "OR") {
-        QUARRY_ASSIGN_OR_RETURN(Value a, args_[0]->Eval(row));
-        if (ExprTruthy(a)) return Value::Bool(true);
-        QUARRY_ASSIGN_OR_RETURN(Value b, args_[1]->Eval(row));
-        return Value::Bool(ExprTruthy(b));
-      }
-      QUARRY_ASSIGN_OR_RETURN(Value a, args_[0]->Eval(row));
-      QUARRY_ASSIGN_OR_RETURN(Value b, args_[1]->Eval(row));
-      if (op_ == "+" || op_ == "-" || op_ == "*" || op_ == "/") {
-        return EvalArithmetic(op_, a, b);
-      }
-      return EvalComparison(op_, a, b);
-    }
-  }
-  return Status::Internal("corrupt expression");
+  return EvalWith([&row](const std::string& name) { return row.Get(name); });
 }
 
 std::string Expr::ToString() const {

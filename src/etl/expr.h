@@ -62,6 +62,12 @@ class Expr {
   /// Evaluates against a row.
   Result<storage::Value> Eval(const RowView& row) const;
 
+  /// Evaluates with `column(name)` -> Result<storage::Value> resolving
+  /// column references. The one tree walk behind Eval(RowView) and the
+  /// chunk kernels' evaluator (etl/exec/vectorized.cc).
+  template <typename ColumnFn>
+  Result<storage::Value> EvalWith(const ColumnFn& column) const;
+
   /// Canonical text form; reparsing it yields an equivalent expression.
   std::string ToString() const;
 
@@ -86,13 +92,15 @@ class Expr {
 /// Parses the grammar above.
 Result<Expr::Ptr> ParseExpr(std::string_view text);
 
-/// Scalar evaluation primitives shared by Expr::Eval and the vectorized
-/// chunk kernels (etl/exec/vectorized.cc) — both modes must agree
-/// bit-for-bit for the differential harness to hold.
+/// Scalar evaluation primitives behind Expr::EvalWith.
 
 /// Two-valued truthiness used by AND/OR/NOT and Selection predicates:
 /// only a non-NULL boolean TRUE counts.
 bool ExprTruthy(const storage::Value& v);
+
+/// Unary - (NULL stays NULL) and NOT.
+Result<storage::Value> EvalUnary(const std::string& op,
+                                 const storage::Value& v);
 
 /// +, -, *, / with the executor's SQL-ish semantics: NULL propagates,
 /// int⊕int stays int (except /, which always yields DOUBLE and NULLs out a
@@ -106,6 +114,36 @@ Result<storage::Value> EvalArithmetic(const std::string& op,
 Result<storage::Value> EvalComparison(const std::string& op,
                                       const storage::Value& a,
                                       const storage::Value& b);
+
+template <typename ColumnFn>
+Result<storage::Value> Expr::EvalWith(const ColumnFn& column) const {
+  switch (kind_) {
+    case Kind::kLiteral:
+      return literal_;
+    case Kind::kColumn:
+      return column(column_);
+    case Kind::kUnary: {
+      QUARRY_ASSIGN_OR_RETURN(storage::Value v, args_[0]->EvalWith(column));
+      return EvalUnary(op_, v);
+    }
+    case Kind::kBinary: {
+      QUARRY_ASSIGN_OR_RETURN(storage::Value a, args_[0]->EvalWith(column));
+      // AND/OR short-circuit: the right operand is never evaluated (so an
+      // unknown column there goes unnoticed) once the left one decides.
+      if (op_ == "AND" && !ExprTruthy(a)) return storage::Value::Bool(false);
+      if (op_ == "OR" && ExprTruthy(a)) return storage::Value::Bool(true);
+      QUARRY_ASSIGN_OR_RETURN(storage::Value b, args_[1]->EvalWith(column));
+      if (op_ == "AND" || op_ == "OR") {
+        return storage::Value::Bool(ExprTruthy(b));
+      }
+      if (op_ == "+" || op_ == "-" || op_ == "*" || op_ == "/") {
+        return EvalArithmetic(op_, a, b);
+      }
+      return EvalComparison(op_, a, b);
+    }
+  }
+  return Status::Internal("corrupt expression");
+}
 
 }  // namespace quarry::etl
 

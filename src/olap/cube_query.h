@@ -65,10 +65,9 @@ class CubeQueryEngine {
   /// request order, then aggregates). `ctx` (nullable) carries the
   /// request's cancellation token / deadline / budgets into the executing
   /// flow exactly like every ETL run does (docs/ROBUSTNESS.md §7): each
-  /// operator pre-checks it, row loops poll it every
-  /// etl::Executor::kCancelBatchRows rows, and a lifecycle error
-  /// (kCancelled / kDeadlineExceeded / kResourceExhausted) surfaces
-  /// unretried — a long scan cannot outlive its request.
+  /// operator pre-checks it, kernels poll it before every chunk, and a
+  /// lifecycle error (kCancelled / kDeadlineExceeded / kResourceExhausted)
+  /// surfaces unretried — a long scan cannot outlive its request.
   ///
   /// `profile` (nullable) receives the executor's per-node stats and the
   /// EXPLAIN ANALYZE plan tree of the compiled flow; it is filled on

@@ -18,14 +18,6 @@ ValueSegment::Rep RepOf(const Value& v) {
 
 }  // namespace
 
-ValueSegment ValueSegment::FromRows(const std::vector<Row>& rows,
-                                    size_t column, size_t begin, size_t end) {
-  std::vector<Value> values;
-  values.reserve(end - begin);
-  for (size_t r = begin; r < end; ++r) values.push_back(rows[r][column]);
-  return FromValues(std::move(values));
-}
-
 ValueSegment ValueSegment::FromValues(std::vector<Value> values) {
   ValueSegment seg;
   seg.size_ = values.size();
@@ -184,13 +176,20 @@ void Chunk::AppendRowsTo(std::vector<Row>* out) const {
 
 Chunk MakeChunk(const std::vector<Row>& rows, size_t num_columns,
                 size_t begin, size_t end) {
+  // Copy row-major, then build each segment from a contiguous vector: one
+  // pass over the rows instead of one strided pass per column.
+  std::vector<std::vector<Value>> columns(num_columns);
+  for (std::vector<Value>& column : columns) column.reserve(end - begin);
+  for (size_t r = begin; r < end; ++r) {
+    for (size_t c = 0; c < num_columns; ++c) columns[c].push_back(rows[r][c]);
+  }
   std::vector<Chunk::SegmentPtr> segments;
   segments.reserve(num_columns);
-  for (size_t c = 0; c < num_columns; ++c) {
+  for (std::vector<Value>& column : columns) {
     segments.push_back(std::make_shared<const ValueSegment>(
-        ValueSegment::FromRows(rows, c, begin, end)));
+        ValueSegment::FromValues(std::move(column))));
   }
-  return Chunk(std::move(segments));
+  return Chunk(end - begin, std::move(segments));
 }
 
 std::vector<Chunk> ChunkRows(const std::vector<Row>& rows,

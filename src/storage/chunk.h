@@ -10,7 +10,7 @@
 
 namespace quarry::storage {
 
-/// \brief A typed, immutable column slice: the unit of vectorized execution
+/// \brief A typed, immutable column slice: the unit of chunk execution
 /// (DESIGN.md §8).
 ///
 /// A segment stores one column's values for a contiguous run of rows. When
@@ -19,18 +19,14 @@ namespace quarry::storage {
 /// mask; columns that genuinely mix types — e.g. a SUM output whose groups
 /// split between INT and DOUBLE — fall back to a `std::vector<Value>`
 /// (Rep::kMixed). Either way `At(i)` reconstructs the original Value
-/// exactly, including NULLs, so row-at-a-time and chunked execution produce
-/// byte-identical tables (the three-way differential harness depends on
-/// this round-trip).
+/// exactly, including NULLs, so chunked execution produces the same tables
+/// as the row-at-a-time reference executor (the differential harness
+/// depends on this round-trip).
 class ValueSegment {
  public:
   enum class Rep { kBool, kInt64, kDouble, kString, kDate, kMixed };
 
   ValueSegment() = default;
-
-  /// Segment over column `column` of rows [begin, end).
-  static ValueSegment FromRows(const std::vector<Row>& rows, size_t column,
-                               size_t begin, size_t end);
 
   /// Segment over a freshly computed value vector (takes ownership).
   static ValueSegment FromValues(std::vector<Value> values);
@@ -74,22 +70,25 @@ class ValueSegment {
 /// Segments are shared immutably, so projection is a pointer copy and a
 /// selection just attaches a position list — neither touches the data.
 /// `num_rows()` counts *live* rows (selection applied); `capacity()` is the
-/// physical segment length. Live row `i` maps to physical row
-/// `PhysicalRow(i)`; with no selection the mapping is the identity.
+/// physical row count, which the chunk carries itself so a zero-column
+/// chunk (a projection onto no columns) still has rows. Live row `i` maps
+/// to physical row `PhysicalRow(i)`; with no selection the mapping is the
+/// identity.
 class Chunk {
  public:
   using SegmentPtr = std::shared_ptr<const ValueSegment>;
   using SelectionPtr = std::shared_ptr<const std::vector<uint32_t>>;
 
   Chunk() = default;
-  explicit Chunk(std::vector<SegmentPtr> segments,
-                 SelectionPtr selection = nullptr)
-      : segments_(std::move(segments)), selection_(std::move(selection)) {}
+  /// Every segment must hold exactly `capacity` values.
+  Chunk(size_t capacity, std::vector<SegmentPtr> segments,
+        SelectionPtr selection = nullptr)
+      : capacity_(capacity),
+        segments_(std::move(segments)),
+        selection_(std::move(selection)) {}
 
   size_t num_columns() const { return segments_.size(); }
-  size_t capacity() const {
-    return segments_.empty() ? 0 : segments_[0]->size();
-  }
+  size_t capacity() const { return capacity_; }
   size_t num_rows() const {
     return selection_ != nullptr ? selection_->size() : capacity();
   }
@@ -114,6 +113,7 @@ class Chunk {
   void AppendRowsTo(std::vector<Row>* out) const;
 
  private:
+  size_t capacity_ = 0;
   std::vector<SegmentPtr> segments_;
   SelectionPtr selection_;
 };

@@ -1,7 +1,7 @@
 // Unit tests for the columnar storage layer (DESIGN.md §8): ValueSegment's
-// exact Value round-trip (the property the three-way differential harness
-// rests on), Gather, Chunk selection-vector composition, and the
-// row-splitting helpers MakeChunk / ChunkRows / Table::ScanChunks.
+// exact Value round-trip (the property the differential harness rests on),
+// Gather, Chunk selection-vector composition, and the row-splitting
+// helpers MakeChunk / ChunkRows / Table::ScanChunks.
 
 #include "storage/chunk.h"
 
@@ -34,6 +34,14 @@ std::vector<Row> SampleRows() {
   return rows;
 }
 
+/// Segment over column `column` of rows [begin, end).
+ValueSegment SegmentOf(const std::vector<Row>& rows, size_t column,
+                       size_t begin, size_t end) {
+  std::vector<Value> values;
+  for (size_t r = begin; r < end; ++r) values.push_back(rows[r][column]);
+  return ValueSegment::FromValues(std::move(values));
+}
+
 void ExpectSameValue(const Value& got, const Value& want) {
   EXPECT_EQ(got.is_null(), want.is_null());
   EXPECT_TRUE(got.SameAs(want)) << got.ToString() << " vs "
@@ -47,7 +55,7 @@ TEST(ValueSegmentTest, TypedColumnsRoundTripExactly) {
       ValueSegment::Rep::kString, ValueSegment::Rep::kBool,
       ValueSegment::Rep::kDate};
   for (size_t c = 0; c < 5; ++c) {
-    ValueSegment seg = ValueSegment::FromRows(rows, c, 0, rows.size());
+    ValueSegment seg = SegmentOf(rows, c, 0, rows.size());
     EXPECT_EQ(seg.rep(), want_rep[c]) << "column " << c;
     ASSERT_EQ(seg.size(), rows.size());
     EXPECT_TRUE(seg.has_nulls()) << "column " << c;
@@ -61,7 +69,7 @@ TEST(ValueSegmentTest, TypedColumnsRoundTripExactly) {
 TEST(ValueSegmentTest, NoNullsMeansNoMask) {
   std::vector<Row> rows;
   for (int i = 0; i < 4; ++i) rows.push_back({Value::Int(i)});
-  ValueSegment seg = ValueSegment::FromRows(rows, 0, 0, rows.size());
+  ValueSegment seg = SegmentOf(rows, 0, 0, rows.size());
   EXPECT_FALSE(seg.has_nulls());
   for (size_t r = 0; r < rows.size(); ++r) EXPECT_FALSE(seg.IsNull(r));
 }
@@ -74,7 +82,7 @@ TEST(ValueSegmentTest, MixedTypeColumnFallsBackToValues) {
   rows.push_back({Value::Double(2.0)});
   rows.push_back({Value::Null()});
   rows.push_back({Value::String("x")});
-  ValueSegment seg = ValueSegment::FromRows(rows, 0, 0, rows.size());
+  ValueSegment seg = SegmentOf(rows, 0, 0, rows.size());
   EXPECT_EQ(seg.rep(), ValueSegment::Rep::kMixed);
   for (size_t r = 0; r < rows.size(); ++r) {
     ExpectSameValue(seg.At(r), rows[r][0]);
@@ -86,7 +94,7 @@ TEST(ValueSegmentTest, MixedTypeColumnFallsBackToValues) {
 TEST(ValueSegmentTest, AllNullSegmentRoundTrips) {
   std::vector<Row> rows;
   for (int i = 0; i < 3; ++i) rows.push_back({Value::Null()});
-  ValueSegment seg = ValueSegment::FromRows(rows, 0, 0, rows.size());
+  ValueSegment seg = SegmentOf(rows, 0, 0, rows.size());
   EXPECT_TRUE(seg.has_nulls());
   for (size_t r = 0; r < 3; ++r) EXPECT_TRUE(seg.At(r).is_null());
 }
@@ -103,13 +111,13 @@ TEST(ValueSegmentTest, FromValuesOwnsComputedVector) {
 
 TEST(ValueSegmentTest, SubrangeAndGather) {
   std::vector<Row> rows = SampleRows();
-  ValueSegment seg = ValueSegment::FromRows(rows, 0, 1, 4);  // rows 1..3
+  ValueSegment seg = SegmentOf(rows, 0, 1, 4);  // rows 1..3
   ASSERT_EQ(seg.size(), 3u);
   EXPECT_TRUE(seg.At(0).is_null());
   EXPECT_EQ(seg.At(1).as_int(), 3);
   EXPECT_EQ(seg.At(2).as_int(), -4);
 
-  ValueSegment full = ValueSegment::FromRows(rows, 2, 0, rows.size());
+  ValueSegment full = SegmentOf(rows, 2, 0, rows.size());
   ValueSegment picked = full.Gather({4, 0, 0, 1});
   EXPECT_EQ(picked.rep(), full.rep());
   ASSERT_EQ(picked.size(), 4u);
@@ -130,7 +138,7 @@ TEST(ChunkTest, SelectionVectorRemapsLiveRows) {
 
   auto sel = std::make_shared<const std::vector<uint32_t>>(
       std::vector<uint32_t>{4, 2, 0});
-  Chunk filtered(full.segments(), sel);
+  Chunk filtered(full.capacity(), full.segments(), sel);
   EXPECT_EQ(filtered.capacity(), 5u);
   EXPECT_EQ(filtered.num_rows(), 3u);
   EXPECT_EQ(filtered.PhysicalRow(0), 4u);
@@ -152,11 +160,32 @@ TEST(ChunkTest, ProjectionSharesSegments) {
   std::vector<Row> rows = SampleRows();
   Chunk full = MakeChunk(rows, 5, 0, rows.size());
   // A projection is a pointer copy: same underlying segment objects.
-  Chunk projected({full.segment_ptr(2), full.segment_ptr(0)},
+  Chunk projected(full.capacity(), {full.segment_ptr(2), full.segment_ptr(0)},
                   full.selection());
   EXPECT_EQ(projected.num_columns(), 2u);
   EXPECT_EQ(&projected.segment(0), &full.segment(2));
   EXPECT_EQ(&projected.segment(1), &full.segment(0));
+}
+
+TEST(ChunkTest, ZeroColumnChunkKeepsItsRows) {
+  // A projection onto no columns still has rows: the chunk carries its own
+  // row count instead of reading it off a first segment.
+  std::vector<Row> rows(4);
+  std::vector<Chunk> chunks = ChunkRows(rows, 0, 3);
+  ASSERT_EQ(chunks.size(), 2u);
+  EXPECT_EQ(chunks[0].num_columns(), 0u);
+  EXPECT_EQ(chunks[0].num_rows(), 3u);
+  EXPECT_EQ(chunks[1].num_rows(), 1u);
+
+  Chunk filtered(chunks[0].capacity(), {},
+                 std::make_shared<const std::vector<uint32_t>>(
+                     std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(filtered.capacity(), 3u);
+  EXPECT_EQ(filtered.num_rows(), 2u);
+  std::vector<Row> out;
+  filtered.AppendRowsTo(&out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_TRUE(out[0].empty());
 }
 
 TEST(ChunkTest, ChunkRowsSplitsWithPartialLastChunk) {

@@ -1,8 +1,10 @@
-// Differential tests for the wavefront scheduler (docs/ROBUSTNESS.md §8):
-// every flow must produce byte-identical target tables and equivalent
+// Differential tests for the executor. EtlParallelTest (docs/ROBUSTNESS.md
+// §8): every flow must produce byte-identical target tables and equivalent
 // execution reports no matter how many workers run it, and the lifecycle /
-// fault-injection contracts of the serial executor must carry over. Runs
-// under TSan via tools/run_tsan.sh (ctest label `tsan`).
+// fault-injection contracts of the serial executor must carry over.
+// EtlVectorizedTest (DESIGN.md §8): the chunk runtime must match the
+// row-at-a-time reference executor at every chunk size. Runs under TSan via
+// tools/run_tsan.sh (ctest label `tsan`).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 
 #include "common/exec_context.h"
 #include "common/fault_injection.h"
+#include "../bench/etl_bench_flows.h"
 #include "datagen/tpch.h"
 #include "etl_test_util.h"
 #include "interpreter/interpreter.h"
@@ -27,22 +30,20 @@ namespace {
 
 using testutil::BuildRandomFlow;
 using testutil::BuildRandomSource;
-using testutil::DifferentialModes;
-using testutil::ExecMode;
+using testutil::ExpectChunkSweepMatchesReference;
 using testutil::MakeNode;
 using testutil::RunFlow;
 using testutil::RunFlowOpts;
 using testutil::RunOutcome;
 using testutil::StatsById;
-using testutil::ToOptions;
 
 const int kWorkerCounts[] = {2, 4, 8};
 
-/// Differential equivalence against the serial row reference: byte-identical
-/// target fingerprint and order-free identical report (row counts per node,
+/// Differential equivalence against the serial run: byte-identical target
+/// fingerprint and order-free identical report (row counts per node,
 /// loaded tables, total attempts). Also asserts exactly-once execution: one
-/// NodeStats entry per flow node. `label` names the non-reference arm
-/// (worker count, vectorized mode, ...) in failure messages.
+/// NodeStats entry per flow node. `label` names the parallel arm in failure
+/// messages.
 void ExpectEquivalent(const Flow& flow, const RunOutcome& serial,
                       const RunOutcome& other, const std::string& label) {
   ASSERT_TRUE(serial.status.ok()) << serial.status;
@@ -402,30 +403,26 @@ TEST(EtlParallelTest, SchedulerMetricsAreRecorded) {
 }
 
 // ---------------------------------------------------------------------------
-// Three-way differential harness (DESIGN.md §8): the serial row executor is
-// the reference; the parallel scheduler, the vectorized chunk runtime, and
-// vectorized-under-the-scheduler must all produce byte-identical target
-// fingerprints and order-free identical reports (per-node rows_in/rows_out,
-// attempts, loaded tables).
+// Differential harness (DESIGN.md §8): the chunk runtime against the
+// row-at-a-time reference executor (etl_reference.h). Every flow runs at
+// chunk sizes 1, 7, 1024 and rows+1, each with 1 and 4 workers, and must
+// land on the reference's exact target bytes and per-node rows_in/rows_out.
 
-TEST(EtlVectorizedTest, ThreeWayRandomizedFlowsAgree) {
+TEST(EtlVectorizedTest, RandomizedFlowsMatchReference) {
+  std::set<OpType> covered;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     auto source = BuildRandomSource(seed);
     Flow flow = BuildRandomFlow(seed);
     ASSERT_TRUE(flow.Validate().ok()) << "seed " << seed;
-    RunOutcome serial = RunFlow(*source, flow, 1);
-    ASSERT_TRUE(serial.status.ok()) << "seed " << seed << ": "
-                                    << serial.status;
-    for (const ExecMode& mode : DifferentialModes()) {
-      RunOutcome outcome = RunFlowOpts(*source, flow, ToOptions(mode));
-      ExpectEquivalent(flow, serial, outcome,
-                       std::string("seed ") + std::to_string(seed) + " " +
-                           mode.name);
-    }
+    for (const auto& [id, node] : flow.nodes()) covered.insert(node.type);
+    ExpectChunkSweepMatchesReference(*source, flow,
+                                     "seed " + std::to_string(seed));
   }
+  // The generator reaches every operator type, so every kernel is compared.
+  EXPECT_EQ(covered.size(), 11u);
 }
 
-TEST(EtlVectorizedTest, ThreeWayTpchRevenueFlowAgrees) {
+TEST(EtlVectorizedTest, TpchRevenueFlowMatchesReference) {
   storage::Database src;
   ASSERT_TRUE(datagen::PopulateTpch(&src, {0.005, 23}).ok());
   ontology::Ontology onto = ontology::BuildTpchOntology();
@@ -442,26 +439,58 @@ TEST(EtlVectorizedTest, ThreeWayTpchRevenueFlowAgrees) {
   ir.dimensions.push_back({"Supplier.s_name"});
   auto design = interp.Interpret(ir);
   ASSERT_TRUE(design.ok()) << design.status();
+  ExpectChunkSweepMatchesReference(src, design->flow, "tpch revenue");
+}
 
-  RunOutcome serial = RunFlow(src, design->flow, 1);
-  ASSERT_TRUE(serial.status.ok()) << serial.status;
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
-  const int64_t chunks_before =
-      reg.counter("quarry_etl_chunk_rows_total").value();
-  for (const ExecMode& mode : DifferentialModes()) {
-    RunOutcome outcome = RunFlowOpts(src, design->flow, ToOptions(mode));
-    ExpectEquivalent(design->flow, serial, outcome, mode.name);
+TEST(EtlVectorizedTest, BenchFlowsMatchReference) {
+  // bench_etl_vectorized's two timed flows, on real TPC-H data.
+  storage::Database src;
+  ASSERT_TRUE(datagen::PopulateTpch(&src, {0.005, 23}).ok());
+  for (const Flow& flow : {benchflows::BuildScanAggFlow(),
+                           benchflows::BuildFilterProjectLoadFlow()}) {
+    ASSERT_TRUE(flow.Validate().ok()) << flow.name();
+    ExpectChunkSweepMatchesReference(src, flow, flow.name());
   }
-  // The vectorized arms actually went through the chunk kernels.
-  EXPECT_GT(reg.counter("quarry_etl_chunk_rows_total").value(),
-            chunks_before);
+}
+
+TEST(EtlVectorizedTest, ZeroColumnIntermediateMatchesReference) {
+  // A projection onto no columns still carries its rows (a chunk counts
+  // its own rows), so COUNT(*) over it sees every input row.
+  auto source = BuildRandomSource(/*seed=*/61);
+  Flow flow("zero_column");
+  (void)flow.AddNode(
+      MakeNode("ds", OpType::kDatastore, {{"table", "src0"}}));
+  (void)flow.AddNode(
+      MakeNode("ex", OpType::kExtraction, {{"table", "src0"}}));
+  (void)flow.AddNode(
+      MakeNode("sel", OpType::kSelection, {{"predicate", "v >= 10"}}));
+  (void)flow.AddNode(
+      MakeNode("proj", OpType::kProjection, {{"columns", ""}}));
+  (void)flow.AddNode(MakeNode("agg", OpType::kAggregation,
+                              {{"group", ""}, {"aggs", "COUNT(*) AS n"}}));
+  (void)flow.AddNode(
+      MakeNode("load", OpType::kLoader, {{"table", "out"}}));
+  (void)flow.AddEdge("ds", "ex");
+  (void)flow.AddEdge("ex", "sel");
+  (void)flow.AddEdge("sel", "proj");
+  (void)flow.AddEdge("proj", "agg");
+  (void)flow.AddEdge("agg", "load");
+  ASSERT_TRUE(flow.Validate().ok());
+  ExpectChunkSweepMatchesReference(*source, flow, "zero_column");
+
+  RunOutcome run = RunFlow(*source, flow, 1);
+  ASSERT_TRUE(run.status.ok()) << run.status;
+  auto stats = StatsById(run.report);
+  EXPECT_GT(stats["proj"].rows_out, 0);
+  EXPECT_EQ(stats["proj"].rows_out, stats["sel"].rows_out);
+  EXPECT_EQ(stats["agg"].rows_out, 1);
 }
 
 TEST(EtlVectorizedTest, ChainedSelectionsCarrySelectionVectors) {
   // Selection-on-selection composes a selection vector with an already
   // filtered chunk — the carry-over path chunk sizes can't hide: at
   // chunk_size 1 every chunk is a singleton, at 7 the last chunk of each
-  // run is partial, at 4096 one chunk covers the whole table.
+  // run is partial, at rows+1 one chunk covers the whole table.
   auto source = BuildRandomSource(/*seed=*/37);
   Flow flow("chained_sel");
   (void)flow.AddNode(
@@ -488,21 +517,13 @@ TEST(EtlVectorizedTest, ChainedSelectionsCarrySelectionVectors) {
   (void)flow.AddEdge("fn", "proj");
   (void)flow.AddEdge("proj", "load");
   ASSERT_TRUE(flow.Validate().ok());
-
-  RunOutcome serial = RunFlow(*source, flow, 1);
-  for (int64_t chunk_size : {1, 7, 1024, 4096}) {
-    ExecMode mode{"vectorized", 1, true, chunk_size};
-    RunOutcome outcome = RunFlowOpts(*source, flow, ToOptions(mode));
-    ExpectEquivalent(flow, serial, outcome,
-                     "vectorized chunk_size=" +
-                         std::to_string(chunk_size));
-  }
+  ExpectChunkSweepMatchesReference(*source, flow, "chained_sel");
 }
 
-TEST(EtlVectorizedTest, EmptyStreamsMatchRowPath) {
+TEST(EtlVectorizedTest, EmptyStreamsMatchReference) {
   // A selection that drops every row empties the whole downstream —
   // aggregation over nothing, a loader that must defer table creation
-  // exactly like the row path does.
+  // exactly like the reference does.
   auto source = BuildRandomSource(/*seed=*/41);
   Flow flow("empty_stream");
   (void)flow.AddNode(
@@ -524,13 +545,7 @@ TEST(EtlVectorizedTest, EmptyStreamsMatchRowPath) {
   (void)flow.AddEdge("sel", "load_rows");
   (void)flow.AddEdge("agg", "load_agg");
   ASSERT_TRUE(flow.Validate().ok());
-
-  RunOutcome serial = RunFlow(*source, flow, 1);
-  ASSERT_TRUE(serial.status.ok()) << serial.status;
-  for (const ExecMode& mode : DifferentialModes()) {
-    RunOutcome outcome = RunFlowOpts(*source, flow, ToOptions(mode));
-    ExpectEquivalent(flow, serial, outcome, mode.name);
-  }
+  ExpectChunkSweepMatchesReference(*source, flow, "empty_stream");
 }
 
 TEST(EtlVectorizedTest, VectorizedBudgetTripChargesAtChunkGranularity) {
@@ -549,7 +564,6 @@ TEST(EtlVectorizedTest, VectorizedBudgetTripChargesAtChunkGranularity) {
   storage::Database target("dw");
   Executor executor(&(*source), &target);
   ExecOptions options;
-  options.vectorized = true;
   options.chunk_size = 4;  // several chunks per node at 10-row allowance
   auto report = executor.Run(flow, options, RetryPolicy{}, &checkpoint, &ctx);
   ASSERT_FALSE(report.ok());
@@ -562,73 +576,61 @@ TEST(EtlVectorizedTest, VectorizedBudgetTripChargesAtChunkGranularity) {
   EXPECT_EQ(target.Fingerprint(), serial.fingerprint);
 }
 
-TEST(EtlVectorizedTest, RowModeResumesVectorizedCheckpoint) {
-  // Cross-mode resume, vectorized -> row: a budget-killed vectorized run
-  // checkpoints columnar datasets; the row executor must consume them.
-  auto source = BuildRandomSource(/*seed=*/47);
-  Flow flow = BuildWideFlow(5);
-  RunOutcome serial = RunFlow(*source, flow, 1);
-  ASSERT_TRUE(serial.status.ok()) << serial.status;
+using EtlVectorizedFaultTest = EtlParallelFaultTest;
 
-  ResourceBudget budget;
-  budget.max_rows_materialized = 10;
-  ExecContext ctx(CancellationToken{}, Deadline::Infinite(), budget);
-  Checkpoint checkpoint;
-  storage::Database target("dw");
-  Executor executor(&(*source), &target);
-  ExecOptions vec_options;
-  vec_options.vectorized = true;
-  vec_options.chunk_size = 8;
-  auto killed =
-      executor.Run(flow, vec_options, RetryPolicy{}, &checkpoint, &ctx);
-  ASSERT_FALSE(killed.ok());
-  ASSERT_TRUE(checkpoint.valid);
+TEST_F(EtlVectorizedFaultTest, ChunkFaultSiteIsConsultedOncePerNodeAttempt) {
+  // Every node of ds -> ex -> load sees the 10-row table as chunks of 4
+  // (4 + 4 + 2): each attempt consults the mid-stream site once, at its
+  // second chunk, however many chunks follow; a one-chunk node never does.
+  storage::Database source("src");
+  storage::TableSchema schema("t");
+  ASSERT_TRUE(schema.AddColumn({"id", storage::DataType::kInt64, false}).ok());
+  storage::Table* table = *source.CreateTable(std::move(schema));
+  for (int64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(table->Insert({storage::Value::Int(i)}).ok());
+  }
+  Flow flow("gate");
+  (void)flow.AddNode(MakeNode("ds", OpType::kDatastore, {{"table", "t"}}));
+  (void)flow.AddNode(MakeNode("ex", OpType::kExtraction, {{"table", "t"}}));
+  (void)flow.AddNode(MakeNode("load", OpType::kLoader, {{"table", "out"}}));
+  (void)flow.AddEdge("ds", "ex");
+  (void)flow.AddEdge("ex", "load");
+  fault::Injector& injector = fault::Injector::Instance();
+  injector.ClearConfigs();
+  ExecOptions options;
 
-  ExecOptions row_options;  // vectorized off: plain serial row executor
-  auto resumed =
-      executor.Resume(flow, row_options, &checkpoint, RetryPolicy{});
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_EQ(target.Fingerprint(), serial.fingerprint);
+  options.chunk_size = 4;
+  injector.Enable(/*seed=*/3);
+  ASSERT_TRUE(RunFlowOpts(source, flow, options).status.ok());
+  EXPECT_EQ(injector.HitCount("etl.exec.vec.chunk"), 3);
+
+  options.chunk_size = 10;
+  injector.Enable(/*seed=*/3);
+  ASSERT_TRUE(RunFlowOpts(source, flow, options).status.ok());
+  EXPECT_EQ(injector.HitCount("etl.exec.vec.chunk"), 0);
+
+  // A retried attempt consults the site afresh: the first hit fails ds,
+  // its second attempt and the two later nodes add one hit each.
+  options.chunk_size = 4;
+  injector.Configure("etl.exec.vec.chunk",
+                     {.trigger_on_hit = 1, .max_failures = 1});
+  injector.Enable(/*seed=*/3);
+  RetryPolicy retry;
+  retry.max_attempts = 2;
+  RunOutcome retried = RunFlowOpts(source, flow, options, retry);
+  ASSERT_TRUE(retried.status.ok()) << retried.status;
+  EXPECT_EQ(retried.report.retried_nodes, std::vector<std::string>{"ds"});
+  EXPECT_EQ(injector.HitCount("etl.exec.vec.chunk"), 4);
 }
 
-TEST(EtlVectorizedTest, VectorizedModeResumesRowCheckpoint) {
-  // Cross-mode resume, row -> vectorized: the chunk kernels must accept
-  // row-form checkpointed datasets (DatasetChunks re-chunks them).
-  auto source = BuildRandomSource(/*seed=*/53);
-  Flow flow = BuildWideFlow(5);
-  RunOutcome serial = RunFlow(*source, flow, 1);
-  ASSERT_TRUE(serial.status.ok()) << serial.status;
-
-  ResourceBudget budget;
-  budget.max_rows_materialized = 10;
-  ExecContext ctx(CancellationToken{}, Deadline::Infinite(), budget);
-  Checkpoint checkpoint;
-  storage::Database target("dw");
-  Executor executor(&(*source), &target);
-  auto killed =
-      executor.Run(flow, ExecOptions{}, RetryPolicy{}, &checkpoint, &ctx);
-  ASSERT_FALSE(killed.ok());
-  ASSERT_TRUE(checkpoint.valid);
-
-  ExecOptions vec_options;
-  vec_options.vectorized = true;
-  vec_options.chunk_size = 16;
-  auto resumed =
-      executor.Resume(flow, vec_options, &checkpoint, RetryPolicy{});
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_EQ(target.Fingerprint(), serial.fingerprint);
-}
-
-TEST(EtlVectorizedTest, VectorizedLifecycleErrorsMatchRowPath) {
-  // Deadline/cancellation surface with the same node-tagged messages in
-  // both modes: the chunk gate reuses the row path's context-check wording.
+TEST(EtlVectorizedTest, LifecycleErrorsNameTheNode) {
+  // Deadline/cancellation surface with node-tagged messages: the chunk
+  // gate uses the same context-check wording as the per-node pre-check.
   auto source = BuildRandomSource(/*seed=*/59);
   Flow flow = BuildWideFlow(4);
   ExecContext ctx(Deadline::After(0.0));
-  ExecOptions options;
-  options.vectorized = true;
   RunOutcome outcome =
-      RunFlowOpts(*source, flow, options, RetryPolicy{}, nullptr, &ctx);
+      RunFlowOpts(*source, flow, ExecOptions{}, RetryPolicy{}, nullptr, &ctx);
   ASSERT_FALSE(outcome.status.ok());
   EXPECT_TRUE(outcome.status.IsDeadlineExceeded()) << outcome.status;
   EXPECT_NE(outcome.status.ToString().find("node '"), std::string::npos)

@@ -1,11 +1,13 @@
 #ifndef QUARRY_TESTS_ETL_TEST_UTIL_H_
 #define QUARRY_TESTS_ETL_TEST_UTIL_H_
 
-// Shared helpers for the parallel-executor differential tests
-// (etl_parallel_test.cc) and the scheduler property tests
-// (property_test.cc): a seeded random flow generator over a seeded random
-// source database, and a runner that executes one flow serially and with N
-// workers and hands back everything the comparisons need.
+// Shared helpers for the executor differential tests (etl_parallel_test.cc)
+// and the scheduler / chunk-size property tests (property_test.cc): a seeded
+// random flow generator over a seeded random source database, runners for
+// the executor and for the row-at-a-time reference executor
+// (etl_reference.h), and the comparison between the two.
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include "common/result.h"
 #include "etl/exec/executor.h"
 #include "etl/flow.h"
+#include "etl_reference.h"
 #include "storage/database.h"
 
 namespace quarry::etl::testutil {
@@ -74,7 +77,7 @@ inline std::unique_ptr<storage::Database> BuildRandomSource(uint64_t seed,
 /// random live streams (union/join merge two streams), then one loader per
 /// remaining stream. Deterministic per seed; every generated flow passes
 /// Flow::Validate(). Branchy by construction, so parallel runs actually get
-/// concurrent wavefronts.
+/// concurrent wavefronts. Every operator type can appear.
 inline Flow BuildRandomFlow(uint64_t seed, int source_tables = 3,
                             int ops = 12) {
   Prng prng(seed);
@@ -120,7 +123,7 @@ inline Flow BuildRandomFlow(uint64_t seed, int source_tables = 3,
     size_t pick = static_cast<size_t>(
         prng.Uniform(0, static_cast<int64_t>(streams.size()) - 1));
     Stream& stream = streams[pick];
-    switch (prng.Uniform(0, 6)) {
+    switch (prng.Uniform(0, 7)) {
       case 0: {  // Selection on a numeric column when one exists.
         std::string pred;
         if (has_column(stream, "v")) {
@@ -242,6 +245,22 @@ inline Flow BuildRandomFlow(uint64_t seed, int source_tables = 3,
         streams.erase(streams.begin() + static_cast<long>(other));
         break;
       }
+      case 7: {  // SurrogateKey: dense ids over one or two key columns.
+        const size_t k = static_cast<size_t>(prng.Uniform(
+            0, static_cast<int64_t>(stream.columns.size()) - 1));
+        std::string keys = stream.columns[k];
+        if (k + 1 < stream.columns.size() && prng.Chance(0.5)) {
+          keys += "," + stream.columns[k + 1];
+        }
+        std::string col = fresh("sk");
+        std::string id = fresh("skey");
+        (void)flow.AddNode(MakeNode(id, OpType::kSurrogateKey,
+                                    {{"column", col}, {"keys", keys}}));
+        (void)flow.AddEdge(stream.node, id);
+        stream.node = id;
+        stream.columns.push_back(col);
+        break;
+      }
     }
   }
 
@@ -265,10 +284,8 @@ struct RunOutcome {
   ExecutionReport report;
 };
 
-/// Runs `flow` against a fresh target with full control over ExecOptions —
-/// the three-way differential harness drives worker count AND the
-/// vectorized chunk runtime through this. The retry/checkpoint/ctx knobs
-/// mirror Executor::Run's.
+/// Runs `flow` against a fresh target with full control over ExecOptions.
+/// The retry/checkpoint/ctx knobs mirror Executor::Run's.
 inline RunOutcome RunFlowOpts(const storage::Database& source,
                               const Flow& flow, const ExecOptions& options,
                               const RetryPolicy& retry = {},
@@ -295,29 +312,16 @@ inline RunOutcome RunFlow(const storage::Database& source, const Flow& flow,
   return RunFlowOpts(source, flow, options, retry, checkpoint, ctx);
 }
 
-/// One executor configuration in the three-way differential matrix.
-struct ExecMode {
-  const char* name;
-  int workers;
-  bool vectorized;
-  int64_t chunk_size = 1024;
-};
-
-inline ExecOptions ToOptions(const ExecMode& mode) {
-  ExecOptions options;
-  options.max_workers = mode.workers;
-  options.vectorized = mode.vectorized;
-  options.chunk_size = mode.chunk_size;
-  return options;
-}
-
-/// The non-serial arms of the three-way harness (DESIGN.md §8): the serial
-/// row executor is the reference; parallel, vectorized, and
-/// vectorized-under-the-scheduler must all land on its exact bytes.
-inline std::vector<ExecMode> DifferentialModes() {
-  return {{"parallel4", 4, false},
-          {"vectorized", 1, true},
-          {"vectorized_parallel4", 4, true}};
+/// Runs `flow` through the reference executor against a fresh target.
+inline RunOutcome RunReference(const storage::Database& source,
+                               const Flow& flow) {
+  storage::Database target("dw");
+  RunOutcome outcome;
+  Result<ExecutionReport> report = reference::Run(source, flow, &target);
+  outcome.status = report.status();
+  if (report.ok()) outcome.report = std::move(*report);
+  outcome.fingerprint = target.Fingerprint();
+  return outcome;
 }
 
 /// Node stats keyed by id — completion order differs between serial and
@@ -327,6 +331,58 @@ inline std::map<std::string, NodeStats> StatsById(
   std::map<std::string, NodeStats> out;
   for (const NodeStats& stats : report.nodes) out[stats.node_id] = stats;
   return out;
+}
+
+/// The differential check (DESIGN.md §8): the executor run `got` must land
+/// on the reference run's exact target bytes, run every node exactly once
+/// with the reference's per-node rows_in/rows_out, and report the same
+/// rows_processed and rows loaded per table. `label` names the run's
+/// configuration in failure messages.
+inline void ExpectMatchesReference(const Flow& flow, const RunOutcome& want,
+                                   const RunOutcome& got,
+                                   const std::string& label) {
+  ASSERT_TRUE(want.status.ok()) << "reference: " << want.status;
+  ASSERT_TRUE(got.status.ok()) << label << ": " << got.status;
+  EXPECT_EQ(got.fingerprint, want.fingerprint)
+      << "flow '" << flow.name() << "' diverged at " << label;
+  EXPECT_EQ(got.report.rows_processed, want.report.rows_processed) << label;
+  EXPECT_EQ(got.report.loaded, want.report.loaded) << label;
+  EXPECT_EQ(got.report.nodes.size(), flow.num_nodes()) << label;
+  auto got_stats = StatsById(got.report);
+  for (const auto& [id, stats] : StatsById(want.report)) {
+    auto it = got_stats.find(id);
+    ASSERT_NE(it, got_stats.end()) << "node " << id << " never ran ("
+                                   << label << ")";
+    EXPECT_EQ(it->second.rows_in, stats.rows_in)
+        << "node " << id << " (" << label << ")";
+    EXPECT_EQ(it->second.rows_out, stats.rows_out)
+        << "node " << id << " (" << label << ")";
+  }
+}
+
+/// Runs `flow` through the reference once and through the executor at
+/// chunk sizes 1 (every chunk a singleton), 7 (a partial last chunk nearly
+/// everywhere), 1024 (the default) and rows+1 (one oversized chunk), each
+/// with 1 and 4 workers, checking every run with ExpectMatchesReference.
+inline void ExpectChunkSweepMatchesReference(const storage::Database& source,
+                                             const Flow& flow,
+                                             const std::string& label) {
+  const RunOutcome want = RunReference(source, flow);
+  ASSERT_TRUE(want.status.ok()) << label << " reference: " << want.status;
+  const int64_t oversized = want.report.rows_processed + 1;
+  for (int64_t chunk_size :
+       {int64_t{1}, int64_t{7}, int64_t{1024}, oversized}) {
+    for (int workers : {1, 4}) {
+      ExecOptions options;
+      options.max_workers = workers;
+      options.chunk_size = chunk_size;
+      ExpectMatchesReference(flow, want,
+                             RunFlowOpts(source, flow, options),
+                             label + " chunk_size=" +
+                                 std::to_string(chunk_size) +
+                                 " workers=" + std::to_string(workers));
+    }
+  }
 }
 
 }  // namespace quarry::etl::testutil

@@ -20,11 +20,11 @@
 //      resuming converges on the serial result, and resuming *again* is a
 //      no-op (idempotence).
 //
-//  P8  the vectorized chunk runtime (DESIGN.md §8) lands on the serial row
-//      executor's exact bytes and per-node row counts for ANY chunk size —
-//      1 (every chunk a singleton), 7 (partial last chunk everywhere),
-//      1024 (the default), and rows+1 (one oversized chunk) — with and
-//      without the wavefront scheduler underneath.
+//  P8  the chunk runtime (DESIGN.md §8) lands on the row-at-a-time
+//      reference executor's exact bytes and per-node row counts for ANY
+//      chunk size — 1 (every chunk a singleton), 7 (partial last chunk
+//      everywhere), 1024 (the default), and rows+1 (one oversized chunk) —
+//      with and without the wavefront scheduler underneath.
 
 #include <gtest/gtest.h>
 
@@ -395,9 +395,9 @@ INSTANTIATE_TEST_SUITE_P(DagSweep, SchedulerProperty,
                          });
 
 // ---------------------------------------------------------------------------
-// Vectorized-runtime properties (DESIGN.md §8) over the same seeded random
-// DAGs: chunking is an execution detail, so no chunk size may ever change
-// the bytes. The sweep deliberately includes chunk_size 1 (selection-vector
+// Chunk-runtime properties (DESIGN.md §8) over the same seeded random DAGs:
+// chunking is an execution detail, so no chunk size may ever change the
+// bytes. The sweep deliberately includes chunk_size 1 (selection-vector
 // carry-over on singleton chunks), 7 (a partial last chunk on nearly every
 // node) and rows+1 (the whole input in one oversized chunk); empty
 // intermediate streams arise naturally from the generated selections.
@@ -409,43 +409,8 @@ TEST_P(VectorizedProperty, P8_ChunkSizeNeverChangesBytes) {
   auto source = etl::testutil::BuildRandomSource(seed);
   etl::Flow flow = etl::testutil::BuildRandomFlow(seed);
   ASSERT_TRUE(flow.Validate().ok());
-  etl::testutil::RunOutcome serial = etl::testutil::RunFlow(*source, flow, 1);
-  ASSERT_TRUE(serial.status.ok()) << serial.status;
-  auto serial_stats = etl::testutil::StatsById(serial.report);
-
-  const int64_t oversized = serial.report.rows_processed + 1;
-  for (int64_t chunk_size : {int64_t{1}, int64_t{7}, int64_t{1024},
-                             oversized}) {
-    for (int workers : {1, 4}) {
-      etl::ExecOptions options;
-      options.vectorized = true;
-      options.chunk_size = chunk_size;
-      options.max_workers = workers;
-      etl::testutil::RunOutcome outcome =
-          etl::testutil::RunFlowOpts(*source, flow, options);
-      ASSERT_TRUE(outcome.status.ok())
-          << "seed " << seed << " chunk_size " << chunk_size << " workers "
-          << workers << ": " << outcome.status;
-      EXPECT_EQ(outcome.fingerprint, serial.fingerprint)
-          << "seed " << seed << " chunk_size " << chunk_size << " workers "
-          << workers;
-      EXPECT_EQ(outcome.report.rows_processed,
-                serial.report.rows_processed)
-          << "seed " << seed << " chunk_size " << chunk_size;
-      auto stats = etl::testutil::StatsById(outcome.report);
-      ASSERT_EQ(stats.size(), flow.num_nodes());
-      for (const auto& [id, want] : serial_stats) {
-        auto it = stats.find(id);
-        ASSERT_NE(it, stats.end()) << id;
-        EXPECT_EQ(it->second.rows_in, want.rows_in)
-            << "node " << id << " seed " << seed << " chunk_size "
-            << chunk_size;
-        EXPECT_EQ(it->second.rows_out, want.rows_out)
-            << "node " << id << " seed " << seed << " chunk_size "
-            << chunk_size;
-      }
-    }
-  }
+  etl::testutil::ExpectChunkSweepMatchesReference(
+      *source, flow, "seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(ChunkSweep, VectorizedProperty,

@@ -5,11 +5,12 @@
 #   3. crash     — fault + crash matrices under ASan (tools/run_crash_matrix.sh)
 #   4. recovery  — warehouse kill-and-recover matrix, plain build (fast
 #                  re-run of the §10 crash surface outside the ASan gate)
-#   5. vectorized — three-way differential harness (serial vs parallel vs
-#                  vectorized chunk runtime, byte-identical targets) plus
-#                  the bench's --smoke mode, which re-proves fingerprint
-#                  equality on real TPC-H data and that the chunk kernels
-#                  actually ran (DESIGN.md §8)
+#   5. vectorized — differential harness (the chunk runtime vs the
+#                  row-at-a-time reference executor in tests/, byte-identical
+#                  targets at every chunk size) plus the bench's --smoke
+#                  mode, which re-runs the timed TPC-H flows and fails when
+#                  iterations disagree or the chunk kernels never ran
+#                  (DESIGN.md §8)
 #   6. metrics   — two-way metric/doc lint (tools/check_metrics_doc.sh)
 #   7. http      — telemetry-endpoint smoke: start quarry_httpd, curl all
 #                  six endpoints, validate JSON with the in-tree parser
@@ -71,16 +72,29 @@ warehouse_recovery() {
     --output-on-failure
 }
 
-# Three-way differential harness + bench smoke (DESIGN.md §8): the filter
-# pins the vectorized equivalence suite so a rename that silently empties it
-# shows up as a 0-test run in this step's output, and the bench smoke proves
-# fingerprint equality on TPC-H data with the chunk kernels verifiably
-# engaged (it exits non-zero when they never ran).
+# Runs a gtest binary with a filter and fails when the filter selected no
+# test: the installed googletest has no --gtest_fail_if_no_test_selected,
+# and after a rename a filter that matches nothing would otherwise pass.
+run_filtered() {
+  local binary="$1" filter="$2" log
+  log="$(mktemp)"
+  "${binary}" --gtest_filter="${filter}" | tee "${log}"
+  local status="${PIPESTATUS[0]}"
+  if grep -q "Running 0 tests" "${log}"; then
+    echo "filter '${filter}' selected no test in ${binary}" >&2
+    status=1
+  fi
+  rm -f "${log}"
+  return "${status}"
+}
+
+# Differential harness + bench smoke (DESIGN.md §8): the filters pin the
+# suites that compare the chunk runtime with the reference executor, and
+# the bench smoke re-runs the timed TPC-H flows with the chunk kernels
+# verifiably engaged (it exits non-zero when they never ran).
 vectorized_differential() {
-  "${build_dir}/tests/etl_parallel_test" \
-    --gtest_filter='EtlVectorizedTest.*' &&
-    "${build_dir}/tests/property_test" \
-      --gtest_filter='*VectorizedProperty*'
+  run_filtered "${build_dir}/tests/etl_parallel_test" 'EtlVectorizedTest.*' &&
+    run_filtered "${build_dir}/tests/property_test" '*VectorizedProperty*'
 }
 
 vectorized_bench_smoke() {
