@@ -1,10 +1,11 @@
-// Chunk-runtime ETL throughput (DESIGN.md §8, BENCH_vectorized.json): two
-// scan-heavy TPC-H flows (bench/etl_bench_flows.h) run through the
-// executor at three scale factors, best-of-N wall clock each. Every
+// Chunk-runtime ETL throughput (DESIGN.md §8, BENCH_vectorized.json): three
+// TPC-H flows (bench/etl_bench_flows.h) — two scan-heavy ones and one that
+// exercises the join, group-by and keyed-merge hash tables — run through
+// the executor at three scale factors, best-of-N wall clock each. Every
 // iteration of a configuration must land on the same target fingerprint
 // and rows_processed — a run whose bytes wobble is a bug, not a number.
 // Byte-equivalence with the row-at-a-time reference executor is the
-// differential harness's job (tests/etl_parallel_test.cc runs both flows).
+// differential harness's job (tests/etl_parallel_test.cc runs all three).
 //
 // Flags:
 //   --smoke      one small scale factor, two iterations; exits 1 when
@@ -141,7 +142,8 @@ int Main(int argc, char** argv) {
         static_cast<int64_t>((*source.GetTable("lineitem"))->num_rows());
 
     for (const etl::Flow& flow : {benchflows::BuildScanAggFlow(),
-                                  benchflows::BuildFilterProjectLoadFlow()}) {
+                                  benchflows::BuildFilterProjectLoadFlow(),
+                                  benchflows::BuildJoinGroupLoadFlow()}) {
       FlowResult run = RunFlow(source, flow, opts.iters);
       if (!run.stable) {
         ++failures;

@@ -1,7 +1,7 @@
 #ifndef QUARRY_BENCH_ETL_BENCH_FLOWS_H_
 #define QUARRY_BENCH_ETL_BENCH_FLOWS_H_
 
-// The two TPC-H flows bench_etl_vectorized times (BENCH_vectorized.json).
+// The three TPC-H flows bench_etl_vectorized times (BENCH_vectorized.json).
 // The differential harness (tests/etl_parallel_test.cc) runs the same flows
 // against the reference executor, so the timed flows are also the checked
 // ones.
@@ -13,6 +13,10 @@
 //   filter_project_load  same scan + filter + projection but loading every
 //                        surviving row: bounds the win when the sink is
 //                        write-heavy.
+//   join_group_load      lineitem join orders on l_orderkey -> group-by on
+//                        (l_orderkey, l_linenumber) -> loader keyed on the
+//                        same pair: every hash table the kernels have, at
+//                        one key per lineitem row.
 
 #include <map>
 #include <string>
@@ -72,6 +76,45 @@ inline etl::Flow BuildFilterProjectLoadFlow() {
   (void)flow.AddNode(
       MakeNode("load", etl::OpType::kLoader, {{"table", "wide_out"}}));
   (void)flow.AddEdge("proj", "load");
+  return flow;
+}
+
+inline etl::Flow BuildJoinGroupLoadFlow() {
+  etl::Flow flow("join_group_load");
+  (void)flow.AddNode(
+      MakeNode("ds_l", etl::OpType::kDatastore, {{"table", "lineitem"}}));
+  (void)flow.AddNode(
+      MakeNode("ex_l", etl::OpType::kExtraction, {{"table", "lineitem"}}));
+  (void)flow.AddNode(MakeNode(
+      "proj_l", etl::OpType::kProjection,
+      {{"columns", "l_orderkey,l_linenumber,l_quantity,l_extendedprice"}}));
+  (void)flow.AddNode(
+      MakeNode("ds_o", etl::OpType::kDatastore, {{"table", "orders"}}));
+  (void)flow.AddNode(
+      MakeNode("ex_o", etl::OpType::kExtraction, {{"table", "orders"}}));
+  (void)flow.AddNode(
+      MakeNode("proj_o", etl::OpType::kProjection,
+               {{"columns", "o_orderkey,o_orderstatus,o_orderdate"}}));
+  (void)flow.AddNode(MakeNode(
+      "join", etl::OpType::kJoin,
+      {{"left", "l_orderkey"}, {"right", "o_orderkey"}, {"type", "inner"}}));
+  (void)flow.AddNode(MakeNode(
+      "agg", etl::OpType::kAggregation,
+      {{"group", "l_orderkey,l_linenumber"},
+       {"aggs",
+        "SUM(l_extendedprice) AS revenue; SUM(l_quantity) AS quantity; "
+        "MAX(o_orderdate) AS orderdate"}}));
+  (void)flow.AddNode(MakeNode(
+      "load", etl::OpType::kLoader,
+      {{"table", "fact_lines"}, {"keys", "l_orderkey,l_linenumber"}}));
+  (void)flow.AddEdge("ds_l", "ex_l");
+  (void)flow.AddEdge("ex_l", "proj_l");
+  (void)flow.AddEdge("ds_o", "ex_o");
+  (void)flow.AddEdge("ex_o", "proj_o");
+  (void)flow.AddEdge("proj_l", "join");
+  (void)flow.AddEdge("proj_o", "join");
+  (void)flow.AddEdge("join", "agg");
+  (void)flow.AddEdge("agg", "load");
   return flow;
 }
 

@@ -3,9 +3,11 @@
 
 // Internal helpers of the chunk kernels (vectorized.cc), shared with the
 // row-at-a-time reference executor the tests compare them against
-// (tests/etl_reference.h). The aggregation accumulate/finalize logic in
-// particular lives here so SUM's int/double widening and NULL handling are
-// stated once.
+// (tests/etl_reference.h): parameter parsing, column resolution and the
+// aggregation accumulate/finalize logic, so SUM's int/double widening and
+// NULL handling are stated once. Key hashing is not here: the kernels key
+// their hash tables with storage::RowKey (storage/key.h), and the
+// reference keeps its own Row-keyed tables beside it.
 
 #include <algorithm>
 #include <string>
@@ -41,29 +43,6 @@ inline Result<std::vector<size_t>> ColumnPositions(
     out.push_back(static_cast<size_t>(it - columns.begin()));
   }
   return out;
-}
-
-struct RowKeyHash {
-  size_t operator()(const storage::Row& r) const {
-    return storage::HashRow(r);
-  }
-};
-struct RowKeyEq {
-  bool operator()(const storage::Row& a, const storage::Row& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!a[i].SameAs(b[i])) return false;
-    }
-    return true;
-  }
-};
-
-inline storage::Row ExtractKey(const storage::Row& row,
-                               const std::vector<size_t>& positions) {
-  storage::Row key;
-  key.reserve(positions.size());
-  for (size_t p : positions) key.push_back(row[p]);
-  return key;
 }
 
 inline std::string Param(const Node& node, const std::string& key) {

@@ -23,20 +23,21 @@
 #include "etl/expr.h"
 #include "etl/schema_inference.h"
 #include "obs/metrics.h"
+#include "storage/key.h"
 
 namespace quarry::etl {
 
 using storage::Chunk;
+using storage::ChunkRow;
 using storage::DataType;
+using storage::KeyIndex;
 using storage::Row;
+using storage::RowKey;
 using storage::Value;
 using storage::ValueSegment;
 using kernel::AggState;
 using kernel::ColumnPositions;
-using kernel::ExtractKey;
 using kernel::Param;
-using kernel::RowKeyEq;
-using kernel::RowKeyHash;
 using kernel::SplitNonEmpty;
 
 namespace {
@@ -291,15 +292,6 @@ void RunFastCompare(const FastCompare& f, const Chunk& chunk,
   }
 }
 
-/// Group key of `chunk`'s physical row at `positions`.
-Row ChunkKey(const Chunk& chunk, const std::vector<size_t>& positions,
-             uint32_t phys) {
-  Row key;
-  key.reserve(positions.size());
-  for (size_t p : positions) key.push_back(chunk.segment(p).At(phys));
-  return key;
-}
-
 /// First non-NULL value's type across the chunks' live rows, in row order.
 Result<DataType> InferColumnType(const std::vector<Chunk>& chunks,
                                  size_t column) {
@@ -311,11 +303,6 @@ Result<DataType> InferColumnType(const std::vector<Chunk>& chunks,
     }
   }
   return DataType::kString;  // All-NULL column: arbitrary but stable.
-}
-
-bool AnyNull(const Row& key) {
-  return std::any_of(key.begin(), key.end(),
-                     [](const Value& v) { return v.is_null(); });
 }
 
 /// Appends `in`'s chunks to `out` unchanged: they share the immutable
@@ -451,15 +438,14 @@ Result<Relation> SurrogateKeyKernel(const Node& node, const Relation& in,
   }
   QUARRY_ASSIGN_OR_RETURN(auto positions,
                           ColumnPositions(in.columns, keys, node.id));
-  // Dense ids in first-seen key order.
-  std::unordered_map<Row, int64_t, RowKeyHash, RowKeyEq> ids;
+  // Dense ids in first-seen key order: the key's KeyIndex id, plus one.
+  KeyIndex ids;
+  RowKey key;
   return AppendColumn(
       in, column, gate,
       [&](const Chunk& chunk, uint32_t phys) -> Result<Value> {
-        auto it = ids.try_emplace(ChunkKey(chunk, positions, phys),
-                                  static_cast<int64_t>(ids.size()) + 1)
-                      .first;
-        return Value::Int(it->second);
+        key.Set(chunk, positions, phys);
+        return Value::Int(int64_t{ids.Insert(key.bytes()).first} + 1);
       });
 }
 
@@ -482,19 +468,19 @@ Result<Relation> JoinKernel(const Node& node, const Relation& left,
   QUARRY_ASSIGN_OR_RETURN(
       auto right_pos, ColumnPositions(right.columns, right_keys, node.id));
 
-  // Build on the right input: key -> matching (chunk, physical row) pairs
-  // in row order. NULL keys never enter the table (SQL: they never match).
-  struct RowRef {
-    const Chunk* chunk;
-    uint32_t phys;
-  };
-  std::unordered_map<Row, std::vector<RowRef>, RowKeyHash, RowKeyEq> build;
+  // Build on the right input: key id -> matching right rows, in row order.
+  // NULL keys never enter the table (SQL: they never match).
+  KeyIndex build;
+  storage::KeyPostings matches;    // Positions index build_rows.
+  std::vector<ChunkRow> build_rows;
+  RowKey key;
   for (const Chunk& chunk : right.chunks) {
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
       const uint32_t phys = chunk.PhysicalRow(i);
-      Row key = ChunkKey(chunk, right_pos, phys);
-      if (AnyNull(key)) continue;
-      build[std::move(key)].push_back({&chunk, phys});
+      key.Set(chunk, right_pos, phys);
+      if (key.has_null()) continue;
+      matches.Append(build.Insert(key.bytes()).first);
+      build_rows.push_back({&chunk, phys});
     }
   }
 
@@ -507,43 +493,39 @@ Result<Relation> JoinKernel(const Node& node, const Relation& left,
     QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
     // Probe: one (left physical row, right row) pair per output row, in
     // probe order; a null right row pads a left-join miss with NULLs.
-    std::vector<uint32_t> left_phys;
-    std::vector<const RowRef*> right_rows;
+    std::vector<ChunkRow> left_rows;
+    std::vector<ChunkRow> right_rows;
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
       const uint32_t phys = chunk.PhysicalRow(i);
-      Row key = ChunkKey(chunk, left_pos, phys);
-      auto it = AnyNull(key) ? build.end() : build.find(key);
-      if (it == build.end()) {
+      key.Set(chunk, left_pos, phys);
+      const uint32_t id =
+          key.has_null() ? KeyIndex::kNotFound : build.Find(key.bytes());
+      if (id == KeyIndex::kNotFound) {
         if (left_join) {
-          left_phys.push_back(phys);
-          right_rows.push_back(nullptr);
+          left_rows.push_back({&chunk, phys});
+          right_rows.push_back({});
         }
         continue;
       }
-      for (const RowRef& ref : it->second) {
-        left_phys.push_back(phys);
-        right_rows.push_back(&ref);
-      }
+      matches.ForEach(id, [&](uint32_t match) {
+        left_rows.push_back({&chunk, phys});
+        right_rows.push_back(build_rows[match]);
+      });
     }
-    if (left_phys.empty()) continue;
+    if (left_rows.empty()) continue;
+    const size_t emitted = left_rows.size();
+    QUARRY_RETURN_NOT_OK(gate->Charge(emitted, out.columns.size()));
     std::vector<Chunk::SegmentPtr> segments;
     segments.reserve(out.columns.size());
     for (size_t c = 0; c < left.columns.size(); ++c) {
       segments.push_back(std::make_shared<const ValueSegment>(
-          chunk.segment(c).Gather(left_phys)));
+          storage::GatherColumn(left_rows, c)));
     }
     for (size_t c = 0; c < right.columns.size(); ++c) {
-      std::vector<Value> col;
-      col.reserve(right_rows.size());
-      for (const RowRef* ref : right_rows) {
-        col.push_back(ref == nullptr ? Value::Null()
-                                     : ref->chunk->segment(c).At(ref->phys));
-      }
       segments.push_back(std::make_shared<const ValueSegment>(
-          ValueSegment::FromValues(std::move(col))));
+          storage::GatherColumn(right_rows, c)));
     }
-    QUARRY_RETURN_NOT_OK(gate->Charge(left_phys.size(), out.columns.size()));
-    out.chunks.emplace_back(left_phys.size(), std::move(segments));
+    out.chunks.emplace_back(emitted, std::move(segments));
   }
   return out;
 }
@@ -562,24 +544,32 @@ Result<Relation> AggregationKernel(const Node& node, const Relation& in,
     agg_pos[i] = static_cast<int>(pos[0]);
   }
 
-  std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq> groups;
-  std::vector<Row> group_order;  // First-seen order: deterministic output.
+  // Group ids are KeyIndex ids, so groups come out in first-seen order.
+  // Group g's state for spec s is states[g * specs.size() + s], and its
+  // key columns are gathered from its first input row.
+  KeyIndex groups;
+  std::vector<AggState> states;
+  std::vector<ChunkRow> first_rows;
+  RowKey key;
   for (const Chunk& chunk : in.chunks) {
     QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
       const uint32_t phys = chunk.PhysicalRow(i);
-      Row key = ChunkKey(chunk, group_pos, phys);
-      auto [it, inserted] =
-          groups.try_emplace(key, std::vector<AggState>(specs.size()));
-      if (inserted) group_order.push_back(key);
-      std::vector<AggState>& states = it->second;
+      key.Set(chunk, group_pos, phys);
+      auto [gid, inserted] = groups.Insert(key.bytes());
+      if (inserted) {
+        first_rows.push_back({&chunk, phys});
+        states.resize(states.size() + specs.size());
+      }
+      AggState* group_states = states.data() + size_t{gid} * specs.size();
       for (size_t s = 0; s < specs.size(); ++s) {
-        if (specs[s].input == "*") {
-          kernel::AccumulateAggStar(&states[s]);
+        if (agg_pos[s] < 0) {
+          kernel::AccumulateAggStar(&group_states[s]);
           continue;
         }
         kernel::AccumulateAgg(
-            &states[s], chunk.segment(static_cast<size_t>(agg_pos[s])).At(phys));
+            &group_states[s],
+            chunk.segment(static_cast<size_t>(agg_pos[s])).At(phys));
       }
     }
   }
@@ -587,25 +577,26 @@ Result<Relation> AggregationKernel(const Node& node, const Relation& in,
   Relation out;
   out.columns = group;
   for (const AggSpec& s : specs) out.columns.push_back(s.output);
-  QUARRY_RETURN_NOT_OK(gate->Charge(group_order.size(), out.columns.size()));
-  if (group_order.empty()) return out;
-  std::vector<std::vector<Value>> cols(out.columns.size());
-  for (auto& col : cols) col.reserve(group_order.size());
-  for (const Row& key : group_order) {
-    const std::vector<AggState>& states = groups.at(key);
-    for (size_t g = 0; g < group_pos.size(); ++g) cols[g].push_back(key[g]);
-    for (size_t s = 0; s < specs.size(); ++s) {
-      cols[group_pos.size() + s].push_back(
-          kernel::FinalizeAgg(specs[s].function, states[s]));
-    }
-  }
+  const size_t num_groups = first_rows.size();
+  QUARRY_RETURN_NOT_OK(gate->Charge(num_groups, out.columns.size()));
+  if (num_groups == 0) return out;
   std::vector<Chunk::SegmentPtr> segments;
-  segments.reserve(cols.size());
-  for (auto& col : cols) {
+  segments.reserve(out.columns.size());
+  for (size_t p : group_pos) {
+    segments.push_back(std::make_shared<const ValueSegment>(
+        storage::GatherColumn(first_rows, p)));
+  }
+  for (size_t s = 0; s < specs.size(); ++s) {
+    std::vector<Value> col;
+    col.reserve(num_groups);
+    for (size_t g = 0; g < num_groups; ++g) {
+      col.push_back(
+          kernel::FinalizeAgg(specs[s].function, states[g * specs.size() + s]));
+    }
     segments.push_back(std::make_shared<const ValueSegment>(
         ValueSegment::FromValues(std::move(col))));
   }
-  out.chunks.emplace_back(group_order.size(), std::move(segments));
+  out.chunks.emplace_back(num_groups, std::move(segments));
   return out;
 }
 
@@ -706,51 +697,55 @@ Status LoaderKernel(const Node& node, const Relation& data,
     QUARRY_ASSIGN_OR_RETURN(key_positions,
                             ColumnPositions(data.columns, keys, node.id));
   }
-  // key -> row index in the target table (merge semantics).
-  std::unordered_map<Row, size_t, RowKeyHash, RowKeyEq> existing_rows;
-  if (!key_positions.empty()) {
+  // Merge semantics: key id -> row index in the target table. The first
+  // existing row with a key wins; loaded rows add their keys as they land.
+  const bool keyed = !key_positions.empty();
+  KeyIndex key_ids;
+  std::vector<size_t> key_rows;
+  RowKey key;
+  if (keyed) {
     std::vector<size_t> tk;
     for (const std::string& k : keys) {
       tk.push_back(*table->schema().ColumnIndex(k));
     }
     for (size_t r = 0; r < table->num_rows(); ++r) {
-      existing_rows.emplace(ExtractKey(table->rows()[r], tk), r);
+      key.Set(table->rows()[r], tk);
+      if (key_ids.Insert(key.bytes()).second) key_rows.push_back(r);
     }
   }
   for (const Chunk& chunk : data.chunks) {
     QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
       const uint32_t phys = chunk.PhysicalRow(i);
-      Row row;
-      row.reserve(data.columns.size());
-      for (size_t c = 0; c < data.columns.size(); ++c) {
-        row.push_back(chunk.segment(c).At(phys));
-      }
-      Row key;
-      if (!key_positions.empty()) {
-        key = ExtractKey(row, key_positions);
-        auto it = existing_rows.find(key);
-        if (it != existing_rows.end()) {
+      if (keyed) {
+        key.Set(chunk, key_positions, phys);
+        const uint32_t id = key_ids.Find(key.bytes());
+        if (id != KeyIndex::kNotFound) {
           // Merge: fill NULL cells the input can provide.
-          const size_t target_row = it->second;
+          const size_t target_row = key_rows[id];
           for (size_t c = 0; c < positions.size(); ++c) {
             if (positions[c] < 0) continue;
-            const Value& incoming = row[static_cast<size_t>(positions[c])];
-            if (incoming.is_null()) continue;
+            const ValueSegment& incoming =
+                chunk.segment(static_cast<size_t>(positions[c]));
+            if (incoming.IsNull(phys)) continue;
             if (!table->rows()[target_row][c].is_null()) continue;
-            QUARRY_RETURN_NOT_OK(table->SetCell(target_row, c, incoming));
+            QUARRY_RETURN_NOT_OK(
+                table->SetCell(target_row, c, incoming.At(phys)));
           }
           continue;
         }
       }
+      // The row, built once in target column order.
       Row out;
       out.reserve(positions.size());
       for (int p : positions) {
-        out.push_back(p < 0 ? Value::Null() : row[static_cast<size_t>(p)]);
+        out.push_back(p < 0 ? Value::Null()
+                            : chunk.segment(static_cast<size_t>(p)).At(phys));
       }
       QUARRY_RETURN_NOT_OK(table->Insert(std::move(out)));
-      if (!key_positions.empty()) {
-        existing_rows.emplace(std::move(key), table->num_rows() - 1);
+      if (keyed) {
+        key_ids.Insert(key.bytes());
+        key_rows.push_back(table->num_rows() - 1);
       }
       ++*written;
     }

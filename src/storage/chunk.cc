@@ -121,44 +121,93 @@ Value ValueSegment::At(size_t i) const {
   return Value::Null();
 }
 
-ValueSegment ValueSegment::Gather(const std::vector<uint32_t>& positions) const {
-  ValueSegment seg;
-  seg.rep_ = rep_;
-  seg.size_ = positions.size();
-  if (rep_ == Rep::kMixed) {
-    seg.values_.reserve(positions.size());
-    for (uint32_t p : positions) seg.values_.push_back(values_[p]);
-    return seg;
+namespace {
+
+/// Copies the typed payload cells of `rows` into `out` (one per row); NULL
+/// cells stay zero and are flagged in `nulls`.
+template <typename T, typename Payload>
+void GatherTyped(const std::vector<ChunkRow>& rows, size_t column,
+                 Payload payload, std::vector<uint8_t>* nulls,
+                 std::vector<T>* out) {
+  out->reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const ChunkRow& row = rows[i];
+    const ValueSegment* seg =
+        row.chunk == nullptr ? nullptr : &row.chunk->segment(column);
+    if (seg == nullptr || seg->IsNull(row.phys)) {
+      (*nulls)[i] = 1;
+      out->emplace_back();
+      continue;
+    }
+    out->push_back(payload(*seg)[row.phys]);
   }
-  if (!nulls_.empty()) {
-    seg.nulls_.reserve(positions.size());
-    for (uint32_t p : positions) seg.nulls_.push_back(nulls_[p]);
+}
+
+}  // namespace
+
+ValueSegment GatherColumn(const std::vector<ChunkRow>& rows, size_t column) {
+  using Rep = ValueSegment::Rep;
+  // Pass 1: the one typed rep every non-NULL cell comes from, if any.
+  bool any_value = false;
+  bool any_null = false;
+  Rep rep = Rep::kInt64;  // All-NULL default, as in FromValues.
+  for (const ChunkRow& row : rows) {
+    const ValueSegment* seg =
+        row.chunk == nullptr ? nullptr : &row.chunk->segment(column);
+    if (seg == nullptr || seg->IsNull(row.phys)) {
+      any_null = true;
+      continue;
+    }
+    if (seg->rep() == Rep::kMixed || (any_value && seg->rep() != rep)) {
+      // Types mix: FromValues picks the representation.
+      std::vector<Value> values;
+      values.reserve(rows.size());
+      for (const ChunkRow& r : rows) {
+        values.push_back(r.chunk == nullptr
+                             ? Value::Null()
+                             : r.chunk->segment(column).At(r.phys));
+      }
+      return ValueSegment::FromValues(std::move(values));
+    }
+    rep = seg->rep();
+    any_value = true;
   }
-  switch (rep_) {
+
+  // Pass 2: typed payload plus a null mask (allocated only when needed).
+  ValueSegment out;
+  out.rep_ = rep;
+  out.size_ = rows.size();
+  if (any_null) out.nulls_.assign(rows.size(), 0);
+  switch (rep) {
     case Rep::kBool:
-      seg.bools_.reserve(positions.size());
-      for (uint32_t p : positions) seg.bools_.push_back(bools_[p]);
+      GatherTyped(rows, column, [](const ValueSegment& s) -> auto& {
+        return s.bools();
+      }, &out.nulls_, &out.bools_);
       break;
     case Rep::kInt64:
-      seg.ints_.reserve(positions.size());
-      for (uint32_t p : positions) seg.ints_.push_back(ints_[p]);
+      GatherTyped(rows, column, [](const ValueSegment& s) -> auto& {
+        return s.ints();
+      }, &out.nulls_, &out.ints_);
       break;
     case Rep::kDouble:
-      seg.doubles_.reserve(positions.size());
-      for (uint32_t p : positions) seg.doubles_.push_back(doubles_[p]);
+      GatherTyped(rows, column, [](const ValueSegment& s) -> auto& {
+        return s.doubles();
+      }, &out.nulls_, &out.doubles_);
       break;
     case Rep::kString:
-      seg.strings_.reserve(positions.size());
-      for (uint32_t p : positions) seg.strings_.push_back(strings_[p]);
+      GatherTyped(rows, column, [](const ValueSegment& s) -> auto& {
+        return s.strings();
+      }, &out.nulls_, &out.strings_);
       break;
     case Rep::kDate:
-      seg.dates_.reserve(positions.size());
-      for (uint32_t p : positions) seg.dates_.push_back(dates_[p]);
+      GatherTyped(rows, column, [](const ValueSegment& s) -> auto& {
+        return s.dates();
+      }, &out.nulls_, &out.dates_);
       break;
     case Rep::kMixed:
-      break;  // Handled above.
+      break;  // Handled in pass 1.
   }
-  return seg;
+  return out;
 }
 
 void Chunk::AppendRowsTo(std::vector<Row>* out) const {

@@ -10,6 +10,8 @@
 
 namespace quarry::storage {
 
+struct ChunkRow;
+
 /// \brief A typed, immutable column slice: the unit of chunk execution
 /// (DESIGN.md §8).
 ///
@@ -33,8 +35,14 @@ class ValueSegment {
 
   size_t size() const { return size_; }
   Rep rep() const { return rep_; }
+  /// True when the typed payload carries a null mask (never for kMixed,
+  /// whose Values hold their own NULLs).
   bool has_nulls() const { return !nulls_.empty(); }
-  bool IsNull(size_t i) const { return !nulls_.empty() && nulls_[i] != 0; }
+  /// True when physical row `i` is NULL, whatever the representation.
+  bool IsNull(size_t i) const {
+    return rep_ == Rep::kMixed ? values_[i].is_null()
+                               : !nulls_.empty() && nulls_[i] != 0;
+  }
 
   /// Exact reconstruction of the value at physical row `i`.
   Value At(size_t i) const;
@@ -49,10 +57,10 @@ class ValueSegment {
   /// Rep::kMixed payload.
   const std::vector<Value>& values() const { return values_; }
 
-  /// New segment holding this segment's values at `positions`, in order.
-  ValueSegment Gather(const std::vector<uint32_t>& positions) const;
-
  private:
+  friend ValueSegment GatherColumn(const std::vector<ChunkRow>& rows,
+                                   size_t column);
+
   Rep rep_ = Rep::kInt64;  ///< An all-NULL segment stays kInt64 (arbitrary).
   size_t size_ = 0;
   std::vector<uint8_t> nulls_;  ///< Empty = no NULLs in this segment.
@@ -117,6 +125,19 @@ class Chunk {
   std::vector<SegmentPtr> segments_;
   SelectionPtr selection_;
 };
+
+/// A live row of some chunk, by physical index; a null `chunk` stands for
+/// a row of NULLs (a left-join miss).
+struct ChunkRow {
+  const Chunk* chunk = nullptr;
+  uint32_t phys = 0;
+};
+
+/// Column `column` of `rows`, in order, as one segment — the segment
+/// FromValues would build from the rows' values. When every non-NULL cell
+/// comes from a segment of one typed representation the payloads are
+/// copied typed, without materializing Values (join outputs, group keys).
+ValueSegment GatherColumn(const std::vector<ChunkRow>& rows, size_t column);
 
 /// One chunk over columns [0, num_columns) of rows [begin, end).
 Chunk MakeChunk(const std::vector<Row>& rows, size_t num_columns,

@@ -1,9 +1,9 @@
 #include "storage/database.h"
 
 #include <functional>
-#include <unordered_map>
 
 #include "common/fault_injection.h"
+#include "storage/key.h"
 
 namespace quarry::storage {
 
@@ -100,53 +100,22 @@ Status Database::CheckReferentialIntegrity() const {
       for (const std::string& c : fk.referenced_columns) {
         ref_positions.push_back(*ref.schema().ColumnIndex(c));
       }
-      std::unordered_map<size_t, std::vector<Row>> ref_keys;
-      ref_keys.reserve(ref.num_rows());
-      auto same_row = [](const Row& a, const Row& b) {
-        if (a.size() != b.size()) return false;
-        for (size_t i = 0; i < a.size(); ++i) {
-          if (!a[i].SameAs(b[i])) return false;
-        }
-        return true;
-      };
+      KeyIndex ref_keys;
+      RowKey key;
       for (const Row& row : ref.rows()) {
-        Row key;
-        for (size_t p : ref_positions) key.push_back(row[p]);
-        std::vector<Row>& bucket = ref_keys[HashRow(key)];
-        bool present = false;
-        for (const Row& existing : bucket) {
-          if (same_row(existing, key)) {
-            present = true;
-            break;
-          }
-        }
-        if (!present) bucket.push_back(std::move(key));
+        key.Set(row, ref_positions);
+        ref_keys.Insert(key.bytes());
       }
       std::vector<size_t> positions;
       for (const std::string& c : fk.columns) {
         positions.push_back(*table->schema().ColumnIndex(c));
       }
       for (const Row& row : table->rows()) {
-        Row key;
-        bool has_null = false;
-        for (size_t p : positions) {
-          if (row[p].is_null()) has_null = true;
-          key.push_back(row[p]);
-        }
-        if (has_null) continue;  // SQL: NULL FKs are not checked.
-        bool found = false;
-        auto it = ref_keys.find(HashRow(key));
-        if (it != ref_keys.end()) {
-          for (const Row& existing : it->second) {
-            if (same_row(existing, key)) {
-              found = true;
-              break;
-            }
-          }
-        }
-        if (!found) {
+        key.Set(row, positions);
+        if (key.has_null()) continue;  // SQL: NULL FKs are not checked.
+        if (ref_keys.Find(key.bytes()) == KeyIndex::kNotFound) {
           std::string key_text;
-          for (const Value& v : key) key_text += v.ToString() + ",";
+          for (size_t p : positions) key_text += row[p].ToString() + ",";
           return Status::ValidationError(
               "dangling foreign key (" + key_text + ") from '" + name +
               "' to '" + fk.referenced_table + "'");

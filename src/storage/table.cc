@@ -29,7 +29,7 @@ std::unique_ptr<Table> Table::Clone() const {
   auto copy = std::make_unique<Table>(schema_);
   copy->rows_ = rows_;
   copy->indexes_ = indexes_;
-  copy->pk_set_ = pk_set_;
+  copy->pk_keys_ = pk_keys_;
   copy->pk_positions_ = pk_positions_;
   return copy;
 }
@@ -85,27 +85,19 @@ Status Table::ValidateAndCoerce(Row* row) const {
   return Status::OK();
 }
 
-Row Table::ExtractKey(const Row& row,
-                      const std::vector<size_t>& positions) const {
-  Row key;
-  key.reserve(positions.size());
-  for (size_t p : positions) key.push_back(row[p]);
-  return key;
-}
-
 Status Table::Insert(Row row) {
   QUARRY_RETURN_NOT_OK(ValidateAndCoerce(&row));
+  RowKey key;
   if (!pk_positions_.empty()) {
-    Row key = ExtractKey(row, pk_positions_);
-    auto [it, inserted] = pk_set_.try_emplace(std::move(key));
-    if (!inserted && !it->second.empty()) {
+    key.Set(row, pk_positions_);
+    if (!pk_keys_.Insert(key.bytes()).second) {
       return Status::AlreadyExists("duplicate primary key in table '" +
                                    name() + "'");
     }
-    it->second.push_back(rows_.size());
   }
   for (Index& index : indexes_) {
-    index.map[ExtractKey(row, index.positions)].push_back(rows_.size());
+    key.Set(row, index.positions);
+    index.rows.Append(index.keys.Insert(key.bytes()).first);
   }
   rows_.push_back(std::move(row));
   return Status::OK();
@@ -142,8 +134,10 @@ Status Table::CreateIndex(const std::vector<std::string>& columns) {
     }
     index.positions.push_back(*pos);
   }
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    index.map[ExtractKey(rows_[i], index.positions)].push_back(i);
+  RowKey key;
+  for (const Row& row : rows_) {
+    key.Set(row, index.positions);
+    index.rows.Append(index.keys.Insert(key.bytes()).first);
   }
   // Replace an existing index over the same columns.
   for (Index& existing : indexes_) {
@@ -167,9 +161,12 @@ Result<std::vector<size_t>> Table::IndexLookup(
     const std::vector<std::string>& columns, const Row& key) const {
   for (const Index& index : indexes_) {
     if (index.columns != columns) continue;
-    auto it = index.map.find(key);
-    if (it == index.map.end()) return std::vector<size_t>{};
-    return it->second;
+    RowKey encoded;
+    for (const Value& v : key) encoded.Add(v);
+    std::vector<size_t> out;
+    index.rows.ForEach(index.keys.Find(encoded.bytes()),
+                       [&out](uint32_t row) { out.push_back(row); });
+    return out;
   }
   return Status::NotFound("no index over the requested columns in table '" +
                           name() + "'");
@@ -233,8 +230,11 @@ Status Table::SetCell(size_t row, size_t column, Value value) {
 
 void Table::Truncate() {
   rows_.clear();
-  pk_set_.clear();
-  for (Index& index : indexes_) index.map.clear();
+  pk_keys_.Clear();
+  for (Index& index : indexes_) {
+    index.keys.Clear();
+    index.rows.Clear();
+  }
 }
 
 }  // namespace quarry::storage

@@ -3,11 +3,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "storage/chunk.h"
+#include "storage/key.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 
@@ -17,7 +17,8 @@ namespace quarry::storage {
 ///
 /// Rows are validated against the schema on insertion: arity, types (ints
 /// are silently widened to DOUBLE columns and vice versa when lossless),
-/// NOT NULL constraints and primary-key uniqueness.
+/// NOT NULL constraints and primary-key uniqueness. Keys (primary key,
+/// indexes) follow the RowKey rule (storage/key.h) on the coerced values.
 class Table {
  public:
   explicit Table(TableSchema schema);
@@ -29,6 +30,8 @@ class Table {
 
   /// Deep copy (schema, rows, indexes, PK bookkeeping). Recovery paths
   /// snapshot a table before a risky mutation and restore it on failure.
+  /// The key structures are flat arrays, so beyond the rows the copy costs
+  /// a few vector copies, not an allocation per key.
   std::unique_ptr<Table> Clone() const;
 
   /// Deterministic content hash over schema and rows; equal state yields
@@ -63,8 +66,8 @@ class Table {
   /// True if an index over exactly these columns exists.
   bool HasIndex(const std::vector<std::string>& columns) const;
 
-  /// Row positions matching `key` via the index over `columns`.
-  /// Fails with NotFound when no such index exists.
+  /// Row positions matching `key` via the index over `columns`, in
+  /// insertion order. Fails with NotFound when no such index exists.
   Result<std::vector<size_t>> IndexLookup(
       const std::vector<std::string>& columns, const Row& key) const;
 
@@ -82,35 +85,23 @@ class Table {
   Status SetCell(size_t row, size_t column, Value value);
 
  private:
-  struct RowKeyHash {
-    size_t operator()(const Row& r) const { return HashRow(r); }
-  };
-  struct RowKeyEq {
-    bool operator()(const Row& a, const Row& b) const {
-      if (a.size() != b.size()) return false;
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (!a[i].SameAs(b[i])) return false;
-      }
-      return true;
-    }
-  };
-  using HashIndex = std::unordered_map<Row, std::vector<size_t>, RowKeyHash,
-                                       RowKeyEq>;
-
+  /// A CREATE INDEX: every row's key has a KeyIndex id, and row r is
+  /// position r of its key's postings.
   struct Index {
     std::vector<std::string> columns;
     std::vector<size_t> positions;
-    HashIndex map;
+    KeyIndex keys;
+    KeyPostings rows;
   };
 
   Status ValidateAndCoerce(Row* row) const;
-  Row ExtractKey(const Row& row, const std::vector<size_t>& positions) const;
 
   TableSchema schema_;
   std::vector<Row> rows_;
   std::vector<Index> indexes_;
-  // Primary-key uniqueness check; empty when the table has no PK.
-  HashIndex pk_set_;
+  // Primary-key uniqueness check; empty when the table has no PK. One key
+  // per row, so row r's key has id r.
+  KeyIndex pk_keys_;
   std::vector<size_t> pk_positions_;
 };
 

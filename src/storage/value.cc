@@ -117,11 +117,13 @@ size_t Value::Hash() const {
   if (is_null()) return 0x9E3779B9u;
   if (is_bool()) return as_bool() ? 0x5bd1e995u : 0x27d4eb2fu;
   if (is_int()) {
-    // Hash ints through double so that 1 and 1.0 land in the same bucket
-    // (Compare treats them as equal, so Hash must agree).
+    // Hash ints through double so that 1 and 1.0 land in the same bucket.
+    // Only an int the double holds exactly takes that path: the range
+    // check comes first because converting 2^63 (what INT64_MAX and its
+    // neighbours round to) back to int64_t is undefined.
     int64_t i = as_int();
     double d = static_cast<double>(i);
-    if (static_cast<int64_t>(d) == i) return hd(d);
+    if (d < 0x1p63 && static_cast<int64_t>(d) == i) return hd(d);
     return hi(i);
   }
   if (is_double()) return hd(as_double());

@@ -72,14 +72,20 @@ class Value {
   /// and group-by semantics use SameAs, which treats NULLs as identical.
   bool SqlEquals(const Value& other) const;
 
-  /// Structural identity: NULL == NULL, used by group-by keys and indexes.
+  /// Structural identity: NULL == NULL, otherwise Compare() == 0. Looser
+  /// than the key rule for big ints: Int(2^53 + 1) is SameAs Double(2^53),
+  /// which it rounds to. Hash keys follow storage::RowKey (storage/key.h).
   bool SameAs(const Value& other) const;
 
   /// Three-way order: NULLs first, then by numeric/string/date comparison.
   /// Numeric types compare cross-type (1 == 1.0). Returns -1/0/+1.
   int Compare(const Value& other) const;
 
-  /// Stable hash consistent with SameAs.
+  /// Stable hash under the key rule: values that are equal as hash keys
+  /// hash equally, where an int equals a double only when the double holds
+  /// exactly that integer (1 = 1.0; 0 = -0.0). SameAs pairs outside that
+  /// rule (Int(2^53 + 1) vs Double(2^53)) hash differently. Feeds
+  /// Table::Fingerprint, so its values must not change.
   size_t Hash() const;
 
   /// Display form: "NULL", "42", "3.14", "abc", "1995-03-15", "true".
@@ -111,7 +117,8 @@ class Value {
 /// A tuple of cell values.
 using Row = std::vector<Value>;
 
-/// Hash of a row prefix (for composite keys); consistent with SameAs.
+/// Hash of a row from its Value::Hash()es (same rule); feeds
+/// Table::Fingerprint, so its values must not change.
 size_t HashRow(const Row& row);
 
 }  // namespace quarry::storage

@@ -1,6 +1,6 @@
 // Unit tests for the columnar storage layer (DESIGN.md §8): ValueSegment's
 // exact Value round-trip (the property the differential harness rests on),
-// Gather, Chunk selection-vector composition, and the row-splitting
+// GatherColumn, Chunk selection-vector composition, and the row-splitting
 // helpers MakeChunk / ChunkRows / Table::ScanChunks.
 
 #include "storage/chunk.h"
@@ -117,14 +117,55 @@ TEST(ValueSegmentTest, SubrangeAndGather) {
   EXPECT_EQ(seg.At(1).as_int(), 3);
   EXPECT_EQ(seg.At(2).as_int(), -4);
 
-  ValueSegment full = SegmentOf(rows, 2, 0, rows.size());
-  ValueSegment picked = full.Gather({4, 0, 0, 1});
-  EXPECT_EQ(picked.rep(), full.rep());
+  Chunk full = MakeChunk(rows, 5, 0, rows.size());
+  ValueSegment picked =
+      GatherColumn({{&full, 4}, {&full, 0}, {&full, 0}, {&full, 1}}, 2);
+  EXPECT_EQ(picked.rep(), full.segment(2).rep());
   ASSERT_EQ(picked.size(), 4u);
   EXPECT_EQ(picked.At(0).as_string(), "e");
   EXPECT_EQ(picked.At(1).as_string(), "a");
   EXPECT_EQ(picked.At(2).as_string(), "a");
   EXPECT_TRUE(picked.At(3).is_null());
+}
+
+TEST(ValueSegmentTest, GatherColumnAcrossChunksMatchesFromValues) {
+  // Cells from several chunks, null rows (a left-join miss) and reps that
+  // mix across chunks: the result is the segment FromValues builds from
+  // the same values, typed when the non-NULL cells share one rep.
+  std::vector<Row> ints = {{Value::Int(1)}, {Value::Null()}, {Value::Int(3)}};
+  std::vector<Row> more_ints = {{Value::Int(7)}};
+  std::vector<Row> doubles = {{Value::Double(1.0)}, {Value::Double(2.5)}};
+  std::vector<Row> mixed = {{Value::Int(4)}, {Value::String("x")}};
+  Chunk a = MakeChunk(ints, 1, 0, ints.size());
+  Chunk b = MakeChunk(more_ints, 1, 0, more_ints.size());
+  Chunk c = MakeChunk(doubles, 1, 0, doubles.size());
+  Chunk m = MakeChunk(mixed, 1, 0, mixed.size());
+  ASSERT_EQ(m.segment(0).rep(), ValueSegment::Rep::kMixed);
+  const std::vector<std::vector<ChunkRow>> cases = {
+      {{&a, 2}, {&b, 0}, {nullptr, 0}, {&a, 1}, {&a, 0}},  // typed + NULLs
+      {{&a, 0}, {&c, 0}, {&c, 1}},                         // INT + DOUBLE
+      {{nullptr, 0}, {&a, 1}},                             // all NULL
+      {{&m, 0}, {&a, 0}},                                  // kMixed, uniform
+      {{&m, 1}, {&b, 0}, {nullptr, 0}},                    // kMixed, mixed
+      {}};
+  for (const std::vector<ChunkRow>& rows : cases) {
+    std::vector<Value> values;
+    for (const ChunkRow& row : rows) {
+      values.push_back(row.chunk == nullptr ? Value::Null()
+                                            : row.chunk->ValueAt(0, row.phys));
+    }
+    ValueSegment want = ValueSegment::FromValues(values);
+    ValueSegment got = GatherColumn(rows, 0);
+    EXPECT_EQ(got.rep(), want.rep());
+    EXPECT_EQ(got.has_nulls(), want.has_nulls());
+    ASSERT_EQ(got.size(), values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      ExpectSameValue(got.At(i), values[i]);
+      EXPECT_EQ(got.At(i).type().ok() && values[i].type().ok() &&
+                    *got.At(i).type() == *values[i].type(),
+                !values[i].is_null());
+    }
+  }
 }
 
 TEST(ChunkTest, SelectionVectorRemapsLiveRows) {

@@ -10,9 +10,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/exec_context.h"
@@ -443,14 +446,308 @@ TEST(EtlVectorizedTest, TpchRevenueFlowMatchesReference) {
 }
 
 TEST(EtlVectorizedTest, BenchFlowsMatchReference) {
-  // bench_etl_vectorized's two timed flows, on real TPC-H data.
+  // bench_etl_vectorized's three timed flows, on real TPC-H data.
   storage::Database src;
   ASSERT_TRUE(datagen::PopulateTpch(&src, {0.005, 23}).ok());
   for (const Flow& flow : {benchflows::BuildScanAggFlow(),
-                           benchflows::BuildFilterProjectLoadFlow()}) {
+                           benchflows::BuildFilterProjectLoadFlow(),
+                           benchflows::BuildJoinGroupLoadFlow()}) {
     ASSERT_TRUE(flow.Validate().ok()) << flow.name();
     ExpectChunkSweepMatchesReference(src, flow, flow.name());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Key semantics the random flows never reach (they join only on the
+// non-NULL INT `id`): NULL keys on either side, INT against DOUBLE keys
+// (1 vs 1.0, 0 vs -0.0 vs 0.0), ints beyond 2^53 against the doubles they
+// round to, two-column INT+STRING keys, and keys read from a kMixed
+// segment. Each case drives inner and left Join, Aggregation,
+// SurrogateKey and the keyed Loader merge through the chunk sweep.
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+/// Adds table `name` (id INT NOT NULL, k `key_type`, s STRING, v INT) with
+/// one row per (k, s) pair; v is 10 * id, NULL on every fifth row.
+void AddKeyTable(storage::Database* db, const std::string& name,
+                 storage::DataType key_type,
+                 const std::vector<std::pair<storage::Value,
+                                             storage::Value>>& keys) {
+  using storage::DataType;
+  using storage::Value;
+  storage::TableSchema schema(name);
+  ASSERT_TRUE(schema.AddColumn({"id", DataType::kInt64, false}).ok());
+  ASSERT_TRUE(schema.AddColumn({"k", key_type, true}).ok());
+  ASSERT_TRUE(schema.AddColumn({"s", DataType::kString, true}).ok());
+  ASSERT_TRUE(schema.AddColumn({"v", DataType::kInt64, true}).ok());
+  storage::Table* table = *db->CreateTable(std::move(schema));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const int64_t id = static_cast<int64_t>(i);
+    ASSERT_TRUE(table
+                    ->Insert({Value::Int(id), keys[i].first, keys[i].second,
+                              i % 5 == 4 ? Value::Null()
+                                         : Value::Int(10 * id)})
+                    .ok())
+        << name << " row " << i;
+  }
+}
+
+/// `ki` holds INT keys, `kd` the same columns with DOUBLE keys (no value
+/// that the keyed loader's INT column would truncate onto another key),
+/// `kx` doubles at the edges of int64.
+std::unique_ptr<storage::Database> BuildKeySource() {
+  using storage::DataType;
+  using storage::Value;
+  auto db = std::make_unique<storage::Database>("keys");
+  auto I = [](int64_t i) { return Value::Int(i); };
+  auto D = [](double d) { return Value::Double(d); };
+  auto S = [](const char* s) { return Value::String(s); };
+  const Value null;
+  AddKeyTable(db.get(), "ki", DataType::kInt64,
+              {{I(1), S("a")},
+               {null, S("a")},
+               {I(0), S("b")},
+               {I(kTwo53), S("a")},
+               {I(kTwo53 + 1), S("a")},
+               {I(7), S("c")},
+               {I(1), S("b")},
+               {null, null},
+               {I(INT64_MAX), S("d")},
+               {I(INT64_MIN), S("d")},
+               {I(-5), S("e")},
+               {I(1), S("a")},
+               {I(7), null}});
+  AddKeyTable(db.get(), "kd", DataType::kDouble,
+              {{D(1.0), S("a")},
+               {null, S("a")},
+               {D(-0.0), S("b")},
+               {D(0.0), S("b")},
+               {D(static_cast<double>(kTwo53)), S("a")},
+               {D(2.5), S("c")},
+               {D(7.0), S("c")},
+               {D(1.0), S("b")},
+               {null, null},
+               {D(-5.0), S("e")},
+               {D(1.0), S("a")}});
+  AddKeyTable(db.get(), "kx", DataType::kDouble,
+              {{D(0x1p63), S("d")},
+               {D(-0x1p63), S("d")},
+               {D(static_cast<double>(kTwo53)), S("a")},
+               {D(static_cast<double>(kTwo53 + 2)), S("a")},
+               {D(1e300), null},
+               {D(-0.0), S("b")},
+               {null, S("a")}});
+  return db;
+}
+
+/// Datastore -> extraction for `table`; returns the extraction's id.
+std::string AddScan(Flow* flow, const std::string& table) {
+  (void)flow->AddNode(
+      MakeNode("ds_" + table, OpType::kDatastore, {{"table", table}}));
+  (void)flow->AddNode(
+      MakeNode("ex_" + table, OpType::kExtraction, {{"table", table}}));
+  (void)flow->AddEdge("ds_" + table, "ex_" + table);
+  return "ex_" + table;
+}
+
+/// Copies `columns` of `from` under the names prefix + column and projects
+/// onto the copies, so a join with the original keeps distinct names.
+std::string AddRenamed(Flow* flow, const std::string& from,
+                       const std::vector<std::string>& columns,
+                       const std::string& prefix) {
+  std::string last = from;
+  std::string kept;
+  for (const std::string& c : columns) {
+    const std::string id = "fn_" + prefix + c;
+    (void)flow->AddNode(MakeNode(id, OpType::kFunction,
+                                 {{"column", prefix + c}, {"expr", c}}));
+    (void)flow->AddEdge(last, id);
+    last = id;
+    kept += (kept.empty() ? "" : ",") + prefix + c;
+  }
+  const std::string proj = "proj_" + prefix;
+  (void)flow->AddNode(
+      MakeNode(proj, OpType::kProjection, {{"columns", kept}}));
+  (void)flow->AddEdge(last, proj);
+  return proj;
+}
+
+/// Loads `from` into table `table` (merging on `keys` when non-empty).
+void AddLoad(Flow* flow, const std::string& from, const std::string& table,
+             const std::string& keys = "") {
+  std::map<std::string, std::string> params{{"table", table}};
+  if (!keys.empty()) params["keys"] = keys;
+  (void)flow->AddNode(MakeNode("load_" + table, OpType::kLoader, params));
+  (void)flow->AddEdge(from, "load_" + table);
+}
+
+/// Inner and left joins of `left` with `right` on the given key lists,
+/// each loaded into its own table.
+void AddJoins(Flow* flow, const std::string& left, const std::string& right,
+              const std::string& left_keys, const std::string& right_keys,
+              const std::string& tag) {
+  for (const char* type : {"inner", "left"}) {
+    const std::string id = "join_" + tag + "_" + type;
+    (void)flow->AddNode(MakeNode(
+        id, OpType::kJoin,
+        {{"left", left_keys}, {"right", right_keys}, {"type", type}}));
+    (void)flow->AddEdge(left, id);
+    (void)flow->AddEdge(right, id);
+    AddLoad(flow, id, "out_" + id);
+  }
+}
+
+/// Aggregation, SurrogateKey and a keyed loader, all keyed on `keys` of
+/// `from`, each loaded into its own table.
+void AddKeyedConsumers(Flow* flow, const std::string& from,
+                       const std::string& keys, const std::string& measure,
+                       const std::string& tag) {
+  const std::string agg = "agg_" + tag;
+  (void)flow->AddNode(MakeNode(
+      agg, OpType::kAggregation,
+      {{"group", keys},
+       {"aggs", "COUNT(*) AS n; MIN(" + measure + ") AS low; MAX(" +
+                    measure + ") AS high"}}));
+  (void)flow->AddEdge(from, agg);
+  AddLoad(flow, agg, "out_" + agg);
+  const std::string skey = "skey_" + tag;
+  (void)flow->AddNode(MakeNode(skey, OpType::kSurrogateKey,
+                               {{"keys", keys}, {"column", "sk"}}));
+  (void)flow->AddEdge(from, skey);
+  AddLoad(flow, skey, "out_" + skey);
+  AddLoad(flow, from, "out_merge_" + tag, keys);
+}
+
+/// INT keys against DOUBLE keys on `keys` ("k" or "k,s"): joins of ki with
+/// a renamed kd (and, on "k", with kx), and the keyed consumers over
+/// ki UNION kd, whose chunks alternate between INT and DOUBLE segments.
+Flow BuildCrossTypeKeyFlow(const std::vector<std::string>& keys) {
+  std::string left_keys, right_keys, tag;
+  for (const std::string& k : keys) {
+    left_keys += (left_keys.empty() ? "" : ",") + k;
+    right_keys += (right_keys.empty() ? "" : ",") + ("r" + k);
+    tag += k;
+  }
+  Flow flow("keys_" + tag);
+  const std::string ki = AddScan(&flow, "ki");
+  const std::string kd = AddScan(&flow, "kd");
+  const std::string kd_renamed = AddRenamed(&flow, kd, {"id", "k", "s"}, "r");
+  AddJoins(&flow, ki, kd_renamed, left_keys, right_keys, "id");
+  if (keys.size() == 1) {
+    const std::string kx = AddScan(&flow, "kx");
+    AddJoins(&flow, ki, AddRenamed(&flow, kx, {"id", "k"}, "x"), "k", "xk",
+             "ix");
+  }
+  (void)flow.AddNode(MakeNode("union", OpType::kUnion, {}));
+  (void)flow.AddEdge(ki, "union");
+  (void)flow.AddEdge(kd, "union");
+  AddKeyedConsumers(&flow, "union", left_keys, "v", "u");
+  // A keyed merge into a table that already holds duplicate keys (ki
+  // loaded without keys): kd's rows fill the first row with their key.
+  // Loaders write in topological order, and the merge sits one node
+  // deeper than the plain load.
+  AddLoad(&flow, ki, "dups");
+  (void)flow.AddNode(MakeNode("proj_dups", OpType::kProjection,
+                              {{"columns", "id,k,s,v"}}));
+  (void)flow.AddEdge(kd, "proj_dups");
+  (void)flow.AddNode(MakeNode("load_dups_merge", OpType::kLoader,
+                              {{"table", "dups"}, {"keys", left_keys}}));
+  (void)flow.AddEdge("proj_dups", "load_dups_merge");
+  return flow;
+}
+
+TEST(EtlVectorizedTest, CrossTypeAndNullKeysMatchReference) {
+  auto source = BuildKeySource();
+  for (const std::vector<std::string>& keys :
+       {std::vector<std::string>{"k"}, std::vector<std::string>{"k", "s"}}) {
+    Flow flow = BuildCrossTypeKeyFlow(keys);
+    ASSERT_TRUE(flow.Validate().ok()) << flow.name();
+    ExpectChunkSweepMatchesReference(*source, flow, flow.name());
+  }
+  // The cases above are live: 1 meets 1.0 and 0 meets -0.0/0.0 in the
+  // joins, while 2^53 + 1 finds no partner and NULLs never join.
+  RunOutcome run = RunFlow(*source, BuildCrossTypeKeyFlow({"k"}), 1);
+  ASSERT_TRUE(run.status.ok()) << run.status;
+  auto stats = StatsById(run.report);
+  // ki's non-NULL keys 1,1,1 meet kd's three 1.0s (9 rows), 0 meets -0.0
+  // and 0.0 (2), 2^53 meets 2^53 (1), 7 and 7 meet 7.0 (2), -5 meets -5.0.
+  EXPECT_EQ(stats["join_id_inner"].rows_out, 15);
+  // ki has 13 rows; the unmatched ones (2 NULL, 2^53 + 1, INT64_MAX,
+  // INT64_MIN) are padded once each.
+  EXPECT_EQ(stats["join_id_left"].rows_out, 20);
+  // kx: 2^53 meets 2^53 and -2^63 meets INT64_MIN; 2^63 is not INT64_MAX.
+  EXPECT_EQ(stats["join_ix_inner"].rows_out, 3);
+}
+
+TEST(EtlVectorizedTest, MixedSegmentKeysMatchReference) {
+  // A SUM whose groups split between INT and DOUBLE emits one kMixed
+  // segment (3, 3.0, 4, 4.0, NULL, 0.0, 0, 2.25, 5, 5.0, ...); that column
+  // is then the key of every hash-keyed operator.
+  using storage::DataType;
+  using storage::Value;
+  storage::Database source("mixed");
+  storage::TableSchema schema("mx");
+  ASSERT_TRUE(schema.AddColumn({"g", DataType::kString, true}).ok());
+  ASSERT_TRUE(schema.AddColumn({"i", DataType::kInt64, true}).ok());
+  ASSERT_TRUE(schema.AddColumn({"d", DataType::kDouble, true}).ok());
+  storage::Table* table = *source.CreateTable(std::move(schema));
+  const Value null;
+  const std::vector<storage::Row> rows = {
+      {Value::String("a"), Value::Int(1), null},
+      {Value::String("a"), Value::Int(2), null},
+      {Value::String("b"), null, Value::Double(1.5)},
+      {Value::String("b"), null, Value::Double(1.5)},
+      {Value::String("c"), Value::Int(4), null},
+      {Value::String("d"), null, Value::Double(4.0)},
+      {Value::String("e"), null, null},
+      {Value::String("f"), null, null},
+      {Value::String("g"), null, Value::Double(-0.0)},
+      {Value::String("h"), Value::Int(0), null},
+      {Value::String("i"), null, Value::Double(2.25)},
+      {Value::String("j"), Value::Int(3), null},
+      {null, Value::Int(5), null},
+      {Value::String("k"), null, Value::Double(5.0)},
+  };
+  for (const storage::Row& row : rows) ASSERT_TRUE(table->Insert(row).ok());
+
+  Flow flow("mixed_keys");
+  const std::string mx = AddScan(&flow, "mx");
+  // Branch I: n = i (INT, NULL where i is); branch D: n = d for d >= 0.
+  (void)flow.AddNode(
+      MakeNode("fn_i", OpType::kFunction, {{"column", "n"}, {"expr", "i * 1"}}));
+  (void)flow.AddNode(
+      MakeNode("proj_i", OpType::kProjection, {{"columns", "g,n"}}));
+  (void)flow.AddNode(
+      MakeNode("sel_d", OpType::kSelection, {{"predicate", "d >= 0"}}));
+  (void)flow.AddNode(
+      MakeNode("fn_d", OpType::kFunction, {{"column", "n"}, {"expr", "d * 1"}}));
+  (void)flow.AddNode(
+      MakeNode("proj_d", OpType::kProjection, {{"columns", "g,n"}}));
+  (void)flow.AddNode(MakeNode("union", OpType::kUnion, {}));
+  (void)flow.AddNode(MakeNode("sums", OpType::kAggregation,
+                              {{"group", "g"}, {"aggs", "SUM(n) AS total"}}));
+  (void)flow.AddEdge(mx, "fn_i");
+  (void)flow.AddEdge("fn_i", "proj_i");
+  (void)flow.AddEdge(mx, "sel_d");
+  (void)flow.AddEdge("sel_d", "fn_d");
+  (void)flow.AddEdge("fn_d", "proj_d");
+  (void)flow.AddEdge("proj_i", "union");
+  (void)flow.AddEdge("proj_d", "union");
+  (void)flow.AddEdge("union", "sums");
+  AddJoins(&flow, "sums", AddRenamed(&flow, "sums", {"g", "total"}, "r"),
+           "total", "rtotal", "sums");
+  AddKeyedConsumers(&flow, "sums", "total", "g", "sums");
+  ASSERT_TRUE(flow.Validate().ok());
+  ExpectChunkSweepMatchesReference(source, flow, "mixed_keys");
+
+  // The key column really is mixed, and equal values of either type meet.
+  RunOutcome run = RunFlow(source, flow, 1);
+  ASSERT_TRUE(run.status.ok()) << run.status;
+  auto stats = StatsById(run.report);
+  EXPECT_EQ(stats["sums"].rows_out, 12);
+  // Groups of total: {3, 3.0, 3}, {4, 4.0}, {NULL, NULL}, {0.0, 0},
+  // {2.25}, {5, 5.0}.
+  EXPECT_EQ(stats["agg_sums"].rows_out, 6);
 }
 
 TEST(EtlVectorizedTest, ZeroColumnIntermediateMatchesReference) {

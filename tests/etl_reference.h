@@ -25,6 +25,35 @@
 #include "etl/schema_inference.h"
 #include "storage/database.h"
 
+namespace quarry::etl::kernel {
+
+// The reference's hash tables are keyed by Row with HashRow and SameAs; the
+// runtime's storage::RowKey must decide exactly what these decide.
+struct RowKeyHash {
+  size_t operator()(const storage::Row& r) const {
+    return storage::HashRow(r);
+  }
+};
+struct RowKeyEq {
+  bool operator()(const storage::Row& a, const storage::Row& b) const {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (!a[i].SameAs(b[i])) return false;
+    }
+    return true;
+  }
+};
+
+inline storage::Row ExtractKey(const storage::Row& row,
+                               const std::vector<size_t>& positions) {
+  storage::Row key;
+  key.reserve(positions.size());
+  for (size_t p : positions) key.push_back(row[p]);
+  return key;
+}
+
+}  // namespace quarry::etl::kernel
+
 namespace quarry::etl::reference {
 
 using storage::Row;

@@ -548,11 +548,11 @@ TEST_F(FaultInjectionTest, ParallelKillAndResumeWithConcurrentSiblings) {
 }
 
 // ---------------------------------------------------------------------------
-// The fault matrix under the vectorized chunk runtime (DESIGN.md §8): the
-// chunked kernels keep the row path's per-operator fault sites and add a
-// per-chunk one (`etl.exec.vec.chunk`), so the same transient/unrecoverable
-// contracts must hold with ExecOptions::vectorized set — including a fault
-// that fires mid-stream, after some chunks of a node already processed.
+// The fault matrix at a small chunk size (DESIGN.md §8): besides the
+// per-operator fault sites, every chunk kernel consults a mid-stream one
+// (`etl.exec.vec.chunk`) once per node attempt, at its second chunk, so the
+// same transient/unrecoverable contracts must hold when a fault fires after
+// some chunks of a node were already processed.
 
 class VectorizedFaultTest : public FaultInjectionTest {
  protected:
@@ -562,8 +562,9 @@ class VectorizedFaultTest : public FaultInjectionTest {
     return options;
   }
 
-  /// Fault surface of a vectorized deployment: the per-operator sites plus
-  /// the per-chunk gate the row path does not have.
+  /// Fault surface of a deployment at chunk size 32: the per-operator
+  /// sites plus the mid-stream chunk gate, which only a node whose input
+  /// spans several chunks reaches.
   std::vector<std::string> DiscoverVectorizedSites() {
     Injector::Instance().Disable();
     storage::Database target;

@@ -1,0 +1,239 @@
+// storage::RowKey, KeyIndex and KeyPostings (storage/key.h): the key rule
+// every hash table over row keys follows, checked against what a table
+// keyed by Row with HashRow and Value::SameAs decides (the reference
+// executor's tables, tests/etl_reference.h), plus the pinned Value::Hash
+// values Table::Fingerprint depends on.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "storage/chunk.h"
+#include "storage/key.h"
+#include "storage/value.h"
+
+namespace quarry::storage {
+namespace {
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+std::string KeyOf(const Row& row) {
+  RowKey key;
+  for (const Value& v : row) key.Add(v);
+  return std::string(key.bytes());
+}
+
+/// What the Row-keyed tables decide: equal hashes and SameAs throughout.
+bool RowTableEqual(const Row& a, const Row& b) {
+  if (a.size() != b.size() || HashRow(a) != HashRow(b)) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!a[i].SameAs(b[i])) return false;
+  }
+  return true;
+}
+
+std::vector<Value> Corpus() {
+  const double inf = std::numeric_limits<double>::infinity();
+  return {Value::Null(),
+          Value::Bool(false),
+          Value::Bool(true),
+          Value::Int(0),
+          Value::Int(1),
+          Value::Int(-1),
+          Value::Int(2),
+          Value::Double(0.0),
+          Value::Double(-0.0),
+          Value::Double(1.0),
+          Value::Double(-1.0),
+          Value::Double(1.5),
+          Value::Double(2.0),
+          Value::Int(kTwo53),
+          Value::Int(kTwo53 + 1),
+          Value::Int(kTwo53 + 2),
+          Value::Double(static_cast<double>(kTwo53)),
+          Value::Double(static_cast<double>(kTwo53 + 2)),
+          Value::Int(INT64_MAX),
+          Value::Int(INT64_MAX - 511),
+          Value::Int(INT64_MAX - 1023),
+          Value::Int(INT64_MIN),
+          Value::Double(0x1p63),
+          Value::Double(0x1p63 - 1024),
+          Value::Double(-0x1p63),
+          Value::Double(inf),
+          Value::Double(-inf),
+          Value::Double(std::numeric_limits<double>::quiet_NaN()),
+          Value::Double(1e300),
+          Value::Double(5e-324),
+          Value::String(""),
+          Value::String("1"),
+          Value::String("a"),
+          Value::String("ab"),
+          Value::String(std::string("a\0b", 3)),
+          Value::Date(0),
+          Value::Date(1),
+          Value::Date(-1)};
+}
+
+TEST(RowKeyTest, SingleValuesDecideWhatRowKeyedTablesDecide) {
+  const std::vector<Value> corpus = Corpus();
+  for (const Value& a : corpus) {
+    for (const Value& b : corpus) {
+      EXPECT_EQ(KeyOf({a}) == KeyOf({b}), RowTableEqual({a}, {b}))
+          << a.ToString() << " vs " << b.ToString();
+    }
+  }
+}
+
+TEST(RowKeyTest, TheKeyRuleOnItsEdgeCases) {
+  const double two53 = static_cast<double>(kTwo53);
+  EXPECT_EQ(KeyOf({Value::Int(1)}), KeyOf({Value::Double(1.0)}));
+  EXPECT_EQ(KeyOf({Value::Int(0)}), KeyOf({Value::Double(-0.0)}));
+  EXPECT_EQ(KeyOf({Value::Double(0.0)}), KeyOf({Value::Double(-0.0)}));
+  EXPECT_EQ(KeyOf({Value::Null()}), KeyOf({Value::Null()}));
+  EXPECT_EQ(KeyOf({Value::Int(kTwo53)}), KeyOf({Value::Double(two53)}));
+  EXPECT_EQ(KeyOf({Value::Int(INT64_MIN)}), KeyOf({Value::Double(-0x1p63)}));
+  // SameAs equates these (the int rounds to the double); the key rule,
+  // like the Row-keyed tables, does not.
+  EXPECT_TRUE(Value::Int(kTwo53 + 1).SameAs(Value::Double(two53)));
+  EXPECT_NE(KeyOf({Value::Int(kTwo53 + 1)}), KeyOf({Value::Double(two53)}));
+  EXPECT_NE(KeyOf({Value::Int(INT64_MAX)}), KeyOf({Value::Double(0x1p63)}));
+  EXPECT_NE(KeyOf({Value::Int(1)}), KeyOf({Value::Bool(true)}));
+  EXPECT_NE(KeyOf({Value::Int(1)}), KeyOf({Value::String("1")}));
+  EXPECT_NE(KeyOf({Value::Int(0)}), KeyOf({Value::Date(0)}));
+  EXPECT_NE(KeyOf({Value::Int(0)}), KeyOf({Value::Null()}));
+}
+
+TEST(RowKeyTest, CompositeKeysDecideWhatRowKeyedTablesDecide) {
+  const std::vector<Value> parts = {
+      Value::Null(),        Value::Int(1),         Value::Double(1.0),
+      Value::Double(-0.0),  Value::Int(0),         Value::String(""),
+      Value::String("a"),   Value::String("ab"),   Value::String("b"),
+      Value::Int(kTwo53 + 1), Value::Double(static_cast<double>(kTwo53))};
+  std::vector<Row> keys;
+  for (const Value& a : parts) {
+    for (const Value& b : parts) keys.push_back({a, b});
+  }
+  for (const Row& a : keys) {
+    for (const Row& b : keys) {
+      EXPECT_EQ(KeyOf(a) == KeyOf(b), RowTableEqual(a, b))
+          << a[0].ToString() << "," << a[1].ToString() << " vs "
+          << b[0].ToString() << "," << b[1].ToString();
+    }
+  }
+  // Arity is part of the key.
+  EXPECT_NE(KeyOf({Value::String("a")}),
+            KeyOf({Value::String("a"), Value::Null()}));
+}
+
+TEST(RowKeyTest, SegmentRowsKeyLikeTheirValues) {
+  // Every representation, kMixed included, takes the same key path.
+  const std::vector<Value> corpus = Corpus();
+  std::vector<std::vector<Value>> columns = {corpus};  // kMixed
+  std::vector<Value> ints, doubles, strings, dates, bools;
+  for (const Value& v : corpus) {
+    if (v.is_null() || v.is_int()) ints.push_back(v);
+    if (v.is_null() || v.is_double()) doubles.push_back(v);
+    if (v.is_null() || v.is_string()) strings.push_back(v);
+    if (v.is_null() || v.is_date()) dates.push_back(v);
+    if (v.is_null() || v.is_bool()) bools.push_back(v);
+  }
+  columns.insert(columns.end(), {ints, doubles, strings, dates, bools});
+  for (const std::vector<Value>& column : columns) {
+    ValueSegment segment = ValueSegment::FromValues(column);
+    for (size_t i = 0; i < column.size(); ++i) {
+      RowKey from_segment;
+      from_segment.Add(segment, i);
+      EXPECT_EQ(from_segment.bytes(), KeyOf({column[i]}))
+          << column[i].ToString() << " rep "
+          << static_cast<int>(segment.rep());
+      EXPECT_EQ(from_segment.has_null(), column[i].is_null());
+      EXPECT_EQ(segment.IsNull(i), column[i].is_null());
+    }
+  }
+}
+
+TEST(RowKeyTest, ClearResetsBytesAndNullFlag) {
+  RowKey key;
+  key.Add(Value::Null());
+  EXPECT_TRUE(key.has_null());
+  key.Clear();
+  EXPECT_TRUE(key.bytes().empty());
+  EXPECT_FALSE(key.has_null());
+  key.Add(Value::Int(3));
+  EXPECT_EQ(key.bytes(), KeyOf({Value::Int(3)}));
+}
+
+TEST(ValueHashTest, ReturnsTheSameValuesAsBefore) {
+  // Table::Fingerprint hashes rows through Value::Hash, and recovery
+  // compares it with the fingerprint persisted in MANIFEST.json.
+  std::hash<int64_t> hi;
+  std::hash<double> hd;
+  EXPECT_EQ(Value::Int(1).Hash(), hd(1.0));
+  EXPECT_EQ(Value::Int(kTwo53).Hash(), hd(static_cast<double>(kTwo53)));
+  EXPECT_EQ(Value::Int(kTwo53 + 1).Hash(), hi(kTwo53 + 1));
+  EXPECT_EQ(Value::Int(INT64_MIN).Hash(), hd(-0x1p63));
+  EXPECT_EQ(Value::Int(INT64_MAX - 1023).Hash(), hd(0x1p63 - 1024));
+  // These round to 2^63, outside int64: hashed as the int itself.
+  EXPECT_EQ(Value::Int(INT64_MAX).Hash(), hi(INT64_MAX));
+  EXPECT_EQ(Value::Int(INT64_MAX - 511).Hash(), hi(INT64_MAX - 511));
+  EXPECT_EQ(Value::Double(-0.0).Hash(), Value::Int(0).Hash());
+}
+
+TEST(KeyIndexTest, DenseIdsInFirstInsertOrder) {
+  KeyIndex index;
+  EXPECT_EQ(index.Find(KeyOf({Value::Int(0)})), KeyIndex::kNotFound);
+  // Enough keys to grow the table several times.
+  for (int64_t i = 0; i < 5000; ++i) {
+    auto [id, inserted] = index.Insert(KeyOf({Value::Int(i * 7919)}));
+    EXPECT_EQ(id, static_cast<uint32_t>(i));
+    EXPECT_TRUE(inserted);
+  }
+  EXPECT_EQ(index.size(), 5000u);
+  for (int64_t i = 4999; i >= 0; --i) {
+    const std::string key = KeyOf({Value::Double(i * 7919.0)});
+    EXPECT_EQ(index.Find(key), static_cast<uint32_t>(i));
+    auto [id, inserted] = index.Insert(key);
+    EXPECT_EQ(id, static_cast<uint32_t>(i));
+    EXPECT_FALSE(inserted);
+  }
+  EXPECT_EQ(index.Find(KeyOf({Value::Int(1)})), KeyIndex::kNotFound);
+  EXPECT_EQ(index.size(), 5000u);
+
+  // Copies are independent.
+  KeyIndex copy = index;
+  EXPECT_EQ(copy.Insert(KeyOf({Value::Int(1)})).first, 5000u);
+  EXPECT_EQ(index.Find(KeyOf({Value::Int(1)})), KeyIndex::kNotFound);
+
+  index.Clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.Find(KeyOf({Value::Int(0)})), KeyIndex::kNotFound);
+  EXPECT_EQ(index.Insert("").first, 0u);  // A zero-column key.
+  EXPECT_EQ(index.Find(""), 0u);
+  EXPECT_EQ(copy.Find(KeyOf({Value::Int(7919)})), 1u);
+}
+
+TEST(KeyPostingsTest, PositionsPerKeyInAppendOrder) {
+  KeyPostings postings;
+  for (uint32_t id : {0u, 1u, 0u, 2u, 0u}) postings.Append(id);
+  auto positions = [&postings](uint32_t id) {
+    std::vector<uint32_t> out;
+    postings.ForEach(id, [&out](uint32_t p) { out.push_back(p); });
+    return out;
+  };
+  EXPECT_EQ(positions(0), (std::vector<uint32_t>{0, 2, 4}));
+  EXPECT_EQ(positions(1), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(positions(2), (std::vector<uint32_t>{3}));
+  EXPECT_TRUE(positions(3).empty());
+  EXPECT_TRUE(positions(KeyIndex::kNotFound).empty());
+  postings.Clear();
+  EXPECT_TRUE(positions(0).empty());
+  postings.Append(0);
+  EXPECT_EQ(positions(0), (std::vector<uint32_t>{0}));
+}
+
+}  // namespace
+}  // namespace quarry::storage

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/prng.h"
 #include "storage/csv.h"
 #include "storage/database.h"
@@ -227,6 +231,110 @@ TEST(TableTest, TruncateClearsRowsAndIndexes) {
       t.Insert({Value::Int(1), Value::String("a"), Value::Double(1)}).ok());
 }
 
+TEST(TableTest, CloneEnforcesPrimaryKeyIndependently) {
+  Table t(MakePartSchema());
+  ASSERT_TRUE(t.CreateIndex({"p_name"}).ok());
+  ASSERT_TRUE(
+      t.Insert({Value::Int(1), Value::String("a"), Value::Double(1)}).ok());
+  ASSERT_TRUE(
+      t.Insert({Value::Int(2), Value::String("b"), Value::Double(2)}).ok());
+  std::unique_ptr<Table> clone = t.Clone();
+  const uint64_t original = t.Fingerprint();
+  EXPECT_EQ(clone->Fingerprint(), original);
+
+  // The same new key lands in each copy once, and only once.
+  ASSERT_TRUE(clone->Insert({Value::Int(3), Value::String("a"),
+                             Value::Double(3)})
+                  .ok());
+  EXPECT_TRUE(clone->Insert({Value::Int(3), Value::String("c"),
+                             Value::Double(4)})
+                  .IsAlreadyExists());
+  EXPECT_TRUE(clone->Insert({Value::Int(1), Value::String("c"),
+                             Value::Double(4)})
+                  .IsAlreadyExists());
+  EXPECT_EQ(t.Fingerprint(), original);
+  EXPECT_EQ(t.IndexLookup({"p_name"}, {Value::String("a")})->size(), 1u);
+  EXPECT_EQ(clone->IndexLookup({"p_name"}, {Value::String("a")})->size(),
+            2u);
+  ASSERT_TRUE(
+      t.Insert({Value::Int(3), Value::String("z"), Value::Double(9)}).ok());
+  EXPECT_EQ(t.num_rows(), 3u);
+  EXPECT_EQ(clone->num_rows(), 3u);
+  EXPECT_TRUE(clone->IndexLookup({"p_name"}, {Value::String("z")})->empty());
+}
+
+TEST(TableTest, PrimaryKeyComparesCoercedValues) {
+  // Keys see the values after INT/DOUBLE coercion: 1 and 1.0 collide in
+  // either column type, and an int beyond 2^53 collides with the double
+  // it was stored as.
+  TableSchema schema("t");
+  ASSERT_TRUE(schema.AddColumn({"i", DataType::kInt64, false}).ok());
+  ASSERT_TRUE(schema.AddColumn({"d", DataType::kDouble, false}).ok());
+  ASSERT_TRUE(schema.SetPrimaryKey({"i", "d"}).ok());
+  Table t(std::move(schema));
+  ASSERT_TRUE(t.Insert({Value::Int(1), Value::Int(1)}).ok());
+  EXPECT_TRUE(t.rows()[0][1].is_double());
+  EXPECT_TRUE(t.Insert({Value::Double(1.0), Value::Double(1.0)})
+                  .IsAlreadyExists());
+  EXPECT_TRUE(t.Insert({Value::Int(1), Value::Double(-0.0)}).ok());
+  EXPECT_TRUE(
+      t.Insert({Value::Double(1.0), Value::Int(0)}).IsAlreadyExists());
+  const int64_t two53 = int64_t{1} << 53;
+  ASSERT_TRUE(t.Insert({Value::Int(2), Value::Int(two53 + 1)}).ok());
+  EXPECT_TRUE(t.Insert({Value::Int(2),
+                        Value::Double(static_cast<double>(two53))})
+                  .IsAlreadyExists());
+  EXPECT_TRUE(t.Insert({Value::Int(two53 + 1), Value::Int(2)}).ok());
+  EXPECT_TRUE(t.Insert({Value::Int(two53), Value::Int(2)}).ok());
+  EXPECT_EQ(t.num_rows(), 5u);
+}
+
+TEST(TableTest, TruncateThenReinsertRebuildsKeys) {
+  Table t(MakePartSchema());
+  ASSERT_TRUE(t.CreateIndex({"p_name"}).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(t.Insert({Value::Int(i), Value::String("a"),
+                          Value::Double(i)})
+                    .ok());
+  }
+  t.Truncate();
+  // The same keys load again, in a new order; duplicates are still caught
+  // and the index points at the new positions.
+  for (int i : {2, 0, 1}) {
+    ASSERT_TRUE(t.Insert({Value::Int(i), Value::String(i == 1 ? "b" : "a"),
+                          Value::Double(i)})
+                    .ok());
+  }
+  EXPECT_TRUE(
+      t.Insert({Value::Int(0), Value::String("c"), Value::Double(0)})
+          .IsAlreadyExists());
+  EXPECT_EQ(*t.IndexLookup({"p_name"}, {Value::String("a")}),
+            (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(*t.IndexLookup({"p_name"}, {Value::String("b")}),
+            (std::vector<size_t>{2}));
+  EXPECT_EQ(t.num_rows(), 3u);
+}
+
+TEST(TableTest, IndexLookupFollowsTheKeyRule) {
+  Table t(MakePartSchema());
+  ASSERT_TRUE(t.CreateIndex({"p_retailprice"}).ok());
+  ASSERT_TRUE(
+      t.Insert({Value::Int(1), Value::String("a"), Value::Double(1)}).ok());
+  ASSERT_TRUE(
+      t.Insert({Value::Int(2), Value::String("b"), Value::Null()}).ok());
+  ASSERT_TRUE(
+      t.Insert({Value::Int(3), Value::String("c"), Value::Double(-0.0)})
+          .ok());
+  EXPECT_EQ(*t.IndexLookup({"p_retailprice"}, {Value::Int(1)}),
+            (std::vector<size_t>{0}));
+  EXPECT_EQ(*t.IndexLookup({"p_retailprice"}, {Value::Null()}),
+            (std::vector<size_t>{1}));
+  EXPECT_EQ(*t.IndexLookup({"p_retailprice"}, {Value::Double(0.0)}),
+            (std::vector<size_t>{2}));
+  EXPECT_TRUE(t.IndexLookup({"p_retailprice"}, {Value::Double(1.5)})
+                  ->empty());
+}
+
 TEST(DatabaseTest, CreateGetDrop) {
   Database db("demo");
   ASSERT_TRUE(db.CreateTable(MakePartSchema()).ok());
@@ -275,6 +383,34 @@ TEST(DatabaseTest, ReferentialIntegrityCheck) {
   // Dangling FK detected.
   ASSERT_TRUE((*ot)->Insert({Value::Int(12), Value::Int(99)}).ok());
   EXPECT_TRUE(db.CheckReferentialIntegrity().IsValidationError());
+}
+
+TEST(DatabaseTest, ReferentialIntegrityFollowsTheKeyRule) {
+  // An INT foreign key into a DOUBLE key column: 1 finds 1.0 and 0 finds
+  // -0.0, but 2^53 + 1 does not find the 2^53 it rounds to.
+  Database db;
+  TableSchema dim("dim");
+  ASSERT_TRUE(dim.AddColumn({"d_key", DataType::kDouble, false}).ok());
+  Table* d = *db.CreateTable(dim);
+  const int64_t two53 = int64_t{1} << 53;
+  for (double key : {1.0, -0.0, static_cast<double>(two53)}) {
+    ASSERT_TRUE(d->Insert({Value::Double(key)}).ok());
+  }
+  TableSchema fact("fact");
+  ASSERT_TRUE(fact.AddColumn({"f_key", DataType::kInt64, true}).ok());
+  ASSERT_TRUE(fact.AddForeignKey({{"f_key"}, "dim", {"d_key"}}).ok());
+  Table* f = *db.CreateTable(fact);
+  for (int64_t key : {int64_t{1}, int64_t{0}, two53}) {
+    ASSERT_TRUE(f->Insert({Value::Int(key)}).ok());
+  }
+  ASSERT_TRUE(f->Insert({Value::Null()}).ok());
+  EXPECT_TRUE(db.CheckReferentialIntegrity().ok());
+  ASSERT_TRUE(f->Insert({Value::Int(two53 + 1)}).ok());
+  Status dangling = db.CheckReferentialIntegrity();
+  EXPECT_TRUE(dangling.IsValidationError());
+  EXPECT_NE(dangling.ToString().find(std::to_string(two53 + 1)),
+            std::string::npos)
+      << dangling;
 }
 
 // --- SQL front end -------------------------------------------------------

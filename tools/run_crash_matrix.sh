@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
-# Runs the robustness suites — the fault-injection matrix (`-L fault`) and
-# the durability crash matrix (`-L crash`) — in a dedicated ASan-instrumented
-# build, so the QUARRY_SANITIZE wiring is actually exercised and every
-# injected crash/recovery path is checked for memory errors too.
+# Runs the robustness suites — the fault-injection matrix (`-L fault`), the
+# durability crash matrix (`-L crash`) and the chunk-kernel differential
+# (`-L asan`) — in a dedicated ASan-instrumented build, so the
+# QUARRY_SANITIZE wiring is actually exercised and every injected
+# crash/recovery path is checked for memory errors too.
 #
 # The crash label covers both durable substrates: the docstore WAL
 # (wal_crash_test, docs/ROBUSTNESS.md §6) and the warehouse generation
 # store (generation_persist_test, §10) — the latter's kill-and-recover
 # matrix exercises every storage.generation.persist.* / recover.* fault
-# site. New crash/fault tests are picked up automatically via the labels.
+# site. The asan label covers etl_parallel_test and property_test_vectorized:
+# the chunk kernels against the reference executor at chunk sizes 1/7/1024/
+# rows+1, where the hash kernels (join, aggregation, surrogate key, loader
+# merge) read keys straight from segment payloads (storage/key.h). New
+# tests are picked up automatically via the labels.
 #
 # Each matrix entry (ctest test) runs individually so one failure cannot
 # mask another: the script prints a per-entry pass/fail summary at the end
@@ -34,10 +39,10 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}"
 
 # Enumerate the matrix entries; `ctest -N` prints lines like
 # "  Test  #4: wal_crash_test" (the '#' column is space-aligned).
-mapfile -t entries < <(ctest --test-dir "${build_dir}" -L 'fault|crash' -N |
+mapfile -t entries < <(ctest --test-dir "${build_dir}" -L 'fault|crash|asan' -N |
   sed -n 's/^ *Test *#[0-9]*: //p')
 if [ "${#entries[@]}" -eq 0 ]; then
-  echo "run_crash_matrix: no tests matched -L 'fault|crash'" >&2
+  echo "run_crash_matrix: no tests matched -L 'fault|crash|asan'" >&2
   exit 1
 fi
 
