@@ -90,6 +90,16 @@ void CountLifecycleAbort(const Status& status) {
   }
 }
 
+/// Node id -> Node::Signature(): with the edges, the shape a checkpoint
+/// records and Resume compares.
+std::map<std::string, std::string> NodeSignatures(const Flow& flow) {
+  std::map<std::string, std::string> out;
+  for (const auto& [id, node] : flow.nodes()) {
+    out.emplace(id, node.Signature());
+  }
+  return out;
+}
+
 void CountNodeDone(const Node& node, int64_t rows_out, double micros) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
   obs::Labels op_label{{"op", OpTypeToString(node.type)}};
@@ -133,7 +143,7 @@ double BoundedBackoffMillis(const RetryPolicy& policy, int failed_attempts,
 
 Executor::NodeAttempt Executor::ExecuteNode(
     const Node& node, const std::vector<const Relation*>& inputs,
-    const RetryPolicy& retry, const ExecContext* ctx,
+    const LiveColumns& live, const RetryPolicy& retry, const ExecContext* ctx,
     bool protect_loader_always, Prng* backoff_prng, BackoffBudget* backoff,
     const ExecOptions& options) {
   const int max_attempts = std::max(1, retry.max_attempts);
@@ -170,7 +180,7 @@ Executor::NodeAttempt Executor::ExecuteNode(
     LoaderEffect effect;
     // Budget charges ride inside RunNode, so an over-budget node is rolled
     // back (loaders included) like any other failed attempt.
-    out.result = RunNode(node, inputs, &effect, ctx, options);
+    out.result = RunNode(node, inputs, live, &effect, ctx, options);
     if (out.result.ok()) {
       out.loader = effect;
       if (effect.fired) {
@@ -292,6 +302,12 @@ Result<ExecutionReport> Executor::RunInternal(const Flow& flow,
                                      checkpoint->flow_name + "', not '" +
                                      flow.name() + "'");
     }
+    if (checkpoint->edges != flow.edges() ||
+        checkpoint->signatures != NodeSignatures(flow)) {
+      return Status::InvalidArgument(
+          "checkpoint of flow '" + flow.name() +
+          "' was taken on a flow of another shape (nodes, params or edges)");
+    }
     completed.insert(checkpoint->completed.begin(),
                      checkpoint->completed.end());
     done = std::move(checkpoint->datasets);
@@ -301,6 +317,8 @@ Result<ExecutionReport> Executor::RunInternal(const Flow& flow,
   } else if (checkpoint != nullptr) {
     *checkpoint = Checkpoint{};
     checkpoint->flow_name = flow.name();
+    checkpoint->signatures = NodeSignatures(flow);
+    checkpoint->edges = flow.edges();
   }
   if (checkpoint != nullptr) {
     checkpoint->failed_node.clear();
@@ -320,13 +338,19 @@ Result<ExecutionReport> Executor::RunInternal(const Flow& flow,
     remaining_consumers[id] = pending;
   }
 
+  // Column liveness (DESIGN.md §8): the output columns each node's
+  // consumers may read. It depends on the flow alone, so a Resume
+  // recomputes the sets the checkpointed intermediates were built with.
+  const std::map<std::string, LiveColumns> live = LiveColumnsOf(flow, order);
+
   // Parallel runs go through the wavefront scheduler once the shared
-  // prologue above (validation, counters, checkpoint/resume state) has run.
-  // When source and target alias, a loader write would race the datastore
-  // reads of concurrent siblings, so such runs silently degrade to serial.
+  // prologue above (validation, counters, checkpoint/resume state,
+  // liveness) has run. When source and target alias, a loader write would
+  // race the datastore reads of concurrent siblings, so such runs silently
+  // degrade to serial.
   if (options.max_workers > 1 && source_ != target_) {
     Scheduler scheduler(this, options);
-    return scheduler.Run(flow, order, retry, checkpoint, ctx,
+    return scheduler.Run(flow, order, live, retry, checkpoint, ctx,
                          std::move(completed), std::move(done),
                          std::move(remaining_consumers), std::move(report),
                          resumed_any, total);
@@ -349,7 +373,7 @@ Result<ExecutionReport> Executor::RunInternal(const Flow& flow,
     RowsInCounter().Increment(rows_in);
 
     NodeAttempt outcome =
-        ExecuteNode(node, inputs, retry, ctx,
+        ExecuteNode(node, inputs, live.at(id), retry, ctx,
                     /*protect_loader_always=*/checkpoint != nullptr,
                     &backoff_prng, &backoff, options);
     Result<Relation>& result = outcome.result;

@@ -11,6 +11,7 @@
 #include "common/prng.h"
 #include "common/result.h"
 #include "etl/flow.h"
+#include "etl/schema_inference.h"
 #include "obs/profile.h"
 #include "storage/chunk.h"
 #include "storage/database.h"
@@ -28,7 +29,10 @@ struct Dataset {
 /// stream of storage::Chunks (DESIGN.md §8). Kernels keep the chunk
 /// boundaries their input had, so per-chunk work stays bounded by
 /// ExecOptions::chunk_size; a zero-column relation still counts its rows
-/// because every chunk carries its own row count.
+/// because every chunk carries its own row count. `columns` always lists
+/// every column, but a chunk's segment slot may be empty for a column no
+/// downstream operator reads (column liveness: LiveColumnsOf in
+/// etl/schema_inference.h; only the join leaves slots empty).
 struct Relation {
   std::vector<std::string> columns;
   std::vector<storage::Chunk> chunks;
@@ -92,6 +96,11 @@ double BoundedBackoffMillis(const RetryPolicy& policy, int failed_attempts,
 /// mid-parallel fault works like resuming a serial run.
 struct Checkpoint {
   std::string flow_name;
+  /// The flow's shape: node id -> Node::Signature(), and the edges in
+  /// order. Resume refuses a flow of any other shape, since completed
+  /// nodes are skipped and their outputs fed to the rest.
+  std::map<std::string, std::string> signatures;
+  std::vector<Edge> edges;
   std::vector<std::string> completed;      ///< Node ids, in completion order.
   std::map<std::string, Relation> datasets;  ///< Failure-time intermediates.
   std::map<std::string, int64_t> loaded;   ///< Rows written by completed loaders.
@@ -220,7 +229,9 @@ class Executor {
   /// skipped (their checkpointed outputs feed the remaining ones) and the
   /// checkpoint keeps advancing, so Resume can itself be resumed. The
   /// checkpoint's completed *set* may come from a serial or a parallel run;
-  /// a serial or a parallel Resume accepts either.
+  /// a serial or a parallel Resume accepts either. A flow whose name or
+  /// shape (Checkpoint::signatures, Checkpoint::edges) differs from the
+  /// checkpointed one is refused with InvalidArgument.
   Result<ExecutionReport> Resume(const Flow& flow, Checkpoint* checkpoint,
                                  const RetryPolicy& retry = {},
                                  const ExecContext* ctx = nullptr);
@@ -282,10 +293,12 @@ class Executor {
   /// fault point ("etl.exec.vec.chunk") chunk by chunk.
   /// `inputs` are the predecessor relations in edge order (resolved by the
   /// caller, so concurrent workers never look up the shared map while
-  /// another thread mutates it). Loaders are sinks and return no chunks.
+  /// another thread mutates it). `live` names the output columns some
+  /// downstream operator may read. Loaders are sinks and return no chunks.
   Result<Relation> RunNode(const Node& node,
                            const std::vector<const Relation*>& inputs,
-                           LoaderEffect* loader, const ExecContext* ctx,
+                           const LiveColumns& live, LoaderEffect* loader,
+                           const ExecContext* ctx,
                            const ExecOptions& options);
 
   /// The per-node attempt loop shared by the serial path and the scheduler:
@@ -297,7 +310,7 @@ class Executor {
   /// failure must never leave this loader's table half-written).
   NodeAttempt ExecuteNode(const Node& node,
                           const std::vector<const Relation*>& inputs,
-                          const RetryPolicy& retry,
+                          const LiveColumns& live, const RetryPolicy& retry,
                           const ExecContext* ctx, bool protect_loader_always,
                           Prng* backoff_prng, BackoffBudget* backoff,
                           const ExecOptions& options);

@@ -115,11 +115,13 @@ void CountNodeDone(const Node& node, int64_t rows_out, double micros) {
 
 Result<ExecutionReport> Scheduler::Run(
     const Flow& flow, const std::vector<std::string>& order,
-    const RetryPolicy& retry, Checkpoint* checkpoint, const ExecContext* ctx,
+    const std::map<std::string, LiveColumns>& live, const RetryPolicy& retry,
+    Checkpoint* checkpoint, const ExecContext* ctx,
     std::set<std::string> completed, std::map<std::string, Relation> done,
     std::map<std::string, size_t> remaining_consumers, ExecutionReport report,
     bool resumed_any, Timer total) {
   flow_ = &flow;
+  live_ = &live;
   retry_ = retry;
   checkpoint_ = checkpoint;
   ctx_ = ctx;
@@ -243,7 +245,8 @@ void Scheduler::Worker(int worker_index) {
       // shared stream for bit-compatibility with the determinism tests.
       Prng backoff_prng(retry_.jitter_seed ^
                         static_cast<uint64_t>(std::hash<std::string>{}(id)));
-      outcome = executor_->ExecuteNode(node, inputs, retry_, ctx_,
+      outcome = executor_->ExecuteNode(node, inputs, live_->at(id), retry_,
+                                       ctx_,
                                        /*protect_loader_always=*/true,
                                        &backoff_prng, &backoff_, options_);
       if (outcome.result.ok()) {

@@ -54,9 +54,12 @@ class Scheduler {
   /// init and resume state) Executor::RunInternal already performed. The
   /// mutable run state — completed set, live intermediate datasets,
   /// consumer refcounts, partially filled report — moves in; `order` is the
-  /// flow's topological order. Call once per Scheduler instance.
+  /// flow's topological order and `live` its column liveness
+  /// (LiveColumnsOf), which must outlive the call. Call once per Scheduler
+  /// instance.
   Result<ExecutionReport> Run(const Flow& flow,
                               const std::vector<std::string>& order,
+                              const std::map<std::string, LiveColumns>& live,
                               const RetryPolicy& retry, Checkpoint* checkpoint,
                               const ExecContext* ctx,
                               std::set<std::string> completed,
@@ -85,6 +88,7 @@ class Scheduler {
 
   // Set once by Run before workers start; read-only while they run.
   const Flow* flow_ = nullptr;
+  const std::map<std::string, LiveColumns>* live_ = nullptr;
   RetryPolicy retry_;
   Checkpoint* checkpoint_ = nullptr;
   const ExecContext* ctx_ = nullptr;

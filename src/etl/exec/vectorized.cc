@@ -48,10 +48,25 @@ obs::Counter& ChunkRowsCounter() {
   return c;
 }
 
+/// Join output segments by state: gathered, or skipped because no
+/// downstream operator reads the column (column liveness, DESIGN.md §8).
+obs::Counter& JoinSegmentsCounter(bool gathered) {
+  static obs::Counter& gathered_c = obs::MetricsRegistry::Instance().counter(
+      "quarry_etl_join_segments_total",
+      "Join output column segments, gathered or skipped as dead",
+      {{"state", "gathered"}});
+  static obs::Counter& skipped_c = obs::MetricsRegistry::Instance().counter(
+      "quarry_etl_join_segments_total", "", {{"state", "skipped"}});
+  return gathered ? gathered_c : skipped_c;
+}
+
 /// Lower-bound memory estimate for `rows` rows of `columns` columns — the
 /// unit of the intermediate-bytes budget. Ignores string payloads so a
 /// charge costs O(1), and is linear in rows so a node's per-chunk charges
-/// sum to the same total however its input was chunked.
+/// sum to the same total however its input was chunked. `columns` is the
+/// logical width (Relation::columns), whether or not every column's
+/// segment was gathered, so column liveness never changes what a budget
+/// charges.
 int64_t ApproxRowsBytes(int64_t rows, size_t columns) {
   return rows * static_cast<int64_t>(sizeof(storage::Row) +
                                      columns * sizeof(storage::Value));
@@ -449,8 +464,11 @@ Result<Relation> SurrogateKeyKernel(const Node& node, const Relation& in,
       });
 }
 
+/// Inner or left equi-join. Only the output columns in `live` are
+/// gathered; every other segment slot of the output chunks stays empty.
 Result<Relation> JoinKernel(const Node& node, const Relation& left,
-                            const Relation& right, ChunkGate* gate) {
+                            const Relation& right, const LiveColumns& live,
+                            ChunkGate* gate) {
   std::vector<std::string> left_keys = SplitNonEmpty(Param(node, "left"));
   std::vector<std::string> right_keys = SplitNonEmpty(Param(node, "right"));
   if (left_keys.empty() || left_keys.size() != right_keys.size()) {
@@ -488,6 +506,15 @@ Result<Relation> JoinKernel(const Node& node, const Relation& left,
   out.columns = left.columns;
   out.columns.insert(out.columns.end(), right.columns.begin(),
                      right.columns.end());
+  // A live name is gathered wherever it occurs, so a first-occurrence
+  // lookup downstream resolves to a gathered column.
+  std::vector<bool> gather(out.columns.size());
+  int64_t gathered = 0;
+  for (size_t c = 0; c < out.columns.size(); ++c) {
+    gather[c] = live.Contains(out.columns[c]);
+    gathered += gather[c] ? 1 : 0;
+  }
+  const int64_t skipped = static_cast<int64_t>(out.columns.size()) - gathered;
   const bool left_join = join_type == "left";
   for (const Chunk& chunk : left.chunks) {
     QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
@@ -515,16 +542,16 @@ Result<Relation> JoinKernel(const Node& node, const Relation& left,
     if (left_rows.empty()) continue;
     const size_t emitted = left_rows.size();
     QUARRY_RETURN_NOT_OK(gate->Charge(emitted, out.columns.size()));
-    std::vector<Chunk::SegmentPtr> segments;
-    segments.reserve(out.columns.size());
-    for (size_t c = 0; c < left.columns.size(); ++c) {
-      segments.push_back(std::make_shared<const ValueSegment>(
-          storage::GatherColumn(left_rows, c)));
+    std::vector<Chunk::SegmentPtr> segments(out.columns.size());
+    const size_t left_width = left.columns.size();
+    for (size_t c = 0; c < segments.size(); ++c) {
+      if (!gather[c]) continue;
+      segments[c] = std::make_shared<const ValueSegment>(
+          c < left_width ? storage::GatherColumn(left_rows, c)
+                         : storage::GatherColumn(right_rows, c - left_width));
     }
-    for (size_t c = 0; c < right.columns.size(); ++c) {
-      segments.push_back(std::make_shared<const ValueSegment>(
-          storage::GatherColumn(right_rows, c)));
-    }
+    JoinSegmentsCounter(true).Increment(gathered);
+    JoinSegmentsCounter(false).Increment(skipped);
     out.chunks.emplace_back(emitted, std::move(segments));
   }
   return out;
@@ -763,6 +790,7 @@ Status LoaderKernel(const Node& node, const Relation& data,
 
 Result<Relation> Executor::RunNode(const Node& node,
                                    const std::vector<const Relation*>& inputs,
+                                   const LiveColumns& live,
                                    LoaderEffect* loader,
                                    const ExecContext* ctx,
                                    const ExecOptions& options) {
@@ -791,7 +819,7 @@ Result<Relation> Executor::RunNode(const Node& node,
         return Status::ExecutionError("join '" + node.id +
                                       "' needs exactly 2 inputs");
       }
-      return JoinKernel(node, input(0), input(1), &gate);
+      return JoinKernel(node, input(0), input(1), live, &gate);
     case OpType::kAggregation:
       return AggregationKernel(node, input(0), &gate);
     case OpType::kSort:

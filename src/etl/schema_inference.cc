@@ -84,7 +84,151 @@ std::vector<std::string> SplitNonEmpty(const std::string& text) {
   return out;
 }
 
+std::string ParamOrEmpty(const Node& node, const std::string& key) {
+  auto it = node.params.find(key);
+  return it == node.params.end() ? "" : it->second;
+}
+
 }  // namespace
+
+Result<ColumnReads> ColumnsRead(const Node& node, size_t num_inputs) {
+  using Rule = ColumnReads::Rule;
+  const std::string& id = node.id;
+  if (node.type == OpType::kJoin && num_inputs != 2) {
+    return Status::ValidationError("join '" + id + "' needs exactly 2 inputs");
+  }
+  if (node.type == OpType::kUnion && num_inputs < 2) {
+    return Status::ValidationError("union '" + id + "' needs >= 2 inputs");
+  }
+  if (node.type != OpType::kDatastore && num_inputs == 0) {
+    return Status::ValidationError("node '" + id + "' has no input");
+  }
+  ColumnReads reads;
+  reads.own.resize(num_inputs);
+  switch (node.type) {
+    case OpType::kDatastore:
+      reads.rule = Rule::kOwn;
+      break;
+    case OpType::kExtraction:
+    case OpType::kUnion:
+      reads.rule = Rule::kPassThrough;
+      break;
+    case OpType::kSort:
+    case OpType::kLoader:
+      reads.rule = Rule::kAll;
+      break;
+    case OpType::kSelection: {
+      auto pred_it = node.params.find("predicate");
+      if (pred_it == node.params.end()) {
+        return Status::ValidationError("selection '" + id +
+                                       "' lacks a predicate");
+      }
+      QUARRY_ASSIGN_OR_RETURN(Expr::Ptr pred, ParseExpr(pred_it->second));
+      reads.own[0] = pred->ReferencedColumns();
+      reads.rule = Rule::kPassThrough;
+      break;
+    }
+    case OpType::kProjection: {
+      std::vector<std::string> keep =
+          SplitNonEmpty(ParamOrEmpty(node, "columns"));
+      reads.own[0].insert(keep.begin(), keep.end());
+      reads.rule = Rule::kSubset;
+      break;
+    }
+    case OpType::kJoin: {
+      std::vector<std::string> left_keys =
+          SplitNonEmpty(ParamOrEmpty(node, "left"));
+      std::vector<std::string> right_keys =
+          SplitNonEmpty(ParamOrEmpty(node, "right"));
+      if (left_keys.empty() || left_keys.size() != right_keys.size()) {
+        return Status::ValidationError("join '" + id +
+                                       "' has mismatched key lists");
+      }
+      reads.own[0].insert(left_keys.begin(), left_keys.end());
+      reads.own[1].insert(right_keys.begin(), right_keys.end());
+      reads.rule = Rule::kPassThrough;
+      break;
+    }
+    case OpType::kAggregation: {
+      std::vector<std::string> group =
+          SplitNonEmpty(ParamOrEmpty(node, "group"));
+      QUARRY_ASSIGN_OR_RETURN(auto specs,
+                              ParseAggSpecs(ParamOrEmpty(node, "aggs")));
+      reads.own[0].insert(group.begin(), group.end());
+      for (const AggSpec& s : specs) {
+        if (s.input != "*") reads.own[0].insert(s.input);
+      }
+      reads.rule = Rule::kOwn;
+      break;
+    }
+    case OpType::kFunction: {
+      auto col_it = node.params.find("column");
+      auto expr_it = node.params.find("expr");
+      if (col_it == node.params.end() || expr_it == node.params.end()) {
+        return Status::ValidationError("function '" + id +
+                                       "' needs column and expr params");
+      }
+      QUARRY_ASSIGN_OR_RETURN(Expr::Ptr expr, ParseExpr(expr_it->second));
+      reads.own[0] = expr->ReferencedColumns();
+      reads.rule = Rule::kPassThrough;
+      break;
+    }
+    case OpType::kSurrogateKey: {
+      if (node.params.count("column") == 0) {
+        return Status::ValidationError("surrogate key '" + id +
+                                       "' needs a column param");
+      }
+      std::vector<std::string> keys =
+          SplitNonEmpty(ParamOrEmpty(node, "keys"));
+      reads.own[0].insert(keys.begin(), keys.end());
+      reads.rule = Rule::kPassThrough;
+      break;
+    }
+  }
+  return reads;
+}
+
+std::map<std::string, LiveColumns> LiveColumnsOf(
+    const Flow& flow, const std::vector<std::string>& order) {
+  using Rule = ColumnReads::Rule;
+  const std::map<std::string, std::vector<std::string>> consumers =
+      flow.SuccessorLists();
+  std::map<std::string, LiveColumns> live;
+  // Reverse topological order: every consumer's set is final before its
+  // inputs are visited.
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    LiveColumns& mine = live[*it];
+    auto succ_it = consumers.find(*it);
+    if (succ_it == consumers.end() || succ_it->second.empty()) continue;
+    mine.all = false;
+    for (const std::string& succ : succ_it->second) {
+      const std::vector<std::string> inputs = flow.Predecessors(succ);
+      Result<ColumnReads> reads =
+          ColumnsRead(*flow.GetNode(succ).value(), inputs.size());
+      const LiveColumns& out = live.at(succ);
+      if (!reads.ok() || reads->rule == Rule::kAll ||
+          (reads->rule == Rule::kPassThrough && out.all)) {
+        mine = LiveColumns{};
+        break;
+      }
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        if (inputs[i] != *it) continue;
+        const std::set<std::string>& own = reads->own[i];
+        if (reads->rule == Rule::kSubset) {
+          for (const std::string& name : own) {
+            if (out.Contains(name)) mine.names.insert(name);
+          }
+          continue;
+        }
+        mine.names.insert(own.begin(), own.end());
+        if (reads->rule == Rule::kPassThrough) {
+          mine.names.insert(out.names.begin(), out.names.end());
+        }
+      }
+    }
+  }
+  return live;
+}
 
 Result<std::map<std::string, std::vector<std::string>>> InferColumns(
     const Flow& flow, const TableColumns& sources) {
@@ -96,11 +240,14 @@ Result<std::map<std::string, std::vector<std::string>>> InferColumns(
     auto input_columns = [&](size_t i) -> const std::vector<std::string>& {
       return columns.at(inputs[i]);
     };
+    QUARRY_ASSIGN_OR_RETURN(ColumnReads reads,
+                            ColumnsRead(node, inputs.size()));
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      QUARRY_RETURN_NOT_OK(RequireColumns(input_columns(i), reads.own[i], id));
+    }
     switch (node.type) {
       case OpType::kDatastore: {
-        auto it = sources.find(node.params.count("table")
-                                   ? node.params.at("table")
-                                   : "");
+        auto it = sources.find(ParamOrEmpty(node, "table"));
         if (it == sources.end()) {
           return Status::NotFound("source table for datastore '" + id + "'");
         }
@@ -110,56 +257,13 @@ Result<std::map<std::string, std::vector<std::string>>> InferColumns(
       case OpType::kExtraction:
       case OpType::kSelection:
       case OpType::kSort:
-      case OpType::kLoader: {
-        if (inputs.empty()) {
-          return Status::ValidationError("node '" + id + "' has no input");
-        }
-        if (node.type == OpType::kSelection) {
-          auto pred_it = node.params.find("predicate");
-          if (pred_it == node.params.end()) {
-            return Status::ValidationError("selection '" + id +
-                                           "' lacks a predicate");
-          }
-          QUARRY_ASSIGN_OR_RETURN(Expr::Ptr pred, ParseExpr(pred_it->second));
-          QUARRY_RETURN_NOT_OK(RequireColumns(input_columns(0),
-                                              pred->ReferencedColumns(), id));
-        }
+      case OpType::kLoader:
         columns[id] = input_columns(0);
         break;
-      }
-      case OpType::kProjection: {
-        std::vector<std::string> keep =
-            SplitNonEmpty(node.params.count("columns")
-                              ? node.params.at("columns")
-                              : "");
-        QUARRY_RETURN_NOT_OK(RequireColumns(
-            input_columns(0),
-            std::set<std::string>(keep.begin(), keep.end()), id));
-        columns[id] = std::move(keep);
+      case OpType::kProjection:
+        columns[id] = SplitNonEmpty(ParamOrEmpty(node, "columns"));
         break;
-      }
       case OpType::kJoin: {
-        if (inputs.size() != 2) {
-          return Status::ValidationError("join '" + id +
-                                         "' needs exactly 2 inputs");
-        }
-        std::vector<std::string> left_keys =
-            SplitNonEmpty(node.params.count("left") ? node.params.at("left")
-                                                    : "");
-        std::vector<std::string> right_keys =
-            SplitNonEmpty(node.params.count("right")
-                              ? node.params.at("right")
-                              : "");
-        if (left_keys.empty() || left_keys.size() != right_keys.size()) {
-          return Status::ValidationError("join '" + id +
-                                         "' has mismatched key lists");
-        }
-        QUARRY_RETURN_NOT_OK(RequireColumns(
-            input_columns(0),
-            std::set<std::string>(left_keys.begin(), left_keys.end()), id));
-        QUARRY_RETURN_NOT_OK(RequireColumns(
-            input_columns(1),
-            std::set<std::string>(right_keys.begin(), right_keys.end()), id));
         std::vector<std::string> merged = input_columns(0);
         for (const std::string& c : input_columns(1)) {
           if (std::find(merged.begin(), merged.end(), c) != merged.end()) {
@@ -173,65 +277,29 @@ Result<std::map<std::string, std::vector<std::string>>> InferColumns(
         break;
       }
       case OpType::kAggregation: {
-        std::vector<std::string> group =
-            SplitNonEmpty(node.params.count("group") ? node.params.at("group")
-                                                     : "");
-        QUARRY_ASSIGN_OR_RETURN(
-            auto specs, ParseAggSpecs(node.params.count("aggs")
-                                          ? node.params.at("aggs")
-                                          : ""));
-        std::set<std::string> need(group.begin(), group.end());
-        for (const AggSpec& s : specs) {
-          if (s.input != "*") need.insert(s.input);
-        }
-        QUARRY_RETURN_NOT_OK(RequireColumns(input_columns(0), need, id));
-        std::vector<std::string> out = group;
+        std::vector<std::string> out =
+            SplitNonEmpty(ParamOrEmpty(node, "group"));
+        QUARRY_ASSIGN_OR_RETURN(auto specs,
+                                ParseAggSpecs(ParamOrEmpty(node, "aggs")));
         for (const AggSpec& s : specs) out.push_back(s.output);
         columns[id] = std::move(out);
         break;
       }
-      case OpType::kFunction: {
-        auto col_it = node.params.find("column");
-        auto expr_it = node.params.find("expr");
-        if (col_it == node.params.end() || expr_it == node.params.end()) {
-          return Status::ValidationError("function '" + id +
-                                         "' needs column and expr params");
-        }
-        QUARRY_ASSIGN_OR_RETURN(Expr::Ptr expr, ParseExpr(expr_it->second));
-        QUARRY_RETURN_NOT_OK(
-            RequireColumns(input_columns(0), expr->ReferencedColumns(), id));
+      case OpType::kFunction:
+      case OpType::kSurrogateKey: {
+        const std::string& column = node.params.at("column");
         std::vector<std::string> out = input_columns(0);
-        if (std::find(out.begin(), out.end(), col_it->second) != out.end()) {
+        if (node.type == OpType::kFunction &&
+            std::find(out.begin(), out.end(), column) != out.end()) {
           return Status::ValidationError("function '" + id +
                                          "' overwrites existing column '" +
-                                         col_it->second + "'");
+                                         column + "'");
         }
-        out.push_back(col_it->second);
-        columns[id] = std::move(out);
-        break;
-      }
-      case OpType::kSurrogateKey: {
-        auto col_it = node.params.find("column");
-        if (col_it == node.params.end()) {
-          return Status::ValidationError("surrogate key '" + id +
-                                         "' needs a column param");
-        }
-        std::vector<std::string> keys =
-            SplitNonEmpty(node.params.count("keys") ? node.params.at("keys")
-                                                    : "");
-        QUARRY_RETURN_NOT_OK(RequireColumns(
-            input_columns(0), std::set<std::string>(keys.begin(), keys.end()),
-            id));
-        std::vector<std::string> out = input_columns(0);
-        out.push_back(col_it->second);
+        out.push_back(column);
         columns[id] = std::move(out);
         break;
       }
       case OpType::kUnion: {
-        if (inputs.size() < 2) {
-          return Status::ValidationError("union '" + id +
-                                         "' needs >= 2 inputs");
-        }
         const std::vector<std::string>& first = input_columns(0);
         for (size_t i = 1; i < inputs.size(); ++i) {
           if (input_columns(i) != first) {

@@ -88,7 +88,9 @@ class Chunk {
   using SelectionPtr = std::shared_ptr<const std::vector<uint32_t>>;
 
   Chunk() = default;
-  /// Every segment must hold exactly `capacity` values.
+  /// Every segment must hold exactly `capacity` values, or be empty (null)
+  /// for a column no downstream operator reads (column liveness, DESIGN.md
+  /// §8); an empty segment is never read.
   Chunk(size_t capacity, std::vector<SegmentPtr> segments,
         SelectionPtr selection = nullptr)
       : capacity_(capacity),

@@ -845,6 +845,283 @@ TEST(EtlVectorizedTest, EmptyStreamsMatchReference) {
   ExpectChunkSweepMatchesReference(*source, flow, "empty_stream");
 }
 
+// ---------------------------------------------------------------------------
+// Column liveness (DESIGN.md §8): a join gathers only the output columns
+// some downstream operator may read and leaves every other segment slot
+// empty. Each case runs the chunk sweep against the reference and asserts
+// that the join-segment counter moved as the case needs, so this coverage
+// cannot silently stop pruning.
+
+int64_t JoinSegments(const char* state) {
+  return obs::MetricsRegistry::Instance()
+      .counter("quarry_etl_join_segments_total", "", {{"state", state}})
+      .value();
+}
+
+/// The chunk sweep of `flow`, asserting that its joins left some segment
+/// slot empty (`expect_skipped`) or gathered every column.
+void ExpectJoinSweepMatchesReference(const storage::Database& source,
+                                     const Flow& flow, bool expect_skipped) {
+  ASSERT_TRUE(flow.Validate().ok()) << flow.name();
+  const int64_t skipped = JoinSegments("skipped");
+  const int64_t gathered = JoinSegments("gathered");
+  ExpectChunkSweepMatchesReference(source, flow, flow.name());
+  EXPECT_GT(JoinSegments("gathered"), gathered) << flow.name();
+  if (expect_skipped) {
+    EXPECT_GT(JoinSegments("skipped"), skipped)
+        << flow.name() << ": no join skipped a column";
+  } else {
+    EXPECT_EQ(JoinSegments("skipped"), skipped)
+        << flow.name() << ": a join skipped a column";
+  }
+}
+
+/// Adds node `id` fed by `inputs` in edge order; returns `id`.
+std::string AddOp(Flow* flow, const std::string& id, OpType type,
+                  std::map<std::string, std::string> params,
+                  const std::vector<std::string>& inputs) {
+  (void)flow->AddNode(MakeNode(id, type, std::move(params)));
+  for (const std::string& in : inputs) (void)flow->AddEdge(in, id);
+  return id;
+}
+
+/// Equi-join `left` ⋈ `right` on `left_key` = `right_key`.
+std::string AddJoin(Flow* flow, const std::string& id, const std::string& left,
+                    const std::string& right, const std::string& left_key,
+                    const std::string& right_key,
+                    const std::string& type = "inner") {
+  return AddOp(flow, id, OpType::kJoin,
+               {{"left", left_key}, {"right", right_key}, {"type", type}},
+               {left, right});
+}
+
+/// src`table` with every column renamed to prefix + name (rid, rv, ...).
+std::string AddRenamedScan(Flow* flow, const std::string& table,
+                           const std::string& prefix) {
+  return AddRenamed(flow, AddScan(flow, table), {"id", "v", "w", "s"},
+                    prefix);
+}
+
+/// src0 ⋈ src1 ⋈ src2 on id, left-deep like the interpreter's flows (the
+/// right sides renamed), then a derived measure, a projection onto a key
+/// and the measure, an aggregation and a load.
+Flow BuildJoinChainFlow() {
+  Flow flow("join_chain");
+  const std::string j1 = AddJoin(&flow, "join1", AddScan(&flow, "src0"),
+                                 AddRenamedScan(&flow, "src1", "r"), "id",
+                                 "rid");
+  const std::string j2 = AddJoin(&flow, "join2", j1,
+                                 AddRenamedScan(&flow, "src2", "x"), "id",
+                                 "xid");
+  const std::string fn = AddOp(&flow, "fn", OpType::kFunction,
+                               {{"column", "m"}, {"expr", "v + rv * 2"}},
+                               {j2});
+  const std::string proj = AddOp(&flow, "proj", OpType::kProjection,
+                                 {{"columns", "xs,m"}}, {fn});
+  const std::string agg = AddOp(
+      &flow, "agg", OpType::kAggregation,
+      {{"group", "xs"}, {"aggs", "SUM(m) AS total; COUNT(*) AS n"}}, {proj});
+  AddLoad(&flow, agg, "out");
+  return flow;
+}
+
+TEST(EtlVectorizedTest, LivenessJoinChainMatchesReference) {
+  ExpectJoinSweepMatchesReference(*BuildRandomSource(/*seed=*/29),
+                                  BuildJoinChainFlow(),
+                                  /*expect_skipped=*/true);
+}
+
+TEST(EtlVectorizedTest, LivenessRightColumnReadThreeOperatorsLater) {
+  // rs is read only by the projection, three operators after the join.
+  Flow flow("late_read");
+  const std::string join = AddJoin(&flow, "join", AddScan(&flow, "src0"),
+                                   AddRenamedScan(&flow, "src1", "r"), "id",
+                                   "rid");
+  const std::string sel = AddOp(&flow, "sel", OpType::kSelection,
+                                {{"predicate", "v >= 5"}}, {join});
+  const std::string fn = AddOp(&flow, "fn", OpType::kFunction,
+                               {{"column", "f"}, {"expr", "v * 2 + 1"}},
+                               {sel});
+  AddLoad(&flow,
+          AddOp(&flow, "proj", OpType::kProjection, {{"columns", "id,f,rs"}},
+                {fn}),
+          "out");
+  ExpectJoinSweepMatchesReference(*BuildRandomSource(/*seed=*/31), flow,
+                                  /*expect_skipped=*/true);
+}
+
+TEST(EtlVectorizedTest, LivenessTwoConsumersReadDisjointColumns) {
+  Flow flow("disjoint_consumers");
+  const std::string join = AddJoin(&flow, "join", AddScan(&flow, "src0"),
+                                   AddRenamedScan(&flow, "src1", "r"), "id",
+                                   "rid");
+  AddLoad(&flow,
+          AddOp(&flow, "agg", OpType::kAggregation,
+                {{"group", "s"}, {"aggs", "SUM(v) AS total"}}, {join}),
+          "out_agg");
+  AddLoad(&flow,
+          AddOp(&flow, "proj", OpType::kProjection, {{"columns", "rid,rw"}},
+                {join}),
+          "out_proj");
+  ExpectJoinSweepMatchesReference(*BuildRandomSource(/*seed=*/33), flow,
+                                  /*expect_skipped=*/true);
+}
+
+TEST(EtlVectorizedTest, LivenessUnionOfJoinsWithOtherConsumers) {
+  // The union reads id and rv of both joins; join1's other consumer keeps
+  // w and join2's keeps rs, so the union's input chunks leave different
+  // slots empty.
+  Flow flow("union_of_joins");
+  const std::string right = AddRenamedScan(&flow, "src1", "r");
+  const std::string j1 =
+      AddJoin(&flow, "join1", AddScan(&flow, "src0"), right, "id", "rid");
+  const std::string j2 =
+      AddJoin(&flow, "join2", AddScan(&flow, "src2"), right, "id", "rid");
+  const std::string uni = AddOp(&flow, "uni", OpType::kUnion, {}, {j1, j2});
+  AddLoad(&flow,
+          AddOp(&flow, "proj_u", OpType::kProjection, {{"columns", "id,rv"}},
+                {uni}),
+          "out_u");
+  AddLoad(&flow,
+          AddOp(&flow, "proj_1", OpType::kProjection, {{"columns", "w"}},
+                {j1}),
+          "out_1");
+  AddLoad(&flow,
+          AddOp(&flow, "proj_2", OpType::kProjection, {{"columns", "rs"}},
+                {j2}),
+          "out_2");
+  ExpectJoinSweepMatchesReference(*BuildRandomSource(/*seed=*/35), flow,
+                                  /*expect_skipped=*/true);
+}
+
+TEST(EtlVectorizedTest, LivenessLoaderAndSortKeepEveryJoinColumn) {
+  // A Loader reads every column of its input, and so does a Sort, even
+  // when only two columns survive the projection after it.
+  Flow flow("all_live");
+  const std::string right = AddRenamedScan(&flow, "src1", "r");
+  AddLoad(&flow,
+          AddJoin(&flow, "join1", AddScan(&flow, "src0"), right, "id", "rid"),
+          "out_join");
+  const std::string j2 =
+      AddJoin(&flow, "join2", AddScan(&flow, "src2"), right, "id", "rid");
+  const std::string sort = AddOp(&flow, "sort", OpType::kSort,
+                                 {{"by", "rv"}, {"desc", "false"}}, {j2});
+  AddLoad(&flow,
+          AddOp(&flow, "proj", OpType::kProjection, {{"columns", "id,rv"}},
+                {sort}),
+          "out_sorted");
+  ExpectJoinSweepMatchesReference(*BuildRandomSource(/*seed=*/37), flow,
+                                  /*expect_skipped=*/false);
+}
+
+TEST(EtlVectorizedTest, LivenessSelfJoin) {
+  // One node feeds both sides. Flow rejects a duplicate edge, so the right
+  // side reaches `x` through a rename.
+  Flow flow("self_join");
+  const std::string x = AddOp(&flow, "x", OpType::kSelection,
+                              {{"predicate", "v >= 5"}},
+                              {AddScan(&flow, "src0")});
+  const std::string renamed = AddRenamed(&flow, x, {"id", "v", "w", "s"}, "r");
+  const std::string join = AddJoin(&flow, "join", x, renamed, "id", "rid");
+  AddLoad(&flow,
+          AddOp(&flow, "proj", OpType::kProjection, {{"columns", "id,rv"}},
+                {join}),
+          "out");
+  ExpectJoinSweepMatchesReference(*BuildRandomSource(/*seed=*/39), flow,
+                                  /*expect_skipped=*/true);
+}
+
+TEST(EtlVectorizedTest, LivenessNameOnBothSidesResolvesToTheFirst) {
+  // Both sides carry id, v, w and s. Downstream lookups of id and v take
+  // the left column, the first occurrence; liveness keeps a live name at
+  // every position, so that lookup always finds a gathered segment.
+  Flow flow("both_sides");
+  const std::string right = AddOp(&flow, "fn_rid", OpType::kFunction,
+                                  {{"column", "rid"}, {"expr", "id"}},
+                                  {AddScan(&flow, "src1")});
+  const std::string join =
+      AddJoin(&flow, "join", AddScan(&flow, "src0"), right, "id", "rid");
+  const std::string fn = AddOp(&flow, "fn", OpType::kFunction,
+                               {{"column", "f"}, {"expr", "v + 1"}}, {join});
+  AddLoad(&flow,
+          AddOp(&flow, "proj", OpType::kProjection, {{"columns", "id,v,f"}},
+                {fn}),
+          "out");
+  ExpectJoinSweepMatchesReference(*BuildRandomSource(/*seed=*/41), flow,
+                                  /*expect_skipped=*/true);
+}
+
+TEST(EtlVectorizedTest, LivenessLeftJoinWithDeadPaddedColumns) {
+  // No column of the filtered right side is read after the join, so the
+  // NULL padding of the misses is never gathered either.
+  Flow flow("left_join_dead_right");
+  const std::string right = AddOp(&flow, "rsel", OpType::kSelection,
+                                  {{"predicate", "rv >= 25"}},
+                                  {AddRenamedScan(&flow, "src1", "r")});
+  const std::string join = AddJoin(&flow, "join", AddScan(&flow, "src0"),
+                                   right, "id", "rid", "left");
+  AddLoad(&flow,
+          AddOp(&flow, "proj", OpType::kProjection, {{"columns", "id,v,s"}},
+                {join}),
+          "out");
+  ExpectJoinSweepMatchesReference(*BuildRandomSource(/*seed=*/43), flow,
+                                  /*expect_skipped=*/true);
+}
+
+TEST(EtlVectorizedTest, LivenessRandomJoinThenSubsetFlows) {
+  // BuildRandomFlow with every join followed by a projection onto a random
+  // subset of its columns.
+  int flows_with_join = 0;
+  int pruned = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    auto source = BuildRandomSource(seed);
+    Flow flow = BuildRandomFlow(seed, /*source_tables=*/3, /*ops=*/12,
+                                /*subset_after_join=*/true);
+    ASSERT_TRUE(flow.Validate().ok()) << "seed " << seed;
+    bool has_join = false;
+    for (const auto& [id, node] : flow.nodes()) {
+      has_join = has_join || node.type == OpType::kJoin;
+    }
+    const int64_t skipped = JoinSegments("skipped");
+    ExpectChunkSweepMatchesReference(*source, flow,
+                                     "subset seed " + std::to_string(seed));
+    flows_with_join += has_join ? 1 : 0;
+    pruned += JoinSegments("skipped") > skipped ? 1 : 0;
+  }
+  // 13 of the 20 seeds draw a join, and each of those flows prunes.
+  EXPECT_GE(flows_with_join, 10);
+  EXPECT_EQ(pruned, flows_with_join);
+}
+
+TEST(EtlVectorizedTest, JoinChainByteBudgetBillsLogicalWidth) {
+  // Joins that skip dead columns still bill every column of their output,
+  // so the byte charge of this chain is the figure the executor reported
+  // before joins skipped anything, and a budget decides as it did then:
+  // exactly that many bytes pass, one byte fewer trips.
+  constexpr int64_t kChainBytes = 328768;
+  auto source = BuildRandomSource(/*seed=*/29);
+  const Flow flow = BuildJoinChainFlow();
+  for (int workers : {1, 4}) {
+    ExecOptions options;
+    options.max_workers = workers;
+    ResourceBudget budget;
+    budget.max_intermediate_bytes = kChainBytes;
+    const int64_t skipped = JoinSegments("skipped");
+    ExecContext ctx(CancellationToken{}, Deadline::Infinite(), budget);
+    RunOutcome run =
+        RunFlowOpts(*source, flow, options, RetryPolicy{}, nullptr, &ctx);
+    ASSERT_TRUE(run.status.ok()) << run.status;
+    EXPECT_EQ(ctx.intermediate_bytes(), kChainBytes) << "workers " << workers;
+    EXPECT_GT(JoinSegments("skipped"), skipped);
+
+    budget.max_intermediate_bytes = kChainBytes - 1;
+    ExecContext tight(CancellationToken{}, Deadline::Infinite(), budget);
+    RunOutcome tripped =
+        RunFlowOpts(*source, flow, options, RetryPolicy{}, nullptr, &tight);
+    EXPECT_TRUE(tripped.status.IsResourceExhausted()) << tripped.status;
+  }
+}
+
 TEST(EtlVectorizedTest, VectorizedBudgetTripChargesAtChunkGranularity) {
   // The chunk kernels charge the budget per chunk, so a row allowance trips
   // mid-node instead of after a whole materialization; the checkpoint is

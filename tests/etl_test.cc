@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "etl/cost_model.h"
 #include "etl/expr.h"
 #include "etl/flow.h"
@@ -402,6 +408,69 @@ TEST(SchemaInferenceTest, UnknownTableCaught) {
   ASSERT_TRUE(
       flow.AddNode({"ds", OpType::kDatastore, {{"table", "ghost"}}, {}}).ok());
   EXPECT_TRUE(InferColumns(flow, TpchColumns()).status().IsNotFound());
+}
+
+TEST(SchemaInferenceTest, LiveColumnsFollowTheReadRules) {
+  Flow flow("f");
+  auto add = [&flow](const std::string& id, OpType type,
+                     std::map<std::string, std::string> params) {
+    ASSERT_TRUE(flow.AddNode({id, type, std::move(params), {}}).ok()) << id;
+  };
+  add("l", OpType::kDatastore, {{"table", "lineitem"}});
+  add("p", OpType::kDatastore, {{"table", "part"}});
+  add("exl", OpType::kExtraction, {{"table", "lineitem"}});
+  add("exp", OpType::kExtraction, {{"table", "part"}});
+  add("j", OpType::kJoin, {{"left", "l_partkey"}, {"right", "p_partkey"}});
+  add("sel", OpType::kSelection, {{"predicate", "l_quantity > 5"}});
+  add("fn", OpType::kFunction,
+      {{"column", "revenue"}, {"expr", "l_extendedprice * (1 - l_discount)"}});
+  add("pr", OpType::kProjection, {{"columns", "p_name,revenue,l_tax"}});
+  add("ag", OpType::kAggregation,
+      {{"group", "p_name"}, {"aggs", "SUM(revenue) AS total"}});
+  add("ld", OpType::kLoader, {{"table", "out"}});
+  add("srt", OpType::kSort, {{"by", "p_brand"}});
+  add("ld2", OpType::kLoader, {{"table", "parts"}});
+  add("dangling", OpType::kProjection, {{"columns", "l_tax"}});
+  add("bad", OpType::kSelection, {{"predicate", "l_quantity >"}});
+  for (auto [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {"l", "exl"}, {"p", "exp"}, {"exl", "j"}, {"exp", "j"},
+           {"j", "sel"}, {"sel", "fn"}, {"fn", "pr"}, {"pr", "ag"},
+           {"ag", "ld"}, {"exp", "srt"}, {"srt", "ld2"}, {"exl", "dangling"},
+           {"l", "bad"}}) {
+    ASSERT_TRUE(flow.AddEdge(from, to).ok()) << from << " -> " << to;
+  }
+  auto order = flow.TopologicalOrder();
+  ASSERT_TRUE(order.ok()) << order.status();
+  const std::map<std::string, LiveColumns> live = LiveColumnsOf(flow, *order);
+  ASSERT_EQ(live.size(), flow.num_nodes());
+  using Names = std::set<std::string>;
+  auto names_of = [&live](const std::string& id) {
+    const LiveColumns& l = live.at(id);
+    EXPECT_FALSE(l.all) << id;
+    return l.names;
+  };
+  // Aggregation reads its group and inputs; the projection passes on only
+  // its listed names that are live (not l_tax); the function and the
+  // selection add what they reference; the join adds each side's key.
+  EXPECT_EQ(names_of("pr"), (Names{"p_name", "revenue"}));
+  EXPECT_EQ(names_of("fn"), (Names{"p_name", "revenue"}));
+  EXPECT_EQ(names_of("sel"),
+            (Names{"l_discount", "l_extendedprice", "p_name", "revenue"}));
+  EXPECT_EQ(names_of("j"), (Names{"l_discount", "l_extendedprice",
+                                  "l_quantity", "p_name", "revenue"}));
+  // Two consumers: the join (its left key added) and a projection with no
+  // consumer of its own, which reads what it lists.
+  EXPECT_EQ(names_of("exl"),
+            (Names{"l_discount", "l_extendedprice", "l_partkey",
+                   "l_quantity", "l_tax", "p_name", "revenue"}));
+  // Every column: sinks, dangling nodes, inputs of a Loader or a Sort, and
+  // the input of a node whose params do not parse.
+  for (const char* id : {"ld", "ld2", "dangling", "bad", "ag", "srt", "exp",
+                         "p", "l"}) {
+    EXPECT_TRUE(live.at(id).all) << id;
+  }
+  EXPECT_TRUE(live.at("exp").Contains("p_comment"));
+  EXPECT_FALSE(live.at("j").Contains("l_tax"));
 }
 
 // --- cost model --------------------------------------------------------------

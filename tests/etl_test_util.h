@@ -77,9 +77,12 @@ inline std::unique_ptr<storage::Database> BuildRandomSource(uint64_t seed,
 /// random live streams (union/join merge two streams), then one loader per
 /// remaining stream. Deterministic per seed; every generated flow passes
 /// Flow::Validate(). Branchy by construction, so parallel runs actually get
-/// concurrent wavefronts. Every operator type can appear.
+/// concurrent wavefronts. Every operator type can appear. A join is
+/// followed by a projection onto every merged name, or, with
+/// `subset_after_join`, onto a random subset that keeps `id`, so later
+/// operators read only some of the join's columns (column liveness).
 inline Flow BuildRandomFlow(uint64_t seed, int source_tables = 3,
-                            int ops = 12) {
+                            int ops = 12, bool subset_after_join = false) {
   Prng prng(seed);
   Flow flow("random_" + std::to_string(seed));
   int next_id = 0;
@@ -231,6 +234,13 @@ inline Flow BuildRandomFlow(uint64_t seed, int source_tables = 3,
         merged.insert(merged.end(), right.columns.begin(),
                       right.columns.end());
         std::vector<std::string> keep = unique_columns(merged);
+        if (subset_after_join) {
+          std::vector<std::string> subset;
+          for (const std::string& c : keep) {
+            if (c == "id" || prng.Chance(0.5)) subset.push_back(c);
+          }
+          keep = std::move(subset);
+        }
         std::string cols;
         for (size_t i = 0; i < keep.size(); ++i) {
           if (i > 0) cols += ",";

@@ -318,6 +318,44 @@ TEST(ExecutorLifecycleTest, BudgetTripAtLoaderRollsTheTableBack) {
   EXPECT_FALSE(target.HasTable("out"));
 }
 
+TEST(ExecutorLifecycleTest, ResumeRefusesAnotherFlowWithTheSameName) {
+  auto src = MakeTinySource();
+  Database target("dw");
+  Flow flow = MakeTinyFlow();
+  // As above: the loader trips the 12-row budget with ds, ex and sel done.
+  ExecContext ctx(CancellationToken(), Deadline::Infinite(),
+                  {/*max_rows_materialized=*/12, 0, 0});
+  Checkpoint checkpoint;
+  Executor executor(src.get(), &target);
+  auto result = executor.Run(flow, {}, &checkpoint, &ctx);
+  ASSERT_TRUE(result.status().IsResourceExhausted()) << result.status();
+  ASSERT_EQ(checkpoint.failed_node, "load");
+  ASSERT_EQ(checkpoint.completed,
+            (std::vector<std::string>{"ds", "ex", "sel"}));
+
+  // Same name, another predicate: the checkpointed output of `sel` (3
+  // rows) is not what this flow's `sel` computes (1 row).
+  Flow changed = MakeTinyFlow();
+  (*changed.GetMutableNode("sel"))->params["predicate"] = "qty >= 3";
+  auto refused = executor.Resume(changed, &checkpoint);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsInvalidArgument()) << refused.status();
+  EXPECT_FALSE(target.HasTable("out"));
+  // Same nodes, other edges: the loader now reads `ex`.
+  Flow rewired = MakeTinyFlow();
+  ASSERT_TRUE(rewired.RemoveEdge("sel", "load").ok());
+  ASSERT_TRUE(rewired.AddEdge("ex", "load").ok());
+  auto refused_edges = executor.Resume(rewired, &checkpoint);
+  EXPECT_TRUE(refused_edges.status().IsInvalidArgument())
+      << refused_edges.status();
+  EXPECT_FALSE(target.HasTable("out"));
+
+  // A refused Resume leaves the checkpoint whole for its own flow.
+  auto resumed = executor.Resume(flow, &checkpoint);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ((*target.GetTable("out"))->num_rows(), 3u);
+}
+
 TEST(ExecutorLifecycleTest, ByteBudgetTrips) {
   auto src = MakeTinySource();
   Database target("dw");

@@ -3,7 +3,7 @@
 #   1. tier-1    — plain build + full ctest suite (the seed contract)
 #   2. tsan      — concurrency slice under ThreadSanitizer (tools/run_tsan.sh)
 #   3. crash     — fault + crash matrices and the chunk-kernel differential
-#                  under ASan (tools/run_crash_matrix.sh)
+#                  under ASan + UBSan (tools/run_crash_matrix.sh)
 #   4. recovery  — warehouse kill-and-recover matrix, plain build (fast
 #                  re-run of the §10 crash surface outside the ASan gate)
 #   5. vectorized — differential harness (the chunk runtime vs the

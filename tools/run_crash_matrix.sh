@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Runs the robustness suites — the fault-injection matrix (`-L fault`), the
 # durability crash matrix (`-L crash`) and the chunk-kernel differential
-# (`-L asan`) — in a dedicated ASan-instrumented build, so the
-# QUARRY_SANITIZE wiring is actually exercised and every injected
-# crash/recovery path is checked for memory errors too.
+# (`-L asan`) — in a dedicated build instrumented with ASan and UBSan
+# (QUARRY_SANITIZE=address), so the QUARRY_SANITIZE wiring is actually
+# exercised and every injected crash/recovery path is checked for memory
+# errors and undefined behaviour too. Either kind of report fails the
+# entry: ASan aborts on error, and UBSan is built with
+# -fno-sanitize-recover.
 #
 # The crash label covers both durable substrates: the docstore WAL
 # (wal_crash_test, docs/ROBUSTNESS.md §6) and the warehouse generation
@@ -21,7 +24,7 @@
 #
 # Usage: tools/run_crash_matrix.sh [build-dir] [sanitizer]
 #   build-dir  defaults to build-asan (kept separate from the plain build)
-#   sanitizer  defaults to address ('undefined' also works)
+#   sanitizer  defaults to address (ASan + UBSan)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -36,6 +39,8 @@ cmake --build "${build_dir}" -j
 # abort_on_error makes an ASan report fail the ctest run instead of only
 # printing; detect_leaks catches WAL fds / buffers dropped on crash paths.
 export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}"
+# A UBSan report names the failing source line and its call stack.
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 
 # Enumerate the matrix entries; `ctest -N` prints lines like
 # "  Test  #4: wal_crash_test" (the '#' column is space-aligned).
