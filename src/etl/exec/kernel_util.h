@@ -67,14 +67,16 @@ inline void AccumulateAggStar(AggState* st) {
 }
 
 /// Folds one column value; NULLs are skipped per SQL aggregate semantics.
+/// The INT sum stops at the first input that is not INT or would take it
+/// outside int64; SUM then finishes as the DOUBLE sum.
 inline void AccumulateAgg(AggState* st, const storage::Value& v) {
   if (v.is_null()) return;
   ++st->count;
   if (v.is_numeric()) {
     st->sum += v.as_double();
-    if (v.is_int()) {
-      st->int_sum += v.as_int();
-    } else {
+    if (!v.is_int() ||
+        (st->all_int &&
+         __builtin_add_overflow(st->int_sum, v.as_int(), &st->int_sum))) {
       st->all_int = false;
     }
   }
@@ -84,7 +86,8 @@ inline void AccumulateAgg(AggState* st, const storage::Value& v) {
 }
 
 /// The aggregate's output value: COUNT of an empty group is 0, every other
-/// function NULLs out; SUM stays INT while every input was INT.
+/// function NULLs out; SUM stays INT while every input was INT and the
+/// running sum fits in int64.
 inline storage::Value FinalizeAgg(const std::string& function,
                                   const AggState& st) {
   using storage::Value;

@@ -5,19 +5,20 @@
 // of chunks. A ChunkGate runs before each input chunk: it checks the
 // request context and, once per node attempt, consults the mid-stream
 // fault site ("etl.exec.vec.chunk"); emitted rows are charged against the
-// budgets chunk by chunk. Results must not depend on chunk boundaries: the
-// differential harness (tests/etl_parallel_test.cc, tests/property_test.cc
-// P8) compares every kernel with the row-at-a-time reference executor in
-// tests/etl_reference.h — identical row order, identical Values, identical
-// error statuses — at chunk sizes 1, 7, 1024 and rows+1.
+// budgets chunk by chunk. Selection and Function evaluate their expression
+// one node at a time over a whole chunk (ColumnEvaluator, column_eval.h).
+// Results must not depend on chunk boundaries: the differential harness
+// (tests/etl_parallel_test.cc, tests/property_test.cc P8) compares every
+// kernel with the row-at-a-time reference executor in tests/etl_reference.h
+// — identical row order, identical Values, identical error statuses — at
+// chunk sizes 1, 7, 1024 and rows+1.
 
 #include <algorithm>
 #include <memory>
-#include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "common/fault_injection.h"
+#include "etl/exec/column_eval.h"
 #include "etl/exec/executor.h"
 #include "etl/exec/kernel_util.h"
 #include "etl/expr.h"
@@ -121,192 +122,6 @@ class ChunkGate {
   int counted_ = 0;
 };
 
-/// Expression evaluation against a chunk row: Expr::EvalWith with a hash
-/// map in place of RowView's linear name scan (first occurrence wins, like
-/// RowView::Get) and values read straight from the segments.
-class ChunkEval {
- public:
-  explicit ChunkEval(const std::vector<std::string>& columns) {
-    for (size_t i = 0; i < columns.size(); ++i) {
-      index_.emplace(columns[i], i);  // Keeps the first duplicate, as Get().
-    }
-  }
-
-  Result<Value> Eval(const Expr& e, const Chunk& chunk, uint32_t phys) const {
-    return e.EvalWith([&](const std::string& name) -> Result<Value> {
-      auto it = index_.find(name);
-      if (it == index_.end()) {
-        return Status::NotFound("column '" + name + "' in row");
-      }
-      return chunk.segment(it->second).At(phys);
-    });
-  }
-
- private:
-  std::unordered_map<std::string, size_t> index_;
-};
-
-// ---------------------------------------------------------------------------
-// Fast filter path: `col cmp literal` / `col cmp col` predicates over
-// numeric or date segments compare on the typed payloads directly. The
-// comparison must agree with Value::Compare: exact int64 when both sides
-// are INT, sign-of-difference through double otherwise, raw day counts for
-// dates. Anything the fast path cannot prove equivalent falls back to
-// ChunkEval for that chunk (segment reps can differ chunk to chunk).
-
-enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
-
-std::optional<CmpOp> ParseCmpOp(const std::string& op) {
-  if (op == "=") return CmpOp::kEq;
-  if (op == "<>") return CmpOp::kNe;
-  if (op == "<") return CmpOp::kLt;
-  if (op == "<=") return CmpOp::kLe;
-  if (op == ">") return CmpOp::kGt;
-  if (op == ">=") return CmpOp::kGe;
-  return std::nullopt;
-}
-
-CmpOp MirrorCmpOp(CmpOp op) {
-  switch (op) {
-    case CmpOp::kLt: return CmpOp::kGt;
-    case CmpOp::kLe: return CmpOp::kGe;
-    case CmpOp::kGt: return CmpOp::kLt;
-    case CmpOp::kGe: return CmpOp::kLe;
-    default: return op;
-  }
-}
-
-bool CmpKeep(CmpOp op, int cmp) {
-  switch (op) {
-    case CmpOp::kEq: return cmp == 0;
-    case CmpOp::kNe: return cmp != 0;
-    case CmpOp::kLt: return cmp < 0;
-    case CmpOp::kLe: return cmp <= 0;
-    case CmpOp::kGt: return cmp > 0;
-    case CmpOp::kGe: return cmp >= 0;
-  }
-  return false;
-}
-
-int Sign(double d) { return d < 0 ? -1 : (d > 0 ? 1 : 0); }
-
-struct FastCompare {
-  CmpOp op = CmpOp::kEq;
-  size_t lhs_col = 0;
-  bool rhs_is_col = false;
-  size_t rhs_col = 0;
-  Value literal;  // When !rhs_is_col; always non-NULL numeric or date.
-};
-
-std::optional<size_t> FirstIndexOf(const std::vector<std::string>& columns,
-                                   const std::string& name) {
-  auto it = std::find(columns.begin(), columns.end(), name);
-  if (it == columns.end()) return std::nullopt;
-  return static_cast<size_t>(it - columns.begin());
-}
-
-std::optional<FastCompare> TryFastCompare(
-    const Expr& pred, const std::vector<std::string>& columns) {
-  if (pred.kind() != Expr::Kind::kBinary) return std::nullopt;
-  std::optional<CmpOp> op = ParseCmpOp(pred.op());
-  if (!op.has_value()) return std::nullopt;
-  const Expr& lhs = *pred.args()[0];
-  const Expr& rhs = *pred.args()[1];
-
-  auto build = [&](const Expr& col_side, const Expr& other,
-                   CmpOp cmp) -> std::optional<FastCompare> {
-    std::optional<size_t> ci = FirstIndexOf(columns, col_side.column());
-    if (!ci.has_value()) return std::nullopt;  // Generic path errors as Get.
-    FastCompare f;
-    f.op = cmp;
-    f.lhs_col = *ci;
-    if (other.kind() == Expr::Kind::kColumn) {
-      std::optional<size_t> ri = FirstIndexOf(columns, other.column());
-      if (!ri.has_value()) return std::nullopt;
-      f.rhs_is_col = true;
-      f.rhs_col = *ri;
-      return f;
-    }
-    if (other.kind() != Expr::Kind::kLiteral) return std::nullopt;
-    const Value& lit = other.literal();
-    if (!lit.is_numeric() && !lit.is_date()) return std::nullopt;
-    f.literal = lit;
-    return f;
-  };
-
-  if (lhs.kind() == Expr::Kind::kColumn) return build(lhs, rhs, *op);
-  if (rhs.kind() == Expr::Kind::kColumn &&
-      lhs.kind() == Expr::Kind::kLiteral) {
-    return build(rhs, lhs, MirrorCmpOp(*op));
-  }
-  return std::nullopt;
-}
-
-bool NumericRep(ValueSegment::Rep rep) {
-  return rep == ValueSegment::Rep::kInt64 ||
-         rep == ValueSegment::Rep::kDouble;
-}
-
-/// True when the fast comparison is provably Value::Compare-equivalent for
-/// this chunk's segment representations.
-bool FastCompareEligible(const FastCompare& f, const Chunk& chunk) {
-  const ValueSegment& ls = chunk.segment(f.lhs_col);
-  if (f.rhs_is_col) {
-    const ValueSegment& rs = chunk.segment(f.rhs_col);
-    return (NumericRep(ls.rep()) && NumericRep(rs.rep())) ||
-           (ls.rep() == ValueSegment::Rep::kDate &&
-            rs.rep() == ValueSegment::Rep::kDate);
-  }
-  return (NumericRep(ls.rep()) && f.literal.is_numeric()) ||
-         (ls.rep() == ValueSegment::Rep::kDate && f.literal.is_date());
-}
-
-double SegDouble(const ValueSegment& s, uint32_t phys) {
-  return s.rep() == ValueSegment::Rep::kInt64
-             ? static_cast<double>(s.ints()[phys])
-             : s.doubles()[phys];
-}
-
-/// Fills `sel` with the physical rows of `chunk` passing the fast
-/// comparison. NULL on either side never passes (EvalComparison → NULL).
-void RunFastCompare(const FastCompare& f, const Chunk& chunk,
-                    std::vector<uint32_t>* sel) {
-  const ValueSegment& ls = chunk.segment(f.lhs_col);
-  const ValueSegment* rs = f.rhs_is_col ? &chunk.segment(f.rhs_col) : nullptr;
-  const size_t n = chunk.num_rows();
-  const bool date_cmp = ls.rep() == ValueSegment::Rep::kDate;
-  const bool int_cmp =
-      !date_cmp && ls.rep() == ValueSegment::Rep::kInt64 &&
-      (f.rhs_is_col ? rs->rep() == ValueSegment::Rep::kInt64
-                    : f.literal.is_int());
-  const int64_t lit_int = !f.rhs_is_col && f.literal.is_int()
-                              ? f.literal.as_int()
-                              : 0;
-  const double lit_dbl =
-      !f.rhs_is_col && f.literal.is_numeric() ? f.literal.as_double() : 0.0;
-  const int32_t lit_date =
-      !f.rhs_is_col && f.literal.is_date() ? f.literal.as_date_days() : 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t phys = chunk.PhysicalRow(i);
-    if (ls.IsNull(phys) || (rs != nullptr && rs->IsNull(phys))) continue;
-    int cmp;
-    if (date_cmp) {
-      int32_t a = ls.dates()[phys];
-      int32_t b = rs != nullptr ? rs->dates()[phys] : lit_date;
-      cmp = a < b ? -1 : (a > b ? 1 : 0);
-    } else if (int_cmp) {
-      int64_t a = ls.ints()[phys];
-      int64_t b = rs != nullptr ? rs->ints()[phys] : lit_int;
-      cmp = a < b ? -1 : (a > b ? 1 : 0);
-    } else {
-      double a = SegDouble(ls, phys);
-      double b = rs != nullptr ? SegDouble(*rs, phys) : lit_dbl;
-      cmp = Sign(a - b);
-    }
-    if (CmpKeep(f.op, cmp)) sel->push_back(phys);
-  }
-}
-
 /// First non-NULL value's type across the chunks' live rows, in row order.
 Result<DataType> InferColumnType(const std::vector<Chunk>& chunks,
                                  size_t column) {
@@ -332,25 +147,20 @@ Status AppendShared(const Relation& in, ChunkGate* gate, Relation* out) {
 }
 
 /// Appends one computed column named `column` to every chunk (Function,
-/// SurrogateKey). `value(chunk, phys)` runs on live rows only, in row
-/// order; dead (filtered-out) slots stay NULL and are never computed, so an
+/// SurrogateKey). `segment(chunk)` computes the chunk's new segment on its
+/// live rows only, in row order; unselected slots are never computed, so an
 /// expression that would fail on a filtered row doesn't.
-template <typename ValueFn>
+template <typename SegmentFn>
 Result<Relation> AppendColumn(const Relation& in, const std::string& column,
-                              ChunkGate* gate, ValueFn value) {
+                              ChunkGate* gate, SegmentFn segment) {
   Relation out;
   out.columns = in.columns;
   out.columns.push_back(column);
   for (const Chunk& chunk : in.chunks) {
     QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
-    std::vector<Value> values(chunk.capacity());
-    for (size_t i = 0; i < chunk.num_rows(); ++i) {
-      const uint32_t phys = chunk.PhysicalRow(i);
-      QUARRY_ASSIGN_OR_RETURN(values[phys], value(chunk, phys));
-    }
     std::vector<Chunk::SegmentPtr> segments = chunk.segments();
-    segments.push_back(std::make_shared<const ValueSegment>(
-        ValueSegment::FromValues(std::move(values))));
+    QUARRY_ASSIGN_OR_RETURN(Chunk::SegmentPtr added, segment(chunk));
+    segments.push_back(std::move(added));
     QUARRY_RETURN_NOT_OK(gate->Charge(chunk.num_rows(), out.columns.size()));
     out.chunks.emplace_back(chunk.capacity(), std::move(segments),
                             chunk.selection());
@@ -383,20 +193,10 @@ Result<Relation> SelectionKernel(const Node& node, const Relation& in,
   QUARRY_ASSIGN_OR_RETURN(Expr::Ptr pred, ParseExpr(Param(node, "predicate")));
   Relation out;
   out.columns = in.columns;
-  ChunkEval eval(in.columns);
-  std::optional<FastCompare> fast = TryFastCompare(*pred, in.columns);
+  ColumnEvaluator eval(*pred, in.columns);
   for (const Chunk& chunk : in.chunks) {
     QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
-    std::vector<uint32_t> sel;
-    if (fast.has_value() && FastCompareEligible(*fast, chunk)) {
-      RunFastCompare(*fast, chunk, &sel);
-    } else {
-      for (size_t i = 0; i < chunk.num_rows(); ++i) {
-        const uint32_t phys = chunk.PhysicalRow(i);
-        QUARRY_ASSIGN_OR_RETURN(Value v, eval.Eval(*pred, chunk, phys));
-        if (ExprTruthy(v)) sel.push_back(phys);
-      }
-    }
+    QUARRY_ASSIGN_OR_RETURN(std::vector<uint32_t> sel, eval.Filter(chunk));
     if (sel.empty()) continue;  // Fully filtered chunks are dropped.
     QUARRY_RETURN_NOT_OK(gate->Charge(sel.size(), out.columns.size()));
     if (sel.size() == chunk.num_rows()) {
@@ -436,11 +236,10 @@ Result<Relation> FunctionKernel(const Node& node, const Relation& in,
     return Status::ExecutionError("function '" + node.id +
                                   "' lacks a column param");
   }
-  ChunkEval eval(in.columns);
-  return AppendColumn(in, column, gate,
-                      [&](const Chunk& chunk, uint32_t phys) {
-                        return eval.Eval(*expr, chunk, phys);
-                      });
+  ColumnEvaluator eval(*expr, in.columns);
+  return AppendColumn(in, column, gate, [&](const Chunk& chunk) {
+    return eval.Evaluate(chunk);
+  });
 }
 
 Result<Relation> SurrogateKeyKernel(const Node& node, const Relation& in,
@@ -457,10 +256,15 @@ Result<Relation> SurrogateKeyKernel(const Node& node, const Relation& in,
   KeyIndex ids;
   RowKey key;
   return AppendColumn(
-      in, column, gate,
-      [&](const Chunk& chunk, uint32_t phys) -> Result<Value> {
-        key.Set(chunk, positions, phys);
-        return Value::Int(int64_t{ids.Insert(key.bytes()).first} + 1);
+      in, column, gate, [&](const Chunk& chunk) -> Result<Chunk::SegmentPtr> {
+        std::vector<int64_t> values(chunk.capacity());
+        for (size_t i = 0; i < chunk.num_rows(); ++i) {
+          const uint32_t phys = chunk.PhysicalRow(i);
+          key.Set(chunk, positions, phys);
+          values[phys] = int64_t{ids.Insert(key.bytes()).first} + 1;
+        }
+        return std::make_shared<const ValueSegment>(
+            ValueSegment::FromTyped(std::move(values), {}));
       });
 }
 

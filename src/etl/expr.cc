@@ -9,13 +9,6 @@ namespace quarry::etl {
 using storage::DataType;
 using storage::Value;
 
-Result<Value> RowView::Get(const std::string& name) const {
-  for (size_t i = 0; i < names->size(); ++i) {
-    if ((*names)[i] == name) return (*row)[i];
-  }
-  return Status::NotFound("column '" + name + "' in row");
-}
-
 Expr::Ptr Expr::Literal(Value value) {
   auto e = std::shared_ptr<Expr>(new Expr());
   e->kind_ = Kind::kLiteral;
@@ -53,7 +46,14 @@ bool ExprTruthy(const Value& v) {
 Result<Value> EvalUnary(const std::string& op, const Value& v) {
   if (op == "-") {
     if (v.is_null()) return Value::Null();
-    if (v.is_int()) return Value::Int(-v.as_int());
+    if (v.is_int()) {
+      int64_t negated;
+      if (__builtin_sub_overflow(int64_t{0}, v.as_int(), &negated)) {
+        return Status::InvalidArgument("integer overflow: -(" + v.ToString() +
+                                       ")");
+      }
+      return Value::Int(negated);
+    }
     if (v.is_double()) return Value::Double(-v.as_double());
     return Status::InvalidArgument("negation of non-numeric value");
   }
@@ -78,10 +78,22 @@ Result<Value> EvalArithmetic(const std::string& op, const Value& a,
     return Value::Double(a.as_double() / denom);
   }
   if (a.is_int() && b.is_int()) {
-    int64_t x = a.as_int(), y = b.as_int();
-    if (op == "+") return Value::Int(x + y);
-    if (op == "-") return Value::Int(x - y);
-    if (op == "*") return Value::Int(x * y);
+    int64_t x = a.as_int(), y = b.as_int(), r;
+    bool overflow;
+    if (op == "+") {
+      overflow = __builtin_add_overflow(x, y, &r);
+    } else if (op == "-") {
+      overflow = __builtin_sub_overflow(x, y, &r);
+    } else if (op == "*") {
+      overflow = __builtin_mul_overflow(x, y, &r);
+    } else {
+      return Status::Internal("unknown arithmetic op '" + op + "'");
+    }
+    if (overflow) {
+      return Status::InvalidArgument("integer overflow: " + a.ToString() +
+                                     " " + op + " " + b.ToString());
+    }
+    return Value::Int(r);
   } else {
     double x = a.as_double(), y = b.as_double();
     if (op == "+") return Value::Double(x + y);
@@ -102,10 +114,6 @@ Result<Value> EvalComparison(const std::string& op, const Value& a,
   if (op == ">") return Value::Bool(cmp > 0);
   if (op == ">=") return Value::Bool(cmp >= 0);
   return Status::Internal("unknown comparison op '" + op + "'");
-}
-
-Result<Value> Expr::Eval(const RowView& row) const {
-  return EvalWith([&row](const std::string& name) { return row.Get(name); });
 }
 
 std::string Expr::ToString() const {

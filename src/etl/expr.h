@@ -12,18 +12,6 @@
 
 namespace quarry::etl {
 
-/// \brief A row with named columns, as seen by expression evaluation.
-///
-/// Non-owning: both vectors must outlive the view. Column resolution is
-/// linear, which is fine for ETL tuples (tens of columns).
-struct RowView {
-  const std::vector<std::string>* names = nullptr;
-  const storage::Row* row = nullptr;
-
-  /// Value of the column, or an error when the name is unknown.
-  Result<storage::Value> Get(const std::string& name) const;
-};
-
 /// \brief Expression AST used by Selection predicates, Function (derived
 /// column) operators, measure definitions and slicer conditions.
 ///
@@ -41,7 +29,17 @@ struct RowView {
 /// Identifiers are column names and may contain letters, digits, '_' and
 /// '.'. Evaluation uses SQL-ish semantics: any arithmetic or comparison
 /// with NULL yields NULL; AND/OR treat NULL as false (two-valued logic is
-/// enough for ETL predicates and keeps flows deterministic).
+/// enough for ETL predicates and keeps flows deterministic) and evaluate
+/// their right operand only where the left one leaves the answer open.
+/// INT with INT stays INT for + - * and unary -, and a result outside
+/// int64 fails with InvalidArgument ("integer overflow: ...") instead of
+/// wrapping; / always yields DOUBLE.
+///
+/// This class is the syntax tree only. The chunk kernels evaluate it one
+/// node at a time over a whole chunk (ColumnEvaluator,
+/// etl/exec/column_eval.h); the scalar primitives below state the value
+/// rules once, for that evaluator and for the row-at-a-time reference
+/// executor the tests compare it with (tests/etl_reference.h).
 class Expr {
  public:
   enum class Kind { kLiteral, kColumn, kUnary, kBinary };
@@ -58,15 +56,6 @@ class Expr {
   const std::string& column() const { return column_; }
   const std::string& op() const { return op_; }
   const std::vector<Ptr>& args() const { return args_; }
-
-  /// Evaluates against a row.
-  Result<storage::Value> Eval(const RowView& row) const;
-
-  /// Evaluates with `column(name)` -> Result<storage::Value> resolving
-  /// column references. The one tree walk behind Eval(RowView) and the
-  /// chunk kernels' evaluator (etl/exec/vectorized.cc).
-  template <typename ColumnFn>
-  Result<storage::Value> EvalWith(const ColumnFn& column) const;
 
   /// Canonical text form; reparsing it yields an equivalent expression.
   std::string ToString() const;
@@ -92,20 +81,20 @@ class Expr {
 /// Parses the grammar above.
 Result<Expr::Ptr> ParseExpr(std::string_view text);
 
-/// Scalar evaluation primitives behind Expr::EvalWith.
+/// Scalar evaluation primitives: one value at a time.
 
 /// Two-valued truthiness used by AND/OR/NOT and Selection predicates:
 /// only a non-NULL boolean TRUE counts.
 bool ExprTruthy(const storage::Value& v);
 
-/// Unary - (NULL stays NULL) and NOT.
+/// Unary - (NULL stays NULL; negating INT64_MIN overflows) and NOT.
 Result<storage::Value> EvalUnary(const std::string& op,
                                  const storage::Value& v);
 
 /// +, -, *, / with the executor's SQL-ish semantics: NULL propagates,
 /// int⊕int stays int (except /, which always yields DOUBLE and NULLs out a
-/// zero divisor), mixed numerics widen to double, string + string
-/// concatenates.
+/// zero divisor) and fails on int64 overflow, mixed numerics widen to
+/// double, string + string concatenates.
 Result<storage::Value> EvalArithmetic(const std::string& op,
                                       const storage::Value& a,
                                       const storage::Value& b);
@@ -114,36 +103,6 @@ Result<storage::Value> EvalArithmetic(const std::string& op,
 Result<storage::Value> EvalComparison(const std::string& op,
                                       const storage::Value& a,
                                       const storage::Value& b);
-
-template <typename ColumnFn>
-Result<storage::Value> Expr::EvalWith(const ColumnFn& column) const {
-  switch (kind_) {
-    case Kind::kLiteral:
-      return literal_;
-    case Kind::kColumn:
-      return column(column_);
-    case Kind::kUnary: {
-      QUARRY_ASSIGN_OR_RETURN(storage::Value v, args_[0]->EvalWith(column));
-      return EvalUnary(op_, v);
-    }
-    case Kind::kBinary: {
-      QUARRY_ASSIGN_OR_RETURN(storage::Value a, args_[0]->EvalWith(column));
-      // AND/OR short-circuit: the right operand is never evaluated (so an
-      // unknown column there goes unnoticed) once the left one decides.
-      if (op_ == "AND" && !ExprTruthy(a)) return storage::Value::Bool(false);
-      if (op_ == "OR" && ExprTruthy(a)) return storage::Value::Bool(true);
-      QUARRY_ASSIGN_OR_RETURN(storage::Value b, args_[1]->EvalWith(column));
-      if (op_ == "AND" || op_ == "OR") {
-        return storage::Value::Bool(ExprTruthy(b));
-      }
-      if (op_ == "+" || op_ == "-" || op_ == "*" || op_ == "/") {
-        return EvalArithmetic(op_, a, b);
-      }
-      return EvalComparison(op_, a, b);
-    }
-  }
-  return Status::Internal("corrupt expression");
-}
 
 }  // namespace quarry::etl
 

@@ -1,6 +1,7 @@
 #include "storage/chunk.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 namespace quarry::storage {
@@ -100,6 +101,43 @@ ValueSegment ValueSegment::FromValues(std::vector<Value> values) {
   }
   return seg;
 }
+
+template <typename T>
+ValueSegment ValueSegment::FromTyped(std::vector<T> payload,
+                                     std::vector<uint8_t> nulls) {
+  ValueSegment seg;
+  seg.size_ = payload.size();
+  seg.nulls_ = std::move(nulls);
+  if constexpr (std::is_same_v<T, uint8_t>) {
+    seg.rep_ = Rep::kBool;
+    seg.bools_ = std::move(payload);
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    seg.rep_ = Rep::kInt64;
+    seg.ints_ = std::move(payload);
+  } else if constexpr (std::is_same_v<T, double>) {
+    seg.rep_ = Rep::kDouble;
+    seg.doubles_ = std::move(payload);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    seg.rep_ = Rep::kString;
+    seg.strings_ = std::move(payload);
+  } else {
+    static_assert(std::is_same_v<T, int32_t>);
+    seg.rep_ = Rep::kDate;
+    seg.dates_ = std::move(payload);
+  }
+  return seg;
+}
+
+template ValueSegment ValueSegment::FromTyped(std::vector<uint8_t>,
+                                              std::vector<uint8_t>);
+template ValueSegment ValueSegment::FromTyped(std::vector<int64_t>,
+                                              std::vector<uint8_t>);
+template ValueSegment ValueSegment::FromTyped(std::vector<double>,
+                                              std::vector<uint8_t>);
+template ValueSegment ValueSegment::FromTyped(std::vector<std::string>,
+                                              std::vector<uint8_t>);
+template ValueSegment ValueSegment::FromTyped(std::vector<int32_t>,
+                                              std::vector<uint8_t>);
 
 Value ValueSegment::At(size_t i) const {
   if (rep_ == Rep::kMixed) return values_[i];

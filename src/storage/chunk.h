@@ -33,6 +33,14 @@ class ValueSegment {
   /// Segment over a freshly computed value vector (takes ownership).
   static ValueSegment FromValues(std::vector<Value> values);
 
+  /// Segment over a typed payload, one slot per row (`T` is uint8_t for
+  /// kBool, int64_t, double, std::string or int32_t for kDate), and a null
+  /// mask that is empty (no NULLs) or holds one flag per row. The payload
+  /// of a NULL slot is never read.
+  template <typename T>
+  static ValueSegment FromTyped(std::vector<T> payload,
+                                std::vector<uint8_t> nulls);
+
   size_t size() const { return size_; }
   Rep rep() const { return rep_; }
   /// True when the typed payload carries a null mask (never for kMixed,
@@ -46,6 +54,10 @@ class ValueSegment {
 
   /// Exact reconstruction of the value at physical row `i`.
   Value At(size_t i) const;
+
+  /// The null mask of a typed payload: empty when the segment has no
+  /// NULLs, else one flag per row.
+  const std::vector<uint8_t>& nulls() const { return nulls_; }
 
   /// Typed payloads; valid only for the matching rep. NULL slots hold
   /// zero values — readers must consult IsNull first.
@@ -81,7 +93,11 @@ class ValueSegment {
 /// physical row count, which the chunk carries itself so a zero-column
 /// chunk (a projection onto no columns) still has rows. Live row `i` maps
 /// to physical row `PhysicalRow(i)`; with no selection the mapping is the
-/// identity.
+/// identity, and a selection vector lists physical rows in ascending order.
+/// A physical row outside the selection holds an unspecified value in every
+/// segment — a Function that renames a column shares its input segment,
+/// unselected slots included, and a computed column leaves them unset — so
+/// no kernel reads one.
 class Chunk {
  public:
   using SegmentPtr = std::shared_ptr<const ValueSegment>;

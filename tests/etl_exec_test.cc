@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "datagen/tpch.h"
@@ -169,6 +170,41 @@ TEST(ExecutorTest, AggregationComputesAllFunctions) {
   EXPECT_TRUE(c[1].is_null());
   EXPECT_EQ(c[3].as_int(), 1);  // COUNT(*) counts the row
   EXPECT_EQ(c[6].as_int(), 0);  // COUNT(qty) skips NULL
+}
+
+TEST(ExecutorTest, IntegerOverflowNeverWraps) {
+  // SUM finishes as DOUBLE once its running sum leaves int64; INT
+  // arithmetic in a Function fails instead of wrapping.
+  Database src("src");
+  storage::TableSchema schema("big");
+  ASSERT_TRUE(schema.AddColumn({"g", storage::DataType::kString, true}).ok());
+  ASSERT_TRUE(schema.AddColumn({"v", storage::DataType::kInt64, true}).ok());
+  Table* t = *src.CreateTable(schema);
+  ASSERT_TRUE(t->InsertAll({{Value::String("a"), Value::Int(INT64_MAX)},
+                            {Value::String("a"), Value::Int(1)},
+                            {Value::String("b"), Value::Int(1)},
+                            {Value::String("b"), Value::Int(2)}})
+                  .ok());
+  Database target("dw");
+  auto out = RunPipeline(
+      &src, &target,
+      {MakeNode("ag", OpType::kAggregation,
+                {{"group", "g"}, {"aggs", "SUM(v) AS total"}})},
+      "big");
+  ASSERT_TRUE(out.ok()) << out.status();
+  ASSERT_EQ((*out)->num_rows(), 2u);
+  EXPECT_DOUBLE_EQ((*out)->rows()[0][1].as_double(), 0x1p63);
+  EXPECT_DOUBLE_EQ((*out)->rows()[1][1].as_double(), 3.0);
+
+  Database target2("dw");
+  auto failed = RunPipeline(
+      &src, &target2,
+      {MakeNode("fn", OpType::kFunction, {{"column", "w"}, {"expr", "v * 2"}})},
+      "big");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsInvalidArgument()) << failed.status();
+  EXPECT_EQ(failed.status().message(),
+            "node 'fn' (Function): integer overflow: 9223372036854775807 * 2");
 }
 
 TEST(ExecutorTest, SortOrdersRows) {

@@ -20,6 +20,7 @@
 
 #include "common/exec_context.h"
 #include "common/fault_injection.h"
+#include "common/prng.h"
 #include "../bench/etl_bench_flows.h"
 #include "datagen/tpch.h"
 #include "etl_test_util.h"
@@ -843,6 +844,58 @@ TEST(EtlVectorizedTest, EmptyStreamsMatchReference) {
   (void)flow.AddEdge("agg", "load_agg");
   ASSERT_TRUE(flow.Validate().ok());
   ExpectChunkSweepMatchesReference(*source, flow, "empty_stream");
+}
+
+// ---------------------------------------------------------------------------
+// Random expressions (DESIGN.md §8): the column evaluator against the
+// reference's row walk. Each expression runs as a Selection predicate on
+// rows without a selection vector and, behind a pre-filter, as a Selection
+// and as a Function, through the chunk sweep. Where the reference fails,
+// the serial runtime must fail at the same node with the same status.
+
+int64_t ExprRows(const char* path) {
+  return obs::MetricsRegistry::Instance()
+      .counter("quarry_etl_expr_rows_total", "", {{"path", path}})
+      .value();
+}
+
+TEST(EtlVectorizedTest, RandomExpressionsMatchReference) {
+  const int64_t scalar_rows = ExprRows("scalar");
+  const int64_t typed_rows = ExprRows("typed");
+  int cases = 0;
+  int failed = 0;
+  int with_nulls = 0;
+  for (uint64_t seed = 1; seed <= 160; ++seed) {
+    auto source = testutil::BuildExprSource(seed % 8);
+    Prng prng(seed);
+    const std::string expr =
+        testutil::RandomExpr(&prng, 4, prng.Chance(0.5) ? 'b' : 'a');
+    const Flow flow = testutil::BuildExprFlow(expr, seed % 2 == 0);
+    ASSERT_TRUE(flow.Validate().ok()) << expr;
+    ++cases;
+    const Status want = testutil::ExpectChunkSweepAgreesWithReference(
+        *source, flow, "seed " + std::to_string(seed) + " " + expr);
+    if (!want.ok()) {
+      ++failed;
+      continue;
+    }
+    storage::Database target("dw");
+    ASSERT_TRUE(reference::Run(*source, flow, &target).ok());
+    const storage::Table* out = *target.GetTable("out_fn");
+    for (const storage::Row& row : out->rows()) {
+      if (row[1].is_null()) {
+        ++with_nulls;
+        break;
+      }
+    }
+  }
+  // The generator reaches errors, NULL results and the scalar path, and
+  // most expressions still run through.
+  EXPECT_GT(failed, 0);
+  EXPECT_LT(failed, cases / 2);
+  EXPECT_GT(with_nulls, 0);
+  EXPECT_GT(ExprRows("scalar"), scalar_rows);
+  EXPECT_GT(ExprRows("typed"), typed_rows);
 }
 
 // ---------------------------------------------------------------------------

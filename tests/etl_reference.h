@@ -5,9 +5,10 @@
 // (etl_parallel_test.cc EtlVectorizedTest, property_test.cc P8) compares the
 // chunk runtime in src/etl/exec against. Each operator materializes an
 // etl::Dataset of Rows and walks it row by row, on one thread, in
-// topological order. There are no retries, lifecycle checks, budgets or
-// fault points: this file only states what a flow computes, and the
-// runtime must land on its exact target bytes and per-node row counts.
+// topological order, and expressions are evaluated one row at a time by
+// walking the tree (EvalRow). There are no retries, lifecycle checks,
+// budgets or fault points: this file only states what a flow computes, and
+// the runtime must land on its exact target bytes and per-node row counts.
 
 #include <algorithm>
 #include <cstdint>
@@ -58,6 +59,54 @@ namespace quarry::etl::reference {
 
 using storage::Row;
 using storage::Value;
+
+/// \brief A row with named columns, as seen by expression evaluation.
+///
+/// Non-owning: both vectors must outlive the view. Column resolution is
+/// linear, which is fine for ETL tuples (tens of columns).
+struct RowView {
+  const std::vector<std::string>* names = nullptr;
+  const Row* row = nullptr;
+
+  /// Value of the column, or an error when the name is unknown.
+  Result<Value> Get(const std::string& name) const {
+    for (size_t i = 0; i < names->size(); ++i) {
+      if ((*names)[i] == name) return (*row)[i];
+    }
+    return Status::NotFound("column '" + name + "' in row");
+  }
+};
+
+/// The row walk: evaluates `e` against one row, node by node, through the
+/// scalar primitives of etl/expr.h. The oracle for the chunk kernels'
+/// ColumnEvaluator (src/etl/exec/column_eval.h).
+inline Result<Value> EvalRow(const Expr& e, const RowView& row) {
+  switch (e.kind()) {
+    case Expr::Kind::kLiteral:
+      return e.literal();
+    case Expr::Kind::kColumn:
+      return row.Get(e.column());
+    case Expr::Kind::kUnary: {
+      QUARRY_ASSIGN_OR_RETURN(Value v, EvalRow(*e.args()[0], row));
+      return EvalUnary(e.op(), v);
+    }
+    case Expr::Kind::kBinary: {
+      const std::string& op = e.op();
+      QUARRY_ASSIGN_OR_RETURN(Value a, EvalRow(*e.args()[0], row));
+      // AND/OR short-circuit: the right operand is never evaluated (so an
+      // unknown column there goes unnoticed) once the left one decides.
+      if (op == "AND" && !ExprTruthy(a)) return Value::Bool(false);
+      if (op == "OR" && ExprTruthy(a)) return Value::Bool(true);
+      QUARRY_ASSIGN_OR_RETURN(Value b, EvalRow(*e.args()[1], row));
+      if (op == "AND" || op == "OR") return Value::Bool(ExprTruthy(b));
+      if (op == "+" || op == "-" || op == "*" || op == "/") {
+        return EvalArithmetic(op, a, b);
+      }
+      return EvalComparison(op, a, b);
+    }
+  }
+  return Status::Internal("corrupt expression");
+}
 
 inline Result<Dataset> Join(const Node& node, const Dataset& left,
                             const Dataset& right) {
@@ -277,7 +326,8 @@ inline Result<Dataset> RunNode(const Node& node,
                               ParseExpr(Param(node, "predicate")));
       out.columns = input(0).columns;
       for (const Row& row : input(0).rows) {
-        QUARRY_ASSIGN_OR_RETURN(Value v, pred->Eval({&out.columns, &row}));
+        QUARRY_ASSIGN_OR_RETURN(Value v,
+                                EvalRow(*pred, {&out.columns, &row}));
         if (ExprTruthy(v)) out.rows.push_back(row);
       }
       return out;
@@ -311,7 +361,7 @@ inline Result<Dataset> RunNode(const Node& node,
       out.columns.push_back(column);
       for (const Row& row : input(0).rows) {
         QUARRY_ASSIGN_OR_RETURN(Value v,
-                                expr->Eval({&input(0).columns, &row}));
+                                EvalRow(*expr, {&input(0).columns, &row}));
         Row extended = row;
         extended.push_back(std::move(v));
         out.rows.push_back(std::move(extended));

@@ -1,16 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "etl/cost_model.h"
+#include "etl/exec/column_eval.h"
+#include "etl/exec/kernel_util.h"
 #include "etl/expr.h"
 #include "etl/flow.h"
 #include "etl/schema_inference.h"
 #include "etl/xlm.h"
+#include "etl_reference.h"
+#include "storage/chunk.h"
 #include "xml/xml.h"
 
 namespace quarry::etl {
@@ -21,12 +27,46 @@ using storage::Value;
 
 // --- expressions -----------------------------------------------------------
 
+bool SameTypedValue(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  return *a.type() == *b.type() && a.SameAs(b);
+}
+
+// Every case runs through three evaluators that must agree on the value or
+// the status: the reference row walk (etl_reference.h), the chunk kernels'
+// ColumnEvaluator on a one-row chunk, and ColumnEvaluator on a three-row
+// chunk whose selection vector keeps only the middle row (the other two
+// are NULLs). Returns the reference's answer.
 Result<Value> EvalOn(const std::string& text,
                      const std::vector<std::string>& names, const Row& row) {
   auto expr = ParseExpr(text);
   if (!expr.ok()) return expr.status();
-  RowView view{&names, &row};
-  return (*expr)->Eval(view);
+  Result<Value> want = reference::EvalRow(**expr, {&names, &row});
+  const Row nulls(row.size());
+  for (bool selected : {false, true}) {
+    const std::vector<Row> rows =
+        selected ? std::vector<Row>{nulls, row, nulls} : std::vector<Row>{row};
+    storage::Chunk chunk = storage::MakeChunk(rows, row.size(), 0, rows.size());
+    if (selected) {
+      chunk = storage::Chunk(
+          chunk.capacity(), chunk.segments(),
+          std::make_shared<const std::vector<uint32_t>>(
+              std::vector<uint32_t>{1}));
+    }
+    const std::string where =
+        text + (selected ? " (selected row)" : " (one-row chunk)");
+    ColumnEvaluator eval(**expr, names);
+    Result<storage::Chunk::SegmentPtr> got = eval.Evaluate(chunk);
+    EXPECT_EQ(got.status(), want.status()) << where;
+    Result<std::vector<uint32_t>> kept = eval.Filter(chunk);
+    EXPECT_EQ(kept.status(), want.status()) << where;
+    if (!want.ok() || !got.ok() || !kept.ok()) continue;
+    const Value value = (*got)->At(selected ? 1 : 0);
+    EXPECT_TRUE(SameTypedValue(value, *want))
+        << where << ": " << value.ToString() << " vs " << want->ToString();
+    EXPECT_EQ(kept->size(), ExprTruthy(*want) ? 1u : 0u) << where;
+  }
+  return want;
 }
 
 TEST(ExprTest, ArithmeticPrecedence) {
@@ -61,6 +101,25 @@ TEST(ExprTest, Comparisons) {
   EXPECT_TRUE(EvalOn("'a' < 'b'", {}, {})->as_bool());
 }
 
+TEST(ExprTest, ComparisonsFollowValueCompare) {
+  const std::vector<std::string> names{"v", "w", "s", "t", "b"};
+  const Row row{Value::Int(INT64_MAX), Value::Double(0x1p63),
+                Value::String("b"), Value::DateYmd(1996, 2, 29),
+                Value::Bool(true)};
+  // INT with INT compares exactly; INT with DOUBLE through double.
+  EXPECT_TRUE(EvalOn("v > 9223372036854775806", names, row)->as_bool());
+  EXPECT_TRUE(EvalOn("v = w", names, row)->as_bool());
+  // Across types by rank: BOOL < numbers < STRING < DATE.
+  EXPECT_TRUE(EvalOn("b < v", names, row)->as_bool());
+  EXPECT_TRUE(EvalOn("v < s", names, row)->as_bool());
+  EXPECT_TRUE(EvalOn("s < t", names, row)->as_bool());
+  EXPECT_TRUE(EvalOn("t > TRUE", names, row)->as_bool());
+  EXPECT_FALSE(EvalOn("s = 1", names, row)->as_bool());
+  EXPECT_TRUE(EvalOn("FALSE < b", names, row)->as_bool());
+  EXPECT_TRUE(EvalOn("t >= DATE '1996-02-29'", names, row)->as_bool());
+  EXPECT_TRUE(EvalOn("s <> 'B'", names, row)->as_bool());
+}
+
 TEST(ExprTest, DateLiteralComparison) {
   auto v = EvalOn("DATE '1995-01-01' < DATE '1996-01-01'", {}, {});
   ASSERT_TRUE(v.ok()) << v.status();
@@ -87,6 +146,33 @@ TEST(ExprTest, NullPropagation) {
 
 TEST(ExprTest, DivisionByZeroYieldsNull) {
   EXPECT_TRUE(EvalOn("1 / 0", {}, {})->is_null());
+}
+
+TEST(ExprTest, IntegerOverflowFailsInsteadOfWrapping) {
+  const std::vector<std::string> names{"v", "m", "x"};
+  const Row row{Value::Int(INT64_MAX), Value::Int(INT64_MIN), Value::Null()};
+  auto fails = [&](const std::string& text, const std::string& message) {
+    Result<Value> r = EvalOn(text, names, row);
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << text << ": " << r.status();
+    EXPECT_EQ(r.status().message(), message) << text;
+  };
+  fails("v + 1", "integer overflow: 9223372036854775807 + 1");
+  fails("v * 2", "integer overflow: 9223372036854775807 * 2");
+  fails("m - 1", "integer overflow: -9223372036854775808 - 1");
+  fails("m * -1", "integer overflow: -9223372036854775808 * -1");
+  fails("-m", "integer overflow: -(-9223372036854775808)");
+  fails("1 + (v + v)", "integer overflow: 9223372036854775807 + "
+                       "9223372036854775807");
+  // Inside int64, with a DOUBLE or a NULL operand, or behind a decided
+  // AND, nothing fails.
+  EXPECT_EQ(EvalOn("v + 0", names, row)->as_int(), INT64_MAX);
+  EXPECT_EQ(EvalOn("m + v", names, row)->as_int(), -1);
+  EXPECT_EQ(EvalOn("-v", names, row)->as_int(), -INT64_MAX);
+  EXPECT_EQ(EvalOn("m * 1", names, row)->as_int(), INT64_MIN);
+  EXPECT_DOUBLE_EQ(EvalOn("v + 1.0", names, row)->as_double(), 0x1p63);
+  EXPECT_DOUBLE_EQ(EvalOn("v / 1", names, row)->as_double(), 0x1p63);
+  EXPECT_TRUE(EvalOn("x * v + 1", names, row)->is_null());
+  EXPECT_FALSE(EvalOn("FALSE AND v + 1 > 0", names, row)->as_bool());
 }
 
 TEST(ExprTest, StringConcatViaPlus) {
@@ -124,6 +210,30 @@ TEST(ExprTest, ReferencedColumns) {
   ASSERT_TRUE(e.ok());
   std::set<std::string> expected{"a", "b", "c"};
   EXPECT_EQ((*e)->ReferencedColumns(), expected);
+}
+
+// --- aggregation -------------------------------------------------------------
+
+TEST(AggStateTest, IntSumOverflowFinishesAsDouble) {
+  kernel::AggState st;
+  kernel::AccumulateAgg(&st, Value::Int(INT64_MAX));
+  kernel::AccumulateAgg(&st, Value::Int(1));
+  Value sum = kernel::FinalizeAgg("SUM", st);
+  ASSERT_TRUE(sum.is_double()) << sum.ToString();
+  EXPECT_DOUBLE_EQ(sum.as_double(), 0x1p63);
+  // Once the sum left int64 it stays DOUBLE, even back inside the range.
+  kernel::AccumulateAgg(&st, Value::Int(-1));
+  EXPECT_TRUE(kernel::FinalizeAgg("SUM", st).is_double());
+  EXPECT_EQ(kernel::FinalizeAgg("COUNT", st).as_int(), 3);
+
+  // A sum that fits stays INT, down to INT64_MIN.
+  kernel::AggState fits;
+  kernel::AccumulateAgg(&fits, Value::Int(INT64_MIN + 1));
+  kernel::AccumulateAgg(&fits, Value::Null());
+  kernel::AccumulateAgg(&fits, Value::Int(-1));
+  sum = kernel::FinalizeAgg("SUM", fits);
+  ASSERT_TRUE(sum.is_int()) << sum.ToString();
+  EXPECT_EQ(sum.as_int(), INT64_MIN);
 }
 
 // --- flow graph -------------------------------------------------------------

@@ -3,14 +3,16 @@
 
 // Shared helpers for the executor differential tests (etl_parallel_test.cc)
 // and the scheduler / chunk-size property tests (property_test.cc): a seeded
-// random flow generator over a seeded random source database, runners for
-// the executor and for the row-at-a-time reference executor
-// (etl_reference.h), and the comparison between the two.
+// random flow generator over a seeded random source database, a seeded
+// random expression generator with its source and flow, runners for the
+// executor and for the row-at-a-time reference executor (etl_reference.h),
+// and the comparison between the two.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -370,28 +372,300 @@ inline void ExpectMatchesReference(const Flow& flow, const RunOutcome& want,
   }
 }
 
-/// Runs `flow` through the reference once and through the executor at
-/// chunk sizes 1 (every chunk a singleton), 7 (a partial last chunk nearly
-/// everywhere), 1024 (the default) and rows+1 (one oversized chunk), each
-/// with 1 and 4 workers, checking every run with ExpectMatchesReference.
-inline void ExpectChunkSweepMatchesReference(const storage::Database& source,
-                                             const Flow& flow,
-                                             const std::string& label) {
-  const RunOutcome want = RunReference(source, flow);
-  ASSERT_TRUE(want.status.ok()) << label << " reference: " << want.status;
-  const int64_t oversized = want.report.rows_processed + 1;
+/// Runs `flow` through the executor at chunk sizes 1 (every chunk a
+/// singleton), 7 (a partial last chunk nearly everywhere), 1024 (the
+/// default) and `oversized` (one chunk), each with 1 and 4 workers, and
+/// calls check(run, workers, label) on every run.
+template <typename CheckFn>
+void ForEachChunkConfig(const storage::Database& source, const Flow& flow,
+                        int64_t oversized, const std::string& label,
+                        CheckFn check) {
   for (int64_t chunk_size :
        {int64_t{1}, int64_t{7}, int64_t{1024}, oversized}) {
     for (int workers : {1, 4}) {
       ExecOptions options;
       options.max_workers = workers;
       options.chunk_size = chunk_size;
-      ExpectMatchesReference(flow, want,
-                             RunFlowOpts(source, flow, options),
-                             label + " chunk_size=" +
-                                 std::to_string(chunk_size) +
-                                 " workers=" + std::to_string(workers));
+      check(RunFlowOpts(source, flow, options), workers,
+            label + " chunk_size=" + std::to_string(chunk_size) +
+                " workers=" + std::to_string(workers));
     }
+  }
+}
+
+/// Checks the executor at every ForEachChunkConfig configuration, with
+/// rows+1 as the oversized chunk, against the successful reference run
+/// `want` with ExpectMatchesReference.
+inline void ExpectSweepMatches(const storage::Database& source,
+                               const Flow& flow, const RunOutcome& want,
+                               const std::string& label) {
+  ForEachChunkConfig(source, flow, want.report.rows_processed + 1, label,
+                     [&](const RunOutcome& got, int, const std::string& run) {
+                       ExpectMatchesReference(flow, want, got, run);
+                     });
+}
+
+/// Runs `flow` through the reference once and checks the executor's chunk
+/// sweep against it (ExpectSweepMatches).
+inline void ExpectChunkSweepMatchesReference(const storage::Database& source,
+                                             const Flow& flow,
+                                             const std::string& label) {
+  const RunOutcome want = RunReference(source, flow);
+  ASSERT_TRUE(want.status.ok()) << label << " reference: " << want.status;
+  ExpectSweepMatches(source, flow, want, label);
+}
+
+/// The node id in a failed run's status, and the message after the node
+/// prefix: the reference writes "node 'x': ...", the executor
+/// "node 'x' (Selection): ...".
+inline std::pair<std::string, std::string> SplitNodeError(
+    const Status& status) {
+  const std::string& text = status.message();
+  const std::string prefix = "node '";
+  const size_t quote = text.find('\'', prefix.size());
+  const size_t colon = text.find(": ", quote);
+  if (text.rfind(prefix, 0) != 0 || colon == std::string::npos) {
+    return {"", text};
+  }
+  return {text.substr(prefix.size(), quote - prefix.size()),
+          text.substr(colon + 2)};
+}
+
+/// The chunk sweep for a flow the reference may fail. Where the reference
+/// succeeds, every run must match it as in ExpectChunkSweepMatchesReference.
+/// Where it fails, every run must fail too, and each serial run (which
+/// keeps the reference's node order) at the same node, with the same status
+/// code and the same message after the node prefix. Returns the
+/// reference's status.
+inline Status ExpectChunkSweepAgreesWithReference(
+    const storage::Database& source, const Flow& flow,
+    const std::string& label) {
+  const RunOutcome want = RunReference(source, flow);
+  if (want.status.ok()) {
+    ExpectSweepMatches(source, flow, want, label);
+    return want.status;
+  }
+  const auto [want_node, want_message] = SplitNodeError(want.status);
+  ForEachChunkConfig(
+      source, flow, int64_t{1} << 20, label,
+      [&](const RunOutcome& got, int workers, const std::string& run) {
+        ASSERT_FALSE(got.status.ok())
+            << run << ": the reference failed with " << want.status;
+        if (workers != 1) return;
+        const auto [node, message] = SplitNodeError(got.status);
+        EXPECT_EQ(node, want_node) << run << ": " << got.status;
+        EXPECT_TRUE(got.status.code() == want.status.code())
+            << run << ": " << got.status << " vs " << want.status;
+        EXPECT_EQ(message, want_message) << run;
+      });
+  return want.status;
+}
+
+// ---------------------------------------------------------------------------
+// Random expressions: a source with every value type, a flow that runs one
+// expression as Selection predicates and as a Function, and the generator.
+
+/// Source of the random-expression flows (BuildExprFlow): table `ex` with
+/// id INT NOT NULL and the nullable i INT, d DOUBLE, s STRING, t DATE and
+/// b BOOL — about one cell in six NULL, i reaching the int64 limits, d
+/// holding signed zeros and 1e300 — plus a group key g STRING and the
+/// summands gi INT and gd DOUBLE that AddExprBase folds into a kMixed
+/// column. Seed-deterministic.
+inline std::unique_ptr<storage::Database> BuildExprSource(uint64_t seed,
+                                                          int rows = 48) {
+  using storage::DataType;
+  using storage::Value;
+  Prng prng(seed * 0x9E3779B97F4A7C15ULL + 7);
+  auto db = std::make_unique<storage::Database>("exprs");
+  storage::TableSchema schema("ex");
+  (void)schema.AddColumn({"id", DataType::kInt64, false});
+  const std::pair<const char*, DataType> nullable[] = {
+      {"i", DataType::kInt64},  {"d", DataType::kDouble},
+      {"s", DataType::kString}, {"t", DataType::kDate},
+      {"b", DataType::kBool},   {"g", DataType::kString},
+      {"gi", DataType::kInt64}, {"gd", DataType::kDouble}};
+  for (const auto& [name, type] : nullable) {
+    (void)schema.AddColumn({name, type, true});
+  }
+  storage::Table* table = *db->CreateTable(std::move(schema));
+  const int64_t edge_ints[] = {INT64_MAX,     INT64_MIN,   INT64_MAX - 1,
+                               INT64_MIN + 1, 0,           1,
+                               -1,            3037000500,  -3037000500};
+  const double edge_doubles[] = {0.0, -0.0, 1.5, -2.25, 1e300, 0x1p63};
+  const char* edge_strings[] = {"", "a", "ab", "b", "B"};
+  auto maybe_null = [&prng](Value v) {
+    return prng.Chance(1.0 / 6) ? Value::Null() : std::move(v);
+  };
+  auto pick = [&prng](const auto& options) {
+    return options[prng.Uniform(0, static_cast<int64_t>(std::size(options)) -
+                                       1)];
+  };
+  for (int64_t r = 0; r < rows; ++r) {
+    // The summands make group g0 all INT, g1 all DOUBLE, g2 both and g3
+    // nothing, so the per-group sums mix INT, DOUBLE and NULL.
+    const int64_t group = r % 4;
+    storage::Row row;
+    row.push_back(Value::Int(r));
+    row.push_back(maybe_null(Value::Int(
+        prng.Chance(0.4) ? pick(edge_ints) : prng.Uniform(-100, 100))));
+    row.push_back(maybe_null(Value::Double(
+        prng.Chance(0.4) ? pick(edge_doubles)
+                         : prng.UniformDouble() * 200.0 - 100.0)));
+    row.push_back(maybe_null(Value::String(
+        prng.Chance(0.5) ? std::string(pick(edge_strings)) : prng.Word(2))));
+    row.push_back(maybe_null(
+        Value::Date(storage::DaysFromCivil(1995, 1, 1) +
+                    static_cast<int32_t>(prng.Uniform(0, 1000)))));
+    row.push_back(maybe_null(Value::Bool(prng.Chance(0.5))));
+    row.push_back(prng.Chance(0.1)
+                      ? Value::Null()
+                      : Value::String("g" + std::to_string(group)));
+    row.push_back(group == 0 || group == 2
+                      ? Value::Int(prng.Uniform(-50, 50))
+                      : Value::Null());
+    row.push_back(group == 1 || group == 2
+                      ? Value::Double(0.25 * static_cast<double>(
+                                                 prng.Uniform(0, 40)))
+                      : Value::Null());
+    (void)table->Insert(std::move(row));
+  }
+  return db;
+}
+
+/// Adds BuildExprFlow's prologue to `flow`: the `ex` scan, the column m —
+/// per g, SUM over gi * 1 and, behind a selection, gd * 1, which makes a
+/// kMixed segment the way EtlVectorizedTest.MixedSegmentKeysMatchReference
+/// does — left-joined back onto every row, and a projection onto
+/// id,i,d,s,t,b,m. Returns the projection's id.
+inline std::string AddExprBase(Flow* flow) {
+  auto add = [flow](const std::string& id, OpType type,
+                    std::map<std::string, std::string> params,
+                    const std::vector<std::string>& inputs) {
+    (void)flow->AddNode(MakeNode(id, type, std::move(params)));
+    for (const std::string& in : inputs) (void)flow->AddEdge(in, id);
+  };
+  add("ds", OpType::kDatastore, {{"table", "ex"}}, {});
+  add("ex", OpType::kExtraction, {{"table", "ex"}}, {"ds"});
+  add("fn_gi", OpType::kFunction, {{"column", "n"}, {"expr", "gi * 1"}},
+      {"ex"});
+  add("proj_gi", OpType::kProjection, {{"columns", "g,n"}}, {"fn_gi"});
+  add("sel_gd", OpType::kSelection, {{"predicate", "gd >= 0"}}, {"ex"});
+  add("fn_gd", OpType::kFunction, {{"column", "n"}, {"expr", "gd * 1"}},
+      {"sel_gd"});
+  add("proj_gd", OpType::kProjection, {{"columns", "g,n"}}, {"fn_gd"});
+  add("union", OpType::kUnion, {}, {"proj_gi", "proj_gd"});
+  add("sums", OpType::kAggregation, {{"group", "g"}, {"aggs", "SUM(n) AS m"}},
+      {"union"});
+  add("fn_mg", OpType::kFunction, {{"column", "mg"}, {"expr", "g"}},
+      {"sums"});
+  add("proj_m", OpType::kProjection, {{"columns", "mg,m"}}, {"fn_mg"});
+  add("join_m", OpType::kJoin,
+      {{"left", "g"}, {"right", "mg"}, {"type", "left"}}, {"ex", "proj_m"});
+  add("base", OpType::kProjection, {{"columns", "id,i,d,s,t,b,m"}},
+      {"join_m"});
+  return "base";
+}
+
+/// The flow for one random expression: behind a pre-filter that leaves
+/// selection vectors, `expr` as a Function computing column x (out_fn,
+/// with id) and as a Selection predicate (out_pre). With
+/// `selection_on_base`, `expr` also filters AddExprBase's rows directly
+/// (out_sel), and that node runs first; without, the Function does.
+inline Flow BuildExprFlow(const std::string& expr, bool selection_on_base) {
+  Flow flow("expr");
+  const std::string base = AddExprBase(&flow);
+  auto chain = [&flow](const std::string& from,
+                       const std::vector<Node>& nodes) {
+    std::string last = from;
+    for (const Node& node : nodes) {
+      (void)flow.AddNode(node);
+      (void)flow.AddEdge(last, node.id);
+      last = node.id;
+    }
+  };
+  if (selection_on_base) {
+    chain(base,
+          {MakeNode("sel", OpType::kSelection, {{"predicate", expr}}),
+           MakeNode("proj_sel", OpType::kProjection, {{"columns", "id"}}),
+           MakeNode("load_sel", OpType::kLoader, {{"table", "out_sel"}})});
+  }
+  chain(base, {MakeNode("pre", OpType::kSelection,
+                        {{"predicate", "id < 6 OR b"}})});
+  chain("pre",
+        {MakeNode("fn", OpType::kFunction, {{"column", "x"}, {"expr", expr}}),
+         MakeNode("proj_fn", OpType::kProjection, {{"columns", "id,x"}}),
+         MakeNode("load_fn", OpType::kLoader, {{"table", "out_fn"}})});
+  chain("pre",
+        {MakeNode("sel_pre", OpType::kSelection, {{"predicate", expr}}),
+         MakeNode("proj_pre", OpType::kProjection, {{"columns", "id"}}),
+         MakeNode("load_pre", OpType::kLoader, {{"table", "out_pre"}})});
+  return flow;
+}
+
+/// A random expression over AddExprBase's columns, at most `depth`
+/// operators deep, of type `type`: 'n' numeric, 'b' boolean, 's' string,
+/// 'd' date, or 'a' any of these. Now and then an operand is of any type,
+/// so some operators meet values they reject. The draws cover every
+/// operator of the grammar; literals at the int64 limits, zeros, NULL,
+/// strings, dates and booleans; string concatenation; comparisons across
+/// types; and AND/OR whose right side hides an unknown column or an operand
+/// that fails.
+inline std::string RandomExpr(Prng* prng, int depth, char type = 'a') {
+  static const char* const kNumbers[] = {
+      "i", "i", "d", "d", "id", "m", "m", "9223372036854775807",
+      "(-9223372036854775807 - 1)", "3037000500", "0", "1", "-1", "2",
+      "0.0", "2.5", "NULL"};
+  static const char* const kBools[] = {"b", "b", "TRUE", "FALSE", "NULL"};
+  static const char* const kStrings[] = {"s", "s", "'a'", "''", "'ab'",
+                                         "NULL"};
+  static const char* const kDates[] = {"t", "t", "DATE '1996-02-29'",
+                                       "NULL"};
+  static const char* const kArith[] = {"+", "-", "*", "/"};
+  static const char* const kCompare[] = {"=", "<>", "!=", "<",
+                                         "<=", ">", ">="};
+  static const char* const kHidden[] = {
+      "zz = 1", "(s - 1) > 0", "(i * 9223372036854775807) > 0",
+      "-(-9223372036854775807 - 1) < i", "(b + 1) = 2"};
+  static const char* const kCross[] = {"s > 1", "t = 'a'", "b < 0",
+                                       "d >= DATE '1996-01-01'", "m = s",
+                                       "i <> b", "TRUE > 1", "t < s"};
+  auto pick = [prng](const auto& options) -> std::string {
+    return options[prng->Uniform(0, static_cast<int64_t>(std::size(options)) -
+                                        1)];
+  };
+  if (type == 'a') type = "nnnbbsd"[prng->Uniform(0, 6)];
+  const bool leaf = depth == 0 || prng->Chance(0.25);
+  auto sub = [&](char t) {
+    return RandomExpr(prng, depth - 1, prng->Chance(0.1) ? 'a' : t);
+  };
+  auto connective = [&] { return prng->Chance(0.5) ? " AND " : " OR "; };
+  switch (type) {
+    case 'n':
+      if (leaf) return pick(kNumbers);
+      if (prng->Chance(0.2)) return "(-" + sub('n') + ")";
+      return "(" + sub('n') + " " + pick(kArith) + " " + sub('n') + ")";
+    case 'b':
+      if (leaf) return pick(kBools);
+      switch (prng->Uniform(0, 5)) {
+        case 0:
+          return "(NOT " + sub('b') + ")";
+        case 1:
+          return "(" + sub('b') + connective() + sub('b') + ")";
+        case 2:
+          return "(" + sub('b') + connective() + pick(kHidden) + ")";
+        case 3:
+          return "(" + pick(kCross) + ")";
+        default: {
+          const char operands = "nnsdb"[prng->Uniform(0, 4)];
+          return "(" + sub(operands) + " " + pick(kCompare) + " " +
+                 sub(operands) + ")";
+        }
+      }
+    case 's':
+      if (leaf) return pick(kStrings);
+      return "(" + sub('s') + " + " + sub('s') + ")";
+    default:
+      return pick(kDates);
   }
 }
 

@@ -15,8 +15,12 @@
 # site. The asan label covers etl_parallel_test and property_test_vectorized:
 # the chunk kernels against the reference executor at chunk sizes 1/7/1024/
 # rows+1, where the hash kernels (join, aggregation, surrogate key, loader
-# merge) read keys straight from segment payloads (storage/key.h). New
-# tests are picked up automatically via the labels.
+# merge) read keys straight from segment payloads (storage/key.h) and the
+# column evaluator runs random expressions; and etl_test and chunk_test: the
+# expression unit cases (ExprTest, each through the reference row walk and
+# the column evaluator, integer overflow included), SUM's accumulator and
+# the segment constructors. New tests are picked up automatically via the
+# labels.
 #
 # Each matrix entry (ctest test) runs individually so one failure cannot
 # mask another: the script prints a per-entry pass/fail summary at the end
