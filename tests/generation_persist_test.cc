@@ -13,9 +13,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "etl/exec/executor.h"
+#include "etl/flow.h"
 #include "storage/csv.h"
 #include "storage/generation_store.h"
 
@@ -124,6 +127,173 @@ TEST_F(GenerationPersistTest, SegmentRoundtripsSchemaRowsAndFingerprint) {
   EXPECT_EQ(schema.primary_key(), want_pk);
   // NULL survived as NULL, not as a default.
   EXPECT_TRUE((*restored)->rows()[1][2].is_null());
+}
+
+// ---------------------------------------------------------------------------
+// Golden values: what is on disk, and what MANIFEST.json fingerprints, must
+// not drift between versions. LoadGeneration quarantines a generation whose
+// tables no longer hash to its manifest fingerprint, so a drift would
+// quarantine every generation an earlier binary persisted at the first
+// restart. The constants below were computed by the row-store Table and are
+// specific to gcc 12 / libstdc++: Value::Hash (and so Table::Fingerprint)
+// goes through std::hash.
+
+/// FNV-1a over `bytes`: a stable digest of a segment too large to inline.
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::string ToHex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+/// A 1,201-row table over every type with NULLs: INTs stored into a DOUBLE
+/// column (one beyond 2^53, which the column rounds), ints beyond 2^53 in
+/// an INT column, strings longer than 15 bytes, a column added by
+/// AddColumn after 1,100 rows, and cells filled by a keyed loader merge.
+std::unique_ptr<Database> GoldenDb() {
+  auto db = std::make_unique<Database>("golden_w");
+  TableSchema schema("golden");
+  EXPECT_TRUE(schema.AddColumn({"id", DataType::kInt64, false}).ok());
+  EXPECT_TRUE(schema.AddColumn({"flag", DataType::kBool, true}).ok());
+  EXPECT_TRUE(schema.AddColumn({"qty", DataType::kInt64, true}).ok());
+  EXPECT_TRUE(schema.AddColumn({"price", DataType::kDouble, true}).ok());
+  EXPECT_TRUE(schema.AddColumn({"name", DataType::kString, true}).ok());
+  EXPECT_TRUE(schema.AddColumn({"day", DataType::kDate, true}).ok());
+  EXPECT_TRUE(schema.SetPrimaryKey({"id"}).ok());
+  Table* table = *db->CreateTable(std::move(schema));
+  constexpr int64_t kBig = (int64_t{1} << 53) + 1;
+  auto row = [&](int64_t i) {
+    storage::Row r;
+    r.push_back(Value::Int(i));
+    r.push_back(i % 7 == 0 ? Value::Null() : Value::Bool(i % 2 == 0));
+    r.push_back(i % 11 == 0   ? Value::Null()
+                : i % 13 == 0 ? Value::Int(kBig + i)
+                              : Value::Int(i * 3 - 500));
+    r.push_back(i % 5 == 0    ? Value::Null()
+                : i % 17 == 0 ? Value::Int(i % 34 == 0 ? kBig : i)
+                              : Value::Double(static_cast<double>(i) * 0.25));
+    r.push_back(i % 9 == 0 ? Value::Null()
+                : i % 4 == 0
+                    ? Value::String("a string longer than fifteen bytes #" +
+                                    std::to_string(i))
+                    : Value::String("s" + std::to_string(i % 50)));
+    r.push_back(i % 6 == 0 ? Value::Null()
+                           : Value::Date(static_cast<int32_t>(9000 + i)));
+    return r;
+  };
+  for (int64_t i = 0; i < 1100; ++i) EXPECT_TRUE(table->Insert(row(i)).ok());
+  EXPECT_TRUE(table->AddColumn({"extra", DataType::kDouble, true}).ok());
+  for (int64_t i = 1100; i < 1200; ++i) {
+    storage::Row r = row(i);
+    r.push_back(i % 3 == 0 ? Value::Null() : Value::Int(i));
+    EXPECT_TRUE(table->Insert(std::move(r)).ok());
+  }
+
+  // A keyed loader merge: ids 5 and 1101 exist and take their NULL cells
+  // from the patch; id 5000 is new.
+  Database src("golden_src");
+  TableSchema patch("patch");
+  EXPECT_TRUE(patch.AddColumn({"id", DataType::kInt64, false}).ok());
+  EXPECT_TRUE(patch.AddColumn({"name", DataType::kString, true}).ok());
+  EXPECT_TRUE(patch.AddColumn({"extra", DataType::kDouble, true}).ok());
+  Table* patch_table = *src.CreateTable(std::move(patch));
+  EXPECT_TRUE(patch_table
+                  ->InsertAll({{Value::Int(5), Value::String("unused"),
+                                Value::Double(1.5)},
+                               {Value::Int(1101), Value::Null(),
+                                Value::Double(-2.75)},
+                               {Value::Int(5000),
+                                Value::String("merged in by a keyed loader"),
+                                Value::Null()}})
+                  .ok());
+  etl::Flow flow("golden_merge");
+  etl::Node scan;
+  scan.id = "scan";
+  scan.type = etl::OpType::kDatastore;
+  scan.params["table"] = "patch";
+  etl::Node load;
+  load.id = "load";
+  load.type = etl::OpType::kLoader;
+  load.params["table"] = "golden";
+  load.params["keys"] = "id";
+  EXPECT_TRUE(flow.AddNode(std::move(scan)).ok());
+  EXPECT_TRUE(flow.AddNode(std::move(load)).ok());
+  EXPECT_TRUE(flow.AddEdge("scan", "load").ok());
+  etl::Executor executor(&src, db.get());
+  EXPECT_TRUE(executor.Run(flow).ok());
+  return db;
+}
+
+TEST_F(GenerationPersistTest, GoldenFingerprintsAndSegmentBytes) {
+  auto db = GoldenDb();
+  const Table* table = *db->GetTable("golden");
+  ASSERT_EQ(table->num_rows(), 1201u);
+  const std::string bytes = storage::persist::SerializeTable(*table);
+  EXPECT_EQ(table->Fingerprint(), 3945288190047187076ull)
+      << table->Fingerprint();
+  EXPECT_EQ(db->Fingerprint(), 4846197473530876815ull) << db->Fingerprint();
+  EXPECT_EQ(bytes.size(), 57047u);
+  EXPECT_EQ(Fnv1a(bytes), 13406027621606433355ull) << Fnv1a(bytes);
+}
+
+// QSEG segments written by the row-store Table (TinyDb(7)'s two tables)
+// read back to the same fingerprints and re-serialize to the same bytes.
+TEST_F(GenerationPersistTest, GoldenSegmentsReadBack) {
+  struct Golden {
+    const char* table;
+    const char* hex;
+    uint64_t fingerprint;
+  };
+  const Golden goldens[] = {
+      {"dim",
+       "5153454701000000fdcc552072000000000000000300000064696d0400000002"
+       "00000069640100050000006c6162656c03010500000073696e63650401060000"
+       "0061637469766500010100000002000000696400000000020000000000000002"
+       "01000000000000000405000000616c7068610589400000010102020000000000"
+       "000000000100",
+       6813494343863654593ull},
+      {"fact",
+       "5153454701000000a84eebc78600000000000000040000006661637403000000"
+       "0300000066696401000300000064696401000100000076020101000000030000"
+       "006669640100000001000000030000006469640300000064696d010000000200"
+       "000069640200000000000000020a000000000000000201000000000000000300"
+       "00000000001c40020b0000000000000002020000000000000000",
+       4335476855312468970ull},
+  };
+  auto db = TinyDb(7);
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(golden.table);
+    const std::string bytes = FromHex(golden.hex);
+    EXPECT_EQ(ToHex(storage::persist::SerializeTable(
+                  **db->GetTable(golden.table))),
+              golden.hex);
+    auto restored = storage::persist::DeserializeTable(bytes);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ((*restored)->Fingerprint(), golden.fingerprint)
+        << (*restored)->Fingerprint();
+    EXPECT_EQ(storage::persist::SerializeTable(**restored), bytes);
+  }
 }
 
 TEST_F(GenerationPersistTest, SegmentCorruptionReadsAsParseError) {
