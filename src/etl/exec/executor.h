@@ -163,10 +163,11 @@ std::vector<obs::ProfileNode> BuildProfileTrees(const Flow& flow,
 ///
 /// Operators are evaluated in topological order, materializing one
 /// Relation per node. Loader semantics: the target table is created on
-/// first use (column types inferred from the data) unless it already
-/// exists; target columns the dataset lacks load as NULL; when the Loader
-/// declares `keys`, a row whose key already exists *merges* — its non-NULL
-/// values fill the existing row's NULL cells. This makes dimension and fact loads
+/// first use (column types inferred from the data, a column mixing INT and
+/// DOUBLE as DOUBLE) unless it already exists; target columns the dataset
+/// lacks load as NULL; when the Loader declares `keys`, a row whose key,
+/// as the target stores it, already exists *merges* — its non-NULL values
+/// fill the existing row's NULL cells. This makes dimension and fact loads
 /// idempotent and lets several partial loaders of one integrated flow
 /// converge on the same table (e.g. two requirements contributing different
 /// measures of a merged fact).

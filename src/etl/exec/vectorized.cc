@@ -122,17 +122,32 @@ class ChunkGate {
   int counted_ = 0;
 };
 
-/// First non-NULL value's type across the chunks' live rows, in row order.
+/// The type a loader gives a new column: the first non-NULL live value's
+/// type, in row order, except that a column mixing INT and DOUBLE values
+/// widens to DOUBLE, so every value loads.
 Result<DataType> InferColumnType(const std::vector<Chunk>& chunks,
                                  size_t column) {
+  bool any = false;
+  bool ints = false;
+  bool doubles = false;
+  DataType first = DataType::kString;  // All-NULL column: arbitrary, stable.
   for (const Chunk& chunk : chunks) {
     const ValueSegment& seg = chunk.segment(column);
+    const bool typed = seg.rep() != ValueSegment::Rep::kMixed;
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
-      Value v = seg.At(chunk.PhysicalRow(i));
-      if (!v.is_null()) return v.type();
+      const uint32_t phys = chunk.PhysicalRow(i);
+      if (seg.IsNull(phys)) continue;
+      const Value v = seg.At(phys);
+      QUARRY_ASSIGN_OR_RETURN(DataType type, v.type());
+      if (!any) first = type;
+      any = true;
+      ints = ints || type == DataType::kInt64;
+      doubles = doubles || type == DataType::kDouble;
+      // A typed segment holds one type: its first live value tells all.
+      if (typed) break;
     }
   }
-  return DataType::kString;  // All-NULL column: arbitrary but stable.
+  return ints && doubles ? DataType::kDouble : first;
 }
 
 /// Appends `in`'s chunks to `out` unchanged: they share the immutable
@@ -176,10 +191,10 @@ Result<Relation> ScanKernel(const Node& node, const storage::Database& source,
   for (const storage::Column& c : table->schema().columns()) {
     out.columns.push_back(c.name);
   }
-  // The scan's work is the snapshot ScanChunks takes before this loop, so
-  // polling the context per chunk here could only discard a finished scan
-  // without cutting any latency; the next node's pre-check sees a
-  // cancellation just as soon.
+  // At the default chunk size the scan shares the table's stored chunks
+  // (storage/table.h); polling the context per chunk here could only
+  // discard a finished scan without cutting any latency, and the next
+  // node's pre-check sees a cancellation just as soon.
   for (Chunk& chunk : table->ScanChunks(chunk_size)) {
     QUARRY_RETURN_NOT_OK(gate->Count(chunk));
     QUARRY_RETURN_NOT_OK(gate->Charge(chunk.num_rows(), out.columns.size()));
@@ -523,66 +538,28 @@ Status LoaderKernel(const Node& node, const Relation& data,
                             ? -1
                             : static_cast<int>(it - data.columns.begin()));
   }
-  std::vector<size_t> key_positions;
+  std::vector<size_t> key_columns;  // Target columns of the merge keys.
   if (!keys.empty()) {
-    QUARRY_ASSIGN_OR_RETURN(key_positions,
-                            ColumnPositions(data.columns, keys, node.id));
-  }
-  // Merge semantics: key id -> row index in the target table. The first
-  // existing row with a key wins; loaded rows add their keys as they land.
-  const bool keyed = !key_positions.empty();
-  KeyIndex key_ids;
-  std::vector<size_t> key_rows;
-  RowKey key;
-  if (keyed) {
-    std::vector<size_t> tk;
+    QUARRY_RETURN_NOT_OK(
+        ColumnPositions(data.columns, keys, node.id).status());
     for (const std::string& k : keys) {
-      tk.push_back(*table->schema().ColumnIndex(k));
-    }
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      key.Set(table->rows()[r], tk);
-      if (key_ids.Insert(key.bytes()).second) key_rows.push_back(r);
+      key_columns.push_back(*table->schema().ColumnIndex(k));
     }
   }
+  // The writer decides insert or merge with one key intern per row and
+  // appends typed columns (storage::TableWriter).
+  storage::TableWriter writer(table, std::move(positions),
+                              std::move(key_columns));
+  Status status = Status::OK();
   for (const Chunk& chunk : data.chunks) {
-    QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
-    for (size_t i = 0; i < chunk.num_rows(); ++i) {
-      const uint32_t phys = chunk.PhysicalRow(i);
-      if (keyed) {
-        key.Set(chunk, key_positions, phys);
-        const uint32_t id = key_ids.Find(key.bytes());
-        if (id != KeyIndex::kNotFound) {
-          // Merge: fill NULL cells the input can provide.
-          const size_t target_row = key_rows[id];
-          for (size_t c = 0; c < positions.size(); ++c) {
-            if (positions[c] < 0) continue;
-            const ValueSegment& incoming =
-                chunk.segment(static_cast<size_t>(positions[c]));
-            if (incoming.IsNull(phys)) continue;
-            if (!table->rows()[target_row][c].is_null()) continue;
-            QUARRY_RETURN_NOT_OK(
-                table->SetCell(target_row, c, incoming.At(phys)));
-          }
-          continue;
-        }
-      }
-      // The row, built once in target column order.
-      Row out;
-      out.reserve(positions.size());
-      for (int p : positions) {
-        out.push_back(p < 0 ? Value::Null()
-                            : chunk.segment(static_cast<size_t>(p)).At(phys));
-      }
-      QUARRY_RETURN_NOT_OK(table->Insert(std::move(out)));
-      if (keyed) {
-        key_ids.Insert(key.bytes());
-        key_rows.push_back(table->num_rows() - 1);
-      }
-      ++*written;
-    }
+    status = gate->Enter(chunk);
+    if (status.ok()) status = writer.Append(chunk, written);
     // Loaders are sinks: they charge the rows they consumed.
-    QUARRY_RETURN_NOT_OK(gate->ChargeRows(chunk.num_rows()));
+    if (status.ok()) status = gate->ChargeRows(chunk.num_rows());
+    if (!status.ok()) break;
   }
+  writer.Finish();
+  QUARRY_RETURN_NOT_OK(status);
   // Mid-write fault site: fires after the rows above landed in the target,
   // leaving exactly the half-written state the loader snapshot in
   // ExecuteNode must roll back before a retry.

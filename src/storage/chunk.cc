@@ -9,7 +9,7 @@ namespace quarry::storage {
 namespace {
 
 /// Rep for one value; never called on NULL.
-ValueSegment::Rep RepOf(const Value& v) {
+ValueSegment::Rep ValueRep(const Value& v) {
   if (v.is_bool()) return ValueSegment::Rep::kBool;
   if (v.is_int()) return ValueSegment::Rep::kInt64;
   if (v.is_double()) return ValueSegment::Rep::kDouble;
@@ -29,7 +29,7 @@ ValueSegment ValueSegment::FromValues(std::vector<Value> values) {
   Rep rep = Rep::kInt64;  // All-NULL default; the mask hides it anyway.
   for (const Value& v : values) {
     if (v.is_null()) continue;
-    Rep r = RepOf(v);
+    Rep r = ValueRep(v);
     if (!any_value) {
       rep = r;
       any_value = true;
@@ -157,6 +157,194 @@ Value ValueSegment::At(size_t i) const {
       break;  // Handled above.
   }
   return Value::Null();
+}
+
+size_t ValueSegment::MemoryBytes() const {
+  static const size_t kInline = std::string().capacity();
+  size_t bytes = nulls_.capacity() + bools_.capacity() +
+                 ints_.capacity() * sizeof(int64_t) +
+                 doubles_.capacity() * sizeof(double) +
+                 strings_.capacity() * sizeof(std::string) +
+                 dates_.capacity() * sizeof(int32_t) +
+                 values_.capacity() * sizeof(Value);
+  for (const std::string& s : strings_) {
+    if (s.capacity() > kInline) bytes += s.capacity() + 1;
+  }
+  for (const Value& v : values_) {
+    if (v.is_string() && v.as_string().capacity() > kInline) {
+      bytes += v.as_string().capacity() + 1;
+    }
+  }
+  return bytes;
+}
+
+ValueSegment::Rep RepOf(DataType type) {
+  switch (type) {
+    case DataType::kBool:
+      return ValueSegment::Rep::kBool;
+    case DataType::kInt64:
+      return ValueSegment::Rep::kInt64;
+    case DataType::kDouble:
+      return ValueSegment::Rep::kDouble;
+    case DataType::kString:
+      return ValueSegment::Rep::kString;
+    case DataType::kDate:
+      return ValueSegment::Rep::kDate;
+  }
+  return ValueSegment::Rep::kInt64;
+}
+
+namespace {
+
+/// The payload slot type `T` holds for non-NULL `value`.
+template <typename T>
+T PayloadOf(const Value& value) {
+  if constexpr (std::is_same_v<T, uint8_t>) {
+    return value.as_bool() ? 1 : 0;
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    return value.as_int();
+  } else if constexpr (std::is_same_v<T, double>) {
+    return value.as_double();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return value.as_string();
+  } else {
+    return value.as_date_days();
+  }
+}
+
+/// `source`'s payload vector of element type `T`.
+template <typename T>
+const std::vector<T>& PayloadVector(const ValueSegment& source) {
+  if constexpr (std::is_same_v<T, uint8_t>) {
+    return source.bools();
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    return source.ints();
+  } else if constexpr (std::is_same_v<T, double>) {
+    return source.doubles();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return source.strings();
+  } else {
+    return source.dates();
+  }
+}
+
+/// Calls fn(payload) with `source`'s payload vector when its element type
+/// is `T`, or with its ints when `T` is double and `source` is kInt64: the
+/// two representations a builder of element type `T` reads from.
+template <typename T, typename Fn>
+void WithSourcePayload(const ValueSegment& source, Fn fn) {
+  if constexpr (std::is_same_v<T, double>) {
+    if (source.rep() == ValueSegment::Rep::kInt64) {
+      fn(source.ints());
+      return;
+    }
+  }
+  fn(PayloadVector<T>(source));
+}
+
+template <typename V>
+using ElementOf = typename std::decay_t<V>::value_type;
+
+}  // namespace
+
+template <typename Fn>
+void ColumnBuilder::VisitPayload(Fn fn) {
+  using Rep = ValueSegment::Rep;
+  switch (seg_.rep_) {
+    case Rep::kBool:
+      fn(seg_.bools_);
+      break;
+    case Rep::kInt64:
+      fn(seg_.ints_);
+      break;
+    case Rep::kDouble:
+      fn(seg_.doubles_);
+      break;
+    case Rep::kString:
+      fn(seg_.strings_);
+      break;
+    case Rep::kDate:
+      fn(seg_.dates_);
+      break;
+    case Rep::kMixed:
+      break;  // Never a builder's representation.
+  }
+}
+
+ColumnBuilder::ColumnBuilder(DataType type) { seg_.rep_ = RepOf(type); }
+
+ColumnBuilder::ColumnBuilder(const ValueSegment& segment) : seg_(segment) {}
+
+void ColumnBuilder::MarkNull(size_t i, bool null) {
+  if (seg_.nulls_.empty()) {
+    if (!null) return;
+    seg_.nulls_.assign(seg_.size_, 0);
+  }
+  seg_.nulls_[i] = null ? 1 : 0;
+}
+
+void ColumnBuilder::AppendNull() {
+  VisitPayload([](auto& payload) { payload.emplace_back(); });
+  if (seg_.nulls_.empty()) seg_.nulls_.assign(seg_.size_, 0);
+  seg_.nulls_.push_back(1);
+  ++seg_.size_;
+}
+
+void ColumnBuilder::Append(const Value& value) {
+  VisitPayload([&value](auto& payload) {
+    payload.push_back(PayloadOf<ElementOf<decltype(payload)>>(value));
+  });
+  if (!seg_.nulls_.empty()) seg_.nulls_.push_back(0);
+  ++seg_.size_;
+}
+
+void ColumnBuilder::AppendRows(const ValueSegment& source,
+                               const uint32_t* rows, size_t n) {
+  VisitPayload([&](auto& payload) {
+    using T = ElementOf<decltype(payload)>;
+    WithSourcePayload<T>(source, [&](const auto& from) {
+      for (size_t i = 0; i < n; ++i) {
+        payload.push_back(static_cast<T>(from[rows[i]]));
+      }
+    });
+  });
+  const size_t first = seg_.size_;
+  seg_.size_ += n;
+  if (!seg_.nulls_.empty()) seg_.nulls_.resize(seg_.size_, 0);
+  if (source.has_nulls()) {
+    for (size_t i = 0; i < n; ++i) {
+      if (source.nulls()[rows[i]] != 0) MarkNull(first + i, true);
+    }
+  }
+}
+
+void ColumnBuilder::Set(size_t i, const Value& value) {
+  if (value.is_null()) {
+    MarkNull(i, true);
+    return;
+  }
+  VisitPayload([&](auto& payload) {
+    payload[i] = PayloadOf<ElementOf<decltype(payload)>>(value);
+  });
+  MarkNull(i, false);
+}
+
+void ColumnBuilder::SetFrom(size_t i, const ValueSegment& source,
+                            size_t row) {
+  VisitPayload([&](auto& payload) {
+    using T = ElementOf<decltype(payload)>;
+    WithSourcePayload<T>(source, [&](const auto& from) {
+      payload[i] = static_cast<T>(from[row]);
+    });
+  });
+  MarkNull(i, false);
+}
+
+ValueSegment ColumnBuilder::Finish() {
+  ValueSegment out = std::move(seg_);
+  seg_ = ValueSegment();
+  seg_.rep_ = out.rep_;
+  return out;
 }
 
 namespace {

@@ -11,6 +11,7 @@
 namespace quarry::storage {
 
 struct ChunkRow;
+class ColumnBuilder;
 
 /// \brief A typed, immutable column slice: the unit of chunk execution
 /// (DESIGN.md §8).
@@ -69,7 +70,13 @@ class ValueSegment {
   /// Rep::kMixed payload.
   const std::vector<Value>& values() const { return values_; }
 
+  /// Bytes the segment holds: payload and null-mask capacity, plus the
+  /// heap blocks of strings too long for their inline buffer (and, for
+  /// kMixed, of every Value's string).
+  size_t MemoryBytes() const;
+
  private:
+  friend class ColumnBuilder;
   friend ValueSegment GatherColumn(const std::vector<ChunkRow>& rows,
                                    size_t column);
 
@@ -143,6 +150,51 @@ class Chunk {
   std::vector<SegmentPtr> segments_;
   SelectionPtr selection_;
 };
+
+/// \brief One column under construction, in the representation of a
+/// declared type (never kMixed): a Table's pending rows, or the private
+/// copy of a stored segment that a loader merge fills (storage/table.h).
+/// It is mutable, so only its owner ever sees it; readers get an immutable
+/// ValueSegment from Finish() or a copy of segment().
+class ColumnBuilder {
+ public:
+  /// An empty column of `type`.
+  explicit ColumnBuilder(DataType type);
+  /// A copy of `segment`, which holds a declared type's representation
+  /// (a segment a ColumnBuilder finished, as every stored one is).
+  explicit ColumnBuilder(const ValueSegment& segment);
+
+  /// The rows so far, read like any segment.
+  const ValueSegment& segment() const { return seg_; }
+
+  void AppendNull();
+  /// Appends a non-NULL value of the column's type.
+  void Append(const Value& value);
+  /// Appends `source`'s physical rows rows[0..n), in order. `source` holds
+  /// the column's own representation, or kInt64 when the column is DOUBLE
+  /// (each int widens to the double it rounds to).
+  void AppendRows(const ValueSegment& source, const uint32_t* rows,
+                  size_t n);
+  /// Overwrites row `i` with NULL or a value of the column's type.
+  void Set(size_t i, const Value& value);
+  /// Overwrites row `i` with `source`'s non-NULL physical row `row`, under
+  /// AppendRows' representation rule.
+  void SetFrom(size_t i, const ValueSegment& source, size_t row);
+
+  /// The column as an immutable segment; the builder is left empty.
+  ValueSegment Finish();
+
+ private:
+  void MarkNull(size_t i, bool null);
+  /// Calls fn(payload) with the typed payload vector of this column.
+  template <typename Fn>
+  void VisitPayload(Fn fn);
+
+  ValueSegment seg_;
+};
+
+/// The segment representation of a declared column type.
+ValueSegment::Rep RepOf(DataType type);
 
 /// A live row of some chunk, by physical index; a null `chunk` stands for
 /// a row of NULLs (a left-join miss).

@@ -79,12 +79,15 @@ std::string TableToCsv(const Table& table, char sep) {
     AppendField(columns[i].name, sep, &out);
   }
   out.push_back('\n');
-  for (const Row& row : table.rows()) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out.push_back(sep);
-      if (!row[i].is_null()) AppendField(row[i].ToString(), sep, &out);
+  for (const Chunk& chunk : table.ScanChunks(Table::kChunkRows)) {
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      for (size_t i = 0; i < chunk.num_columns(); ++i) {
+        if (i > 0) out.push_back(sep);
+        const Value cell = chunk.ValueAt(i, r);
+        if (!cell.is_null()) AppendField(cell.ToString(), sep, &out);
+      }
+      out.push_back('\n');
     }
-    out.push_back('\n');
   }
   return out;
 }

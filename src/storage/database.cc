@@ -78,6 +78,15 @@ void Database::RestoreTable(std::unique_ptr<Table> table) {
   tables_[std::move(name)] = std::move(table);
 }
 
+size_t Database::MemoryBytes(
+    std::unordered_set<const ValueSegment*>* counted) const {
+  size_t bytes = 0;
+  for (const auto& [name, table] : tables_) {
+    bytes += table->MemoryBytes(counted);
+  }
+  return bytes;
+}
+
 uint64_t Database::Fingerprint() const {
   uint64_t h = std::hash<std::string>{}(name_);
   for (const auto& [name, table] : tables_) {
@@ -102,23 +111,29 @@ Status Database::CheckReferentialIntegrity() const {
       }
       KeyIndex ref_keys;
       RowKey key;
-      for (const Row& row : ref.rows()) {
-        key.Set(row, ref_positions);
-        ref_keys.Insert(key.bytes());
+      for (const Chunk& chunk : ref.ScanChunks(Table::kChunkRows)) {
+        for (uint32_t r = 0; r < chunk.num_rows(); ++r) {
+          key.Set(chunk, ref_positions, r);
+          ref_keys.Insert(key.bytes());
+        }
       }
       std::vector<size_t> positions;
       for (const std::string& c : fk.columns) {
         positions.push_back(*table->schema().ColumnIndex(c));
       }
-      for (const Row& row : table->rows()) {
-        key.Set(row, positions);
-        if (key.has_null()) continue;  // SQL: NULL FKs are not checked.
-        if (ref_keys.Find(key.bytes()) == KeyIndex::kNotFound) {
-          std::string key_text;
-          for (size_t p : positions) key_text += row[p].ToString() + ",";
-          return Status::ValidationError(
-              "dangling foreign key (" + key_text + ") from '" + name +
-              "' to '" + fk.referenced_table + "'");
+      for (const Chunk& chunk : table->ScanChunks(Table::kChunkRows)) {
+        for (uint32_t r = 0; r < chunk.num_rows(); ++r) {
+          key.Set(chunk, positions, r);
+          if (key.has_null()) continue;  // SQL: NULL FKs are not checked.
+          if (ref_keys.Find(key.bytes()) == KeyIndex::kNotFound) {
+            std::string key_text;
+            for (size_t p : positions) {
+              key_text += chunk.segment(p).At(r).ToString() + ",";
+            }
+            return Status::ValidationError(
+                "dangling foreign key (" + key_text + ") from '" + name +
+                "' to '" + fk.referenced_table + "'");
+          }
         }
       }
     }

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -50,8 +51,10 @@ class Database {
 
   // -- recovery support (see docs/ROBUSTNESS.md) ----------------------------
 
-  /// Deep copy of the whole catalog (schemas, rows, indexes). A refresh
-  /// builds the next warehouse generation on a clone of the current one.
+  /// Copy of the whole catalog: every table's Clone, which shares its
+  /// sealed chunks and copies its pending rows and key structures. A
+  /// refresh builds the next warehouse generation on a clone of the
+  /// current one.
   std::unique_ptr<Database> Clone() const;
 
   /// Replaces (or inserts) one table wholesale, bypassing FK admission
@@ -62,6 +65,11 @@ class Database {
   /// for recovery paths undoing a partially-applied mutation (a regular
   /// DropTable could itself draw an injected fault mid-rollback).
   void EraseTable(const std::string& name) { tables_.erase(name); }
+
+  /// Bytes every table holds in memory (Table::MemoryBytes, same
+  /// `counted` rule).
+  size_t MemoryBytes(
+      std::unordered_set<const ValueSegment*>* counted = nullptr) const;
 
   /// Deterministic content hash over every table's schema and rows. Equal
   /// state yields equal fingerprints, so rollback tests can assert the

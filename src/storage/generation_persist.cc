@@ -217,28 +217,44 @@ std::string SerializeTablePayload(const Table& table) {
     for (const std::string& c : fk.referenced_columns) AppendString(&out, c);
   }
   AppendU64(&out, table.num_rows());
-  for (const Row& row : table.rows()) {
-    for (const Value& value : row) {
-      if (value.is_null()) {
-        AppendU8(&out, kTagNull);
-      } else if (value.is_bool()) {
-        AppendU8(&out, kTagBool);
-        AppendU8(&out, value.as_bool() ? 1 : 0);
-      } else if (value.is_int()) {
-        AppendU8(&out, kTagInt);
-        AppendU64(&out, static_cast<uint64_t>(value.as_int()));
-      } else if (value.is_double()) {
-        AppendU8(&out, kTagDouble);
-        uint64_t bits;
-        double d = value.as_double();
-        std::memcpy(&bits, &d, 8);
-        AppendU64(&out, bits);
-      } else if (value.is_string()) {
-        AppendU8(&out, kTagString);
-        AppendString(&out, value.as_string());
-      } else {
-        AppendU8(&out, kTagDate);
-        AppendU32(&out, static_cast<uint32_t>(value.as_date_days()));
+  // Row-major cells, read straight from the typed segments (a stored
+  // segment is never kMixed).
+  using Rep = ValueSegment::Rep;
+  for (const Chunk& chunk : table.ScanChunks(Table::kChunkRows)) {
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      for (size_t c = 0; c < chunk.num_columns(); ++c) {
+        const ValueSegment& seg = chunk.segment(c);
+        if (seg.IsNull(r)) {
+          AppendU8(&out, kTagNull);
+          continue;
+        }
+        switch (seg.rep()) {
+          case Rep::kBool:
+            AppendU8(&out, kTagBool);
+            AppendU8(&out, seg.bools()[r] != 0 ? 1 : 0);
+            break;
+          case Rep::kInt64:
+            AppendU8(&out, kTagInt);
+            AppendU64(&out, static_cast<uint64_t>(seg.ints()[r]));
+            break;
+          case Rep::kDouble: {
+            AppendU8(&out, kTagDouble);
+            uint64_t bits;
+            std::memcpy(&bits, &seg.doubles()[r], 8);
+            AppendU64(&out, bits);
+            break;
+          }
+          case Rep::kString:
+            AppendU8(&out, kTagString);
+            AppendString(&out, seg.strings()[r]);
+            break;
+          case Rep::kDate:
+            AppendU8(&out, kTagDate);
+            AppendU32(&out, static_cast<uint32_t>(seg.dates()[r]));
+            break;
+          case Rep::kMixed:
+            break;  // Never stored.
+        }
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <unordered_set>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -66,6 +67,10 @@ GenerationStore::GenerationStore(std::string name) : name_(std::move(name)) {
   live_gauge_ = &reg.gauge("quarry_serving_generations_live",
                            "Generations the store currently references");
   pins_gauge_ = &PinsGauge();
+  memory_gauge_ = &reg.gauge(
+      "quarry_serving_generation_memory_bytes",
+      "Bytes the live generations hold in memory (typed payloads, null "
+      "masks, string heap, key structures; a shared segment counts once)");
 }
 
 uint64_t GenerationStore::current_generation() const {
@@ -160,6 +165,23 @@ int GenerationStore::RetireBatch(std::vector<Generation> gens) {
   return released;
 }
 
+void GenerationStore::UpdateMemoryGauge() const {
+  std::vector<std::shared_ptr<const Database>> live;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Generation* gen : {&current_, &previous_}) {
+      if (gen->db != nullptr) live.push_back(gen->db);
+    }
+    for (const Generation& gen : deferred_retire_) {
+      if (gen.db != nullptr) live.push_back(gen.db);
+    }
+  }
+  std::unordered_set<const ValueSegment*> counted;
+  size_t bytes = 0;
+  for (const auto& db : live) bytes += db->MemoryBytes(&counted);
+  memory_gauge_->Set(static_cast<double>(bytes));
+}
+
 void GenerationStore::UpdateGaugesLocked() const {
   int live = (current_.id != 0 ? 1 : 0) + (previous_.id != 0 ? 1 : 0) +
              static_cast<int>(deferred_retire_.size());
@@ -239,6 +261,7 @@ Result<uint64_t> GenerationStore::Publish(std::unique_ptr<Database> next,
     std::lock_guard<std::mutex> lock(mu_);
     UpdateGaugesLocked();
   }
+  UpdateMemoryGauge();
   return id;
 }
 
@@ -266,6 +289,7 @@ int GenerationStore::DrainDeferredRetires() {
     std::lock_guard<std::mutex> lock(mu_);
     UpdateGaugesLocked();
   }
+  UpdateMemoryGauge();
   return drained;
 }
 
@@ -339,6 +363,7 @@ Status GenerationStore::EnableDurability(
     durable_dir_ = dir;
     UpdateGaugesLocked();
   }
+  UpdateMemoryGauge();
   return Status::OK();
 }
 

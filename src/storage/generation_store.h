@@ -138,9 +138,10 @@ class GenerationStore {
   /// generations have been published or the previous one was retired.
   Result<Pin> AcquirePrevious() const;
 
-  /// A scratch database seeded with a deep copy of the current generation
-  /// (or empty when none) — the refresh path: loaders merge the source
-  /// delta into the copy, then Publish() swaps it in.
+  /// A scratch database seeded with a Clone of the current generation (or
+  /// empty when none): it shares the generation's immutable chunks and
+  /// copies the rest (storage/table.h) — the refresh path: loaders merge
+  /// the source delta into the copy, then Publish() swaps it in.
   std::unique_ptr<Database> BeginBuild() const;
 
   /// A fresh, empty scratch database — the full-deploy path.
@@ -198,6 +199,10 @@ class GenerationStore {
   /// Returns how many generations were released.
   int RetireBatch(std::vector<Generation> gens);
   void UpdateGaugesLocked() const;
+  /// Sets the memory gauge to the bytes the live generations hold, a
+  /// segment two of them share counted once. Takes mu_ only to copy the
+  /// generation pointers, so call it with mu_ NOT held.
+  void UpdateMemoryGauge() const;
 
   std::string name_;
   /// Serializes publishers (Publish / DrainDeferredRetires /
@@ -226,6 +231,7 @@ class GenerationStore {
   obs::Counter* retires_deferred_total_;
   obs::Gauge* live_gauge_;
   obs::Gauge* pins_gauge_;
+  obs::Gauge* memory_gauge_;
 };
 
 }  // namespace quarry::storage

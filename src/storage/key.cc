@@ -103,6 +103,15 @@ void RowKey::Add(const ValueSegment& segment, size_t row) {
   }
 }
 
+void RowKey::AddAs(const ValueSegment& segment, size_t row, DataType type) {
+  if (type == DataType::kDouble &&
+      segment.rep() == ValueSegment::Rep::kInt64 && !segment.IsNull(row)) {
+    AddNumber(static_cast<double>(segment.ints()[row]));
+    return;
+  }
+  Add(segment, row);
+}
+
 void RowKey::Set(const Row& row, const std::vector<size_t>& positions) {
   Clear();
   for (size_t p : positions) Add(row[p]);
@@ -148,6 +157,22 @@ std::pair<uint32_t, bool> KeyIndex::Insert(std::string_view key) {
   return {id, true};
 }
 
+void KeyIndex::EraseLast() {
+  const size_t begin = ends_.size() > 1 ? ends_[ends_.size() - 2] : 0;
+  const std::string_view key =
+      std::string_view(bytes_).substr(begin, ends_.back() - begin);
+  // The last key was placed after every other one, so no probe sequence
+  // passes through its slot: emptying it restores the table before it.
+  slots_[Probe(key, HashBytes(key))] = 0;
+  bytes_.resize(begin);
+  ends_.pop_back();
+}
+
+size_t KeyIndex::MemoryBytes() const {
+  return bytes_.capacity() + ends_.capacity() * sizeof(size_t) +
+         slots_.capacity() * sizeof(uint64_t);
+}
+
 void KeyIndex::Grow() {
   std::vector<uint64_t> old = std::move(slots_);
   slot_bits_ = old.empty() ? kMinSlotBits : slot_bits_ + 1;
@@ -182,6 +207,11 @@ void KeyPostings::Append(uint32_t id) {
     next_[tail_[id]] = position;
   }
   tail_[id] = position;
+}
+
+size_t KeyPostings::MemoryBytes() const {
+  return (head_.capacity() + tail_.capacity() + next_.capacity()) *
+         sizeof(uint32_t);
 }
 
 void KeyPostings::Clear() {

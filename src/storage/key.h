@@ -44,6 +44,10 @@ class RowKey {
   void Add(const Value& value);
   /// Adds physical row `row` of `segment`.
   void Add(const ValueSegment& segment, size_t row);
+  /// Adds physical row `row` of a typed `segment` as a column of `type`
+  /// stores it: an INT bound for a DOUBLE column keys as the double it
+  /// becomes.
+  void AddAs(const ValueSegment& segment, size_t row, DataType type);
 
   /// Sets the key to `row`'s columns at `positions`.
   void Set(const Row& row, const std::vector<size_t>& positions);
@@ -84,7 +88,13 @@ class KeyIndex {
   /// The key's id and whether it was new; a new key gets id size().
   std::pair<uint32_t, bool> Insert(std::string_view key);
 
+  /// Removes the key with the highest id, the one inserted last.
+  void EraseLast();
+
   void Clear();
+
+  /// Bytes held by the key bytes, their offsets and the slot table.
+  size_t MemoryBytes() const;
 
  private:
   /// Slot of `key`: the one holding it, or the empty one it would take.
@@ -114,6 +124,8 @@ class KeyPostings {
   }
 
   void Clear();
+
+  size_t MemoryBytes() const;
 
  private:
   static constexpr uint32_t kEnd = std::numeric_limits<uint32_t>::max();

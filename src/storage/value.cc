@@ -110,25 +110,33 @@ int Value::Compare(const Value& other) const {
   }
 }
 
+size_t Value::HashInt(int64_t i) {
+  // Hash ints through double so that 1 and 1.0 land in the same bucket.
+  // Only an int the double holds exactly takes that path: the range check
+  // comes first because converting 2^63 (what INT64_MAX and its
+  // neighbours round to) back to int64_t is undefined.
+  const double d = static_cast<double>(i);
+  if (d < 0x1p63 && static_cast<int64_t>(d) == i) return HashDouble(d);
+  return std::hash<int64_t>{}(i);
+}
+
+size_t Value::HashDouble(double d) { return std::hash<double>{}(d); }
+
+size_t Value::HashString(const std::string& s) {
+  return std::hash<std::string>{}(s);
+}
+
+size_t Value::HashDate(int32_t days) {
+  return std::hash<int64_t>{}(days) * 0x100000001B3ull;
+}
+
 size_t Value::Hash() const {
-  std::hash<int64_t> hi;
-  std::hash<double> hd;
-  std::hash<std::string> hs;
-  if (is_null()) return 0x9E3779B9u;
-  if (is_bool()) return as_bool() ? 0x5bd1e995u : 0x27d4eb2fu;
-  if (is_int()) {
-    // Hash ints through double so that 1 and 1.0 land in the same bucket.
-    // Only an int the double holds exactly takes that path: the range
-    // check comes first because converting 2^63 (what INT64_MAX and its
-    // neighbours round to) back to int64_t is undefined.
-    int64_t i = as_int();
-    double d = static_cast<double>(i);
-    if (d < 0x1p63 && static_cast<int64_t>(d) == i) return hd(d);
-    return hi(i);
-  }
-  if (is_double()) return hd(as_double());
-  if (is_string()) return hs(as_string());
-  return hi(as_date_days()) * 0x100000001B3ull;
+  if (is_null()) return HashNull();
+  if (is_bool()) return HashBool(as_bool());
+  if (is_int()) return HashInt(as_int());
+  if (is_double()) return HashDouble(as_double());
+  if (is_string()) return HashString(as_string());
+  return HashDate(as_date_days());
 }
 
 std::string Value::ToString() const {
@@ -193,7 +201,13 @@ Result<Value> Value::CastTo(DataType type) const {
   if (from == type) return *this;
   switch (type) {
     case DataType::kInt64:
-      if (is_double()) return Int(static_cast<int64_t>(as_double()));
+      if (is_double()) {
+        const double d = as_double();
+        // The range check comes first: converting NaN, an infinity or a
+        // double outside int64 to int64_t is undefined.
+        if (d >= -0x1p63 && d < 0x1p63) return Int(static_cast<int64_t>(d));
+        break;
+      }
       if (is_bool()) return Int(as_bool() ? 1 : 0);
       if (is_string()) return Parse(as_string(), DataType::kInt64);
       break;

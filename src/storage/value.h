@@ -88,6 +88,15 @@ class Value {
   /// Table::Fingerprint, so its values must not change.
   size_t Hash() const;
 
+  /// Hash() of a value held as a typed payload, without building it:
+  /// HashInt(i) == Int(i).Hash(), and likewise for the other types.
+  static size_t HashNull() { return 0x9E3779B9u; }
+  static size_t HashBool(bool b) { return b ? 0x5bd1e995u : 0x27d4eb2fu; }
+  static size_t HashInt(int64_t i);
+  static size_t HashDouble(double d);
+  static size_t HashString(const std::string& s);
+  static size_t HashDate(int32_t days);
+
   /// Display form: "NULL", "42", "3.14", "abc", "1995-03-15", "true".
   std::string ToString() const;
 
@@ -96,7 +105,8 @@ class Value {
   static Result<Value> Parse(const std::string& text, DataType type);
 
   /// Coerces this value to `type` (int<->double, string->anything parseable).
-  /// NULL coerces to NULL.
+  /// NULL coerces to NULL. DOUBLE -> INT truncates toward zero, and fails
+  /// with InvalidArgument for NaN, infinities and values outside int64.
   Result<Value> CastTo(DataType type) const;
 
   bool operator==(const Value& other) const { return SameAs(other); }

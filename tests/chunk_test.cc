@@ -274,7 +274,7 @@ TEST(ChunkTest, TableScanChunksMatchesRows) {
   ASSERT_EQ(out.size(), table->rows().size());
   for (size_t r = 0; r < out.size(); ++r) {
     for (size_t c = 0; c < 2; ++c) {
-      ExpectSameValue(out[r][c], table->rows()[r][c]);
+      ExpectSameValue(out[r][c], table->row(r)[c]);
     }
   }
 }

@@ -92,9 +92,11 @@ TEST(TpchDeterminismTest, SameSeedSameData) {
     const Table& ta = **a.GetTable(name);
     const Table& tb = **b.GetTable(name);
     ASSERT_EQ(ta.num_rows(), tb.num_rows()) << name;
+    const std::vector<Row> ra = ta.rows();
+    const std::vector<Row> rb = tb.rows();
     for (size_t i = 0; i < ta.num_rows(); ++i) {
       for (size_t c = 0; c < ta.schema().num_columns(); ++c) {
-        ASSERT_TRUE(ta.rows()[i][c].SameAs(tb.rows()[i][c]))
+        ASSERT_TRUE(ra[i][c].SameAs(rb[i][c]))
             << name << " row " << i << " col " << c;
       }
     }
@@ -110,7 +112,7 @@ TEST(TpchDeterminismTest, DifferentSeedDifferentData) {
   const Table& lb = **b.GetTable("lineitem");
   bool any_diff = la.num_rows() != lb.num_rows();
   for (size_t i = 0; !any_diff && i < la.num_rows(); ++i) {
-    if (!la.rows()[i][5].SameAs(lb.rows()[i][5])) any_diff = true;
+    if (!la.row(i)[5].SameAs(lb.row(i)[5])) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
 }

@@ -157,7 +157,7 @@ TEST(ExecutorTest, AggregationComputesAllFunctions) {
   // Row for product 'a': qty 2 and 1.
   auto pos = t.ScanEquals("product", Value::String("a"));
   ASSERT_EQ(pos.size(), 1u);
-  const Row& a = t.rows()[pos[0]];
+  const Row a = t.row(pos[0]);
   EXPECT_EQ(a[1].as_int(), 3);             // SUM
   EXPECT_DOUBLE_EQ(a[2].as_double(), 10);  // AVG price
   EXPECT_EQ(a[3].as_int(), 2);             // COUNT(*)
@@ -166,7 +166,7 @@ TEST(ExecutorTest, AggregationComputesAllFunctions) {
   // Product 'c' has NULL qty: COUNT(qty)=0, SUM NULL.
   auto cpos = t.ScanEquals("product", Value::String("c"));
   ASSERT_EQ(cpos.size(), 1u);
-  const Row& c = t.rows()[cpos[0]];
+  const Row c = t.row(cpos[0]);
   EXPECT_TRUE(c[1].is_null());
   EXPECT_EQ(c[3].as_int(), 1);  // COUNT(*) counts the row
   EXPECT_EQ(c[6].as_int(), 0);  // COUNT(qty) skips NULL

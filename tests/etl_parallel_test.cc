@@ -493,9 +493,8 @@ void AddKeyTable(storage::Database* db, const std::string& name,
   }
 }
 
-/// `ki` holds INT keys, `kd` the same columns with DOUBLE keys (no value
-/// that the keyed loader's INT column would truncate onto another key),
-/// `kx` doubles at the edges of int64.
+/// `ki` holds INT keys, `kd` the same columns with DOUBLE keys (2.5 is the
+/// only one an INT column cannot hold), `kx` doubles at the edges of int64.
 std::unique_ptr<storage::Database> BuildKeySource() {
   using storage::DataType;
   using storage::Value;
@@ -646,11 +645,15 @@ Flow BuildCrossTypeKeyFlow(const std::vector<std::string>& keys) {
   // A keyed merge into a table that already holds duplicate keys (ki
   // loaded without keys): kd's rows fill the first row with their key.
   // Loaders write in topological order, and the merge sits one node
-  // deeper than the plain load.
+  // deeper than the plain load. kd's 2.5 (id 5) stays out: dups.k is an
+  // INT column, which holds a DOUBLE only when it is an exact int64.
   AddLoad(&flow, ki, "dups");
+  (void)flow.AddNode(
+      MakeNode("sel_dups", OpType::kSelection, {{"predicate", "id <> 5"}}));
+  (void)flow.AddEdge(kd, "sel_dups");
   (void)flow.AddNode(MakeNode("proj_dups", OpType::kProjection,
                               {{"columns", "id,k,s,v"}}));
-  (void)flow.AddEdge(kd, "proj_dups");
+  (void)flow.AddEdge("sel_dups", "proj_dups");
   (void)flow.AddNode(MakeNode("load_dups_merge", OpType::kLoader,
                               {{"table", "dups"}, {"keys", left_keys}}));
   (void)flow.AddEdge("proj_dups", "load_dups_merge");
@@ -749,6 +752,70 @@ TEST(EtlVectorizedTest, MixedSegmentKeysMatchReference) {
   // Groups of total: {3, 3.0, 3}, {4, 4.0}, {NULL, NULL}, {0.0, 0},
   // {2.25}, {5, 5.0}.
   EXPECT_EQ(stats["agg_sums"].rows_out, 6);
+}
+
+TEST(EtlVectorizedTest, MixedIntDoubleColumnLoadsAsDouble) {
+  // A loader that creates a table gives a column whose values mix INT and
+  // DOUBLE the DOUBLE type, so no value is narrowed: a Union of an INT and
+  // a DOUBLE branch, and a SUM whose groups split between the two types
+  // (a kMixed segment that starts with an INT).
+  using storage::DataType;
+  using storage::Value;
+  storage::Database source("mixed_load");
+  storage::TableSchema schema("mx");
+  ASSERT_TRUE(schema.AddColumn({"g", DataType::kString, true}).ok());
+  ASSERT_TRUE(schema.AddColumn({"i", DataType::kInt64, true}).ok());
+  ASSERT_TRUE(schema.AddColumn({"d", DataType::kDouble, true}).ok());
+  storage::Table* table = *source.CreateTable(std::move(schema));
+  const Value null;
+  for (const storage::Row& row : std::vector<storage::Row>{
+           {Value::String("a"), Value::Int(1), null},
+           {Value::String("a"), Value::Int(2), null},
+           {Value::String("b"), null, Value::Double(1.5)},
+           {Value::String("b"), null, Value::Double(1.25)},
+           {Value::String("c"), Value::Int(3), null},
+           {Value::String("c"), null, Value::Double(0.5)},
+           {Value::String("d"), null, null}}) {
+    ASSERT_TRUE(table->Insert(row).ok());
+  }
+  Flow flow("mixed_load");
+  const std::string mx = AddScan(&flow, "mx");
+  for (const char* c : {"i", "d"}) {
+    const std::string fn = std::string("fn_") + c;
+    const std::string proj = std::string("proj_") + c;
+    (void)flow.AddNode(
+        MakeNode(fn, OpType::kFunction, {{"column", "x"}, {"expr", c}}));
+    (void)flow.AddNode(
+        MakeNode(proj, OpType::kProjection, {{"columns", "g,x"}}));
+    (void)flow.AddEdge(mx, fn);
+    (void)flow.AddEdge(fn, proj);
+  }
+  (void)flow.AddNode(MakeNode("union", OpType::kUnion, {}));
+  (void)flow.AddEdge("proj_i", "union");
+  (void)flow.AddEdge("proj_d", "union");
+  AddLoad(&flow, "union", "out_union");
+  (void)flow.AddNode(MakeNode("sums", OpType::kAggregation,
+                              {{"group", "g"}, {"aggs", "SUM(x) AS total"}}));
+  (void)flow.AddEdge("union", "sums");
+  AddLoad(&flow, "sums", "out_sums", "g");
+  ASSERT_TRUE(flow.Validate().ok());
+  ExpectChunkSweepMatchesReference(source, flow, "mixed_load");
+
+  storage::Database target("dw");
+  Executor executor(&source, &target);
+  ASSERT_TRUE(executor.Run(flow).ok());
+  const storage::Table& loaded = **target.GetTable("out_union");
+  EXPECT_EQ(loaded.schema().columns()[1].type, DataType::kDouble);
+  ASSERT_EQ(loaded.num_rows(), 14u);
+  EXPECT_DOUBLE_EQ(loaded.row(7 + 3)[1].as_double(), 1.25);
+  const storage::Table& sums = **target.GetTable("out_sums");
+  EXPECT_EQ(sums.schema().columns()[1].type, DataType::kDouble);
+  const std::vector<storage::Row> rows = sums.rows();
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_DOUBLE_EQ(rows[0][1].as_double(), 3.0);   // a: 1 + 2
+  EXPECT_DOUBLE_EQ(rows[1][1].as_double(), 2.75);  // b: 1.5 + 1.25
+  EXPECT_DOUBLE_EQ(rows[2][1].as_double(), 3.5);   // c: 3 + 0.5
+  EXPECT_TRUE(rows[3][1].is_null());               // d: no values
 }
 
 TEST(EtlVectorizedTest, ZeroColumnIntermediateMatchesReference) {

@@ -210,18 +210,31 @@ inline Result<Dataset> Aggregate(const Node& node, const Dataset& in) {
   return out;
 }
 
-/// First non-NULL value's type in `column`; kString for an all-NULL one.
+/// The type a loader gives a new column: the first non-NULL value's type,
+/// or DOUBLE when the non-NULL values mix INT and DOUBLE; kString for an
+/// all-NULL one.
 inline Result<storage::DataType> ColumnType(const std::vector<Row>& rows,
                                             size_t column) {
+  bool ints = false;
+  bool doubles = false;
+  const Value* first = nullptr;
   for (const Row& row : rows) {
-    if (!row[column].is_null()) return row[column].type();
+    const Value& v = row[column];
+    if (v.is_null()) continue;
+    if (first == nullptr) first = &v;
+    ints = ints || v.is_int();
+    doubles = doubles || v.is_double();
   }
-  return storage::DataType::kString;
+  if (ints && doubles) return storage::DataType::kDouble;
+  if (first == nullptr) return storage::DataType::kString;
+  return first->type();
 }
 
 /// Loader semantics (etl::Executor class comment): create the table on
 /// first use unless there is nothing to infer its types from, add missing
-/// columns, load absent ones as NULL, merge rows on `keys`.
+/// columns, load absent ones as NULL, merge rows on `keys`. Keys compare as
+/// the target stores them: an INT bound for a DOUBLE key column keys as
+/// the double it becomes.
 inline Result<int64_t> Load(const Node& node, const Dataset& data,
                             storage::Database* target) {
   const std::string table_name = kernel::Param(node, "table");
@@ -257,33 +270,45 @@ inline Result<int64_t> Load(const Node& node, const Dataset& data,
                             : static_cast<int>(it - data.columns.begin()));
   }
   std::vector<size_t> key_positions;
+  std::vector<size_t> tk;  // The keys' target columns.
   if (!keys.empty()) {
     QUARRY_ASSIGN_OR_RETURN(
         key_positions, kernel::ColumnPositions(data.columns, keys, node.id));
-  }
-  std::unordered_map<Row, size_t, kernel::RowKeyHash, kernel::RowKeyEq>
-      existing;
-  if (!key_positions.empty()) {
-    std::vector<size_t> tk;
     for (const std::string& k : keys) {
       tk.push_back(*table->schema().ColumnIndex(k));
     }
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      existing.emplace(kernel::ExtractKey(table->rows()[r], tk), r);
+  }
+  // The key of an input row as the target would store it.
+  auto stored_key = [&](const Row& row) {
+    Row key = kernel::ExtractKey(row, key_positions);
+    for (size_t i = 0; i < key.size(); ++i) {
+      if (key[i].is_int() &&
+          table->schema().columns()[tk[i]].type == storage::DataType::kDouble) {
+        key[i] = Value::Double(key[i].as_double());
+      }
+    }
+    return key;
+  };
+  // A mirror of the target's rows, kept current as rows merge and land.
+  std::vector<Row> stored = table->rows();
+  std::unordered_map<Row, size_t, kernel::RowKeyHash, kernel::RowKeyEq>
+      existing;
+  if (!key_positions.empty()) {
+    for (size_t r = 0; r < stored.size(); ++r) {
+      existing.emplace(kernel::ExtractKey(stored[r], tk), r);
     }
   }
   int64_t written = 0;
   for (const Row& row : data.rows) {
-    Row key = kernel::ExtractKey(row, key_positions);
+    Row key = stored_key(row);
     auto it = key_positions.empty() ? existing.end() : existing.find(key);
     if (it != existing.end()) {
       for (size_t c = 0; c < positions.size(); ++c) {
         if (positions[c] < 0) continue;
         const Value& incoming = row[static_cast<size_t>(positions[c])];
-        if (incoming.is_null() || !table->rows()[it->second][c].is_null()) {
-          continue;
-        }
+        if (incoming.is_null() || !stored[it->second][c].is_null()) continue;
         QUARRY_RETURN_NOT_OK(table->SetCell(it->second, c, incoming));
+        stored[it->second][c] = table->row(it->second)[c];
       }
       continue;
     }
@@ -292,6 +317,7 @@ inline Result<int64_t> Load(const Node& node, const Dataset& data,
       out.push_back(p < 0 ? Value::Null() : row[static_cast<size_t>(p)]);
     }
     QUARRY_RETURN_NOT_OK(table->Insert(std::move(out)));
+    stored.push_back(table->row(table->num_rows() - 1));
     if (!key_positions.empty()) {
       existing.emplace(std::move(key), table->num_rows() - 1);
     }

@@ -216,6 +216,52 @@ TEST(KeyIndexTest, DenseIdsInFirstInsertOrder) {
   EXPECT_EQ(copy.Find(KeyOf({Value::Int(7919)})), 1u);
 }
 
+TEST(KeyIndexTest, EraseLastUndoesTheLastInsert) {
+  // The table's state after EraseLast is the state before the insert, at
+  // every size, across growth, and with colliding probe sequences.
+  KeyIndex index;
+  for (int64_t i = 0; i < 3000; ++i) {
+    const std::string key = KeyOf({Value::Int(i)});
+    ASSERT_TRUE(index.Insert(key).second);
+    if (i % 3 == 0) {
+      const std::string extra =
+          KeyOf({Value::String("x" + std::to_string(i))});
+      const uint32_t id = index.Insert(extra).first;
+      ASSERT_EQ(id, index.size() - 1);
+      index.EraseLast();
+      EXPECT_EQ(index.Find(extra), KeyIndex::kNotFound);
+    }
+    EXPECT_EQ(index.size(), static_cast<size_t>(i) + 1);
+  }
+  for (int64_t i = 0; i < 3000; ++i) {
+    EXPECT_EQ(index.Find(KeyOf({Value::Int(i)})), static_cast<uint32_t>(i));
+  }
+  index.EraseLast();
+  EXPECT_EQ(index.Find(KeyOf({Value::Int(2999)})), KeyIndex::kNotFound);
+  EXPECT_EQ(index.Insert(KeyOf({Value::Int(2999)})).first, 2999u);
+}
+
+TEST(RowKeyTest, AddAsKeysAnIntAsTheDoubleItIsStoredAs) {
+  const ValueSegment ints = ValueSegment::FromTyped(
+      std::vector<int64_t>{1, kTwo53 + 1, 0}, std::vector<uint8_t>{0, 0, 1});
+  for (size_t r = 0; r < 3; ++r) {
+    RowKey as_double;
+    as_double.AddAs(ints, r, DataType::kDouble);
+    RowKey as_int;
+    as_int.AddAs(ints, r, DataType::kInt64);
+    const Value v = ints.At(r);
+    const Value stored =
+        v.is_null() ? v : Value::Double(static_cast<double>(v.as_int()));
+    EXPECT_EQ(as_double.bytes(), KeyOf({stored})) << r;
+    EXPECT_EQ(as_int.bytes(), KeyOf({v})) << r;
+  }
+  // Only beyond 2^53 does the stored key differ from the input's.
+  RowKey big;
+  big.AddAs(ints, 1, DataType::kDouble);
+  EXPECT_NE(big.bytes(), KeyOf({Value::Int(kTwo53 + 1)}));
+  EXPECT_EQ(big.bytes(), KeyOf({Value::Int(kTwo53)}));
+}
+
 TEST(KeyPostingsTest, PositionsPerKeyInAppendOrder) {
   KeyPostings postings;
   for (uint32_t id : {0u, 1u, 0u, 2u, 0u}) postings.Append(id);

@@ -574,7 +574,7 @@ TEST_F(DeployLifecycleTest, CancelledMidDeployRollsBack) {
   }
 }
 
-// The acceptance scenario: a deliberately slow flow (TPC-H at 4x the usual
+// The acceptance scenario: a deliberately slow flow (TPC-H at 10x the usual
 // test scale) with a 50ms deadline fails promptly with kDeadlineExceeded,
 // leaves no half-deployed warehouse, and the same run is resumable at the
 // executor level via the existing Checkpoint/Resume.
@@ -584,7 +584,7 @@ class SlowFlowDeadlineTest : public ::testing::Test {
       : onto_(ontology::BuildTpchOntology()),
         mapping_(ontology::BuildTpchMappings()),
         interpreter_(&onto_, &mapping_) {
-    EXPECT_TRUE(datagen::PopulateTpch(&src_, {0.02, 23}).ok());
+    EXPECT_TRUE(datagen::PopulateTpch(&src_, {0.05, 23}).ok());
     auto design = interpreter_.Interpret(RevenueIr());
     EXPECT_TRUE(design.ok()) << design.status();
     design_ = std::move(*design);

@@ -37,7 +37,7 @@ TEST_F(RetailTest, GeneratorIsDeterministic) {
   const storage::Table& sb = **b.GetTable("sale");
   ASSERT_EQ(sa.num_rows(), sb.num_rows());
   for (size_t i = 0; i < sa.num_rows(); ++i) {
-    EXPECT_TRUE(sa.rows()[i][6].SameAs(sb.rows()[i][6]));
+    EXPECT_TRUE(sa.row(i)[6].SameAs(sb.row(i)[6]));
   }
 }
 

@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <unordered_set>
+#include <vector>
 
 #include "common/fault_injection.h"
 #include "core/quarry.h"
@@ -80,6 +82,57 @@ TEST(GenerationStoreTest, PublishRetainsCurrentAndPreviousOnly) {
   EXPECT_EQ(stats.published, 3u);
   EXPECT_EQ(stats.retired, 1u);  // gen 1 fell off the current+previous window
   EXPECT_EQ(stats.live_generations, 2);
+}
+
+TEST(GenerationStoreTest, MemoryGaugeCountsASharedSegmentOnce) {
+  obs::Gauge& gauge = obs::MetricsRegistry::Instance().gauge(
+      "quarry_serving_generation_memory_bytes");
+  GenerationStore store("mem");
+  // Generation 1: four full chunks of (k INT PK, v DOUBLE).
+  auto db = std::make_unique<storage::Database>("mem");
+  storage::TableSchema schema("t");
+  ASSERT_TRUE(schema.AddColumn({"k", storage::DataType::kInt64, false}).ok());
+  ASSERT_TRUE(schema.AddColumn({"v", storage::DataType::kDouble, true}).ok());
+  ASSERT_TRUE(schema.SetPrimaryKey({"k"}).ok());
+  auto rows = [](int64_t first, int64_t n) {
+    std::vector<storage::Row> out;
+    for (int64_t i = first; i < first + n; ++i) {
+      out.push_back({Value::Int(i), Value::Double(0.5 * i)});
+    }
+    return out;
+  };
+  ASSERT_TRUE((*db->CreateTable(std::move(schema)))
+                  ->InsertAll(rows(0, 4 * 1024))
+                  .ok());
+  const size_t first_bytes = db->MemoryBytes();
+  ASSERT_TRUE(store.Publish(std::move(db)).ok());
+  EXPECT_EQ(gauge.value(), static_cast<double>(first_bytes));
+
+  // Generation 2: a refresh-style clone of generation 1 that appends k
+  // rows. It shares the four chunks, so the gauge grows by the new short
+  // chunk plus the clone's own key set, not by a second copy.
+  const int64_t k = 100;
+  std::unique_ptr<storage::Database> next = store.BeginBuild();
+  ASSERT_TRUE((*next->GetTable("t"))->InsertAll(rows(10000, k)).ok());
+  std::unordered_set<const storage::ValueSegment*> counted;
+  {
+    auto pin = store.Acquire();
+    ASSERT_TRUE(pin.ok());
+    pin->db().MemoryBytes(&counted);
+  }
+  const std::unordered_set<const storage::ValueSegment*> first_segments =
+      counted;
+  const size_t added = next->MemoryBytes(&counted);
+  size_t new_segment_bytes = 0;
+  for (const storage::ValueSegment* seg : counted) {
+    if (first_segments.count(seg) == 0) new_segment_bytes += seg->MemoryBytes();
+  }
+  ASSERT_TRUE(store.Publish(std::move(next)).ok());
+  EXPECT_EQ(gauge.value(), static_cast<double>(first_bytes + added));
+  // The new segments hold about k rows (an INT and a DOUBLE each).
+  EXPECT_GE(new_segment_bytes, static_cast<size_t>(k) * 16);
+  EXPECT_LE(new_segment_bytes, static_cast<size_t>(k) * 16 * 2);
+  EXPECT_LT(new_segment_bytes * 10, first_bytes);
 }
 
 TEST(GenerationStoreTest, PinOutlivesRetirementOfItsGeneration) {

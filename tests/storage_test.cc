@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/prng.h"
@@ -74,6 +77,19 @@ TEST(ValueTest, CastBetweenTypes) {
   EXPECT_FALSE(Value::DateYmd(2020, 1, 1).CastTo(DataType::kDouble).ok());
 }
 
+TEST(ValueTest, CastDoubleToIntRejectsWhatInt64CannotHold) {
+  // An explicit cast truncates (above), but NaN, infinities and doubles
+  // outside int64 have no int64 to truncate to: converting them would be
+  // undefined behaviour, so the cast fails instead.
+  for (double d : {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e300, 0x1p63}) {
+    EXPECT_TRUE(Value::Double(d).CastTo(DataType::kInt64).status()
+                    .IsInvalidArgument())
+        << d;
+  }
+  EXPECT_EQ(Value::Double(-0x1p63).CastTo(DataType::kInt64)->as_int(),
+            INT64_MIN);
+}
+
 TableSchema MakePartSchema() {
   TableSchema schema("part");
   EXPECT_TRUE(schema.AddColumn({"p_partkey", DataType::kInt64, false}).ok());
@@ -138,6 +154,33 @@ TEST(TableTest, NumericWideningOnInsert) {
       t.Insert({Value::Int(1), Value::String("a"), Value::Int(5)}).ok());
   EXPECT_TRUE(t.rows()[0][2].is_double());
   EXPECT_DOUBLE_EQ(t.rows()[0][2].as_double(), 5.0);
+}
+
+TEST(TableTest, DoubleNarrowsIntoIntColumnOnlyWhenExact) {
+  TableSchema schema("t");
+  ASSERT_TRUE(schema.AddColumn({"id", DataType::kInt64, false}).ok());
+  ASSERT_TRUE(schema.AddColumn({"qty", DataType::kInt64, true}).ok());
+  Table t(std::move(schema));
+  ASSERT_TRUE(t.Insert({Value::Int(1), Value::Double(3.0)}).ok());
+  EXPECT_TRUE(t.row(0)[1].is_int());
+  EXPECT_EQ(t.row(0)[1].as_int(), 3);
+  ASSERT_TRUE(t.Insert({Value::Int(2), Value::Double(-0x1p63)}).ok());
+  EXPECT_EQ(t.row(1)[1].as_int(), INT64_MIN);
+  // A fraction, or a double beyond int64, would be truncated or undefined.
+  for (double d : {4.9, -0.5, 1e300, 0x1p63, std::nan(""), HUGE_VAL}) {
+    Status status = t.Insert({Value::Int(3), Value::Double(d)});
+    EXPECT_TRUE(status.IsInvalidArgument()) << d;
+    EXPECT_NE(status.message().find("type mismatch in column 'qty'"),
+              std::string::npos)
+        << status;
+  }
+  EXPECT_EQ(t.num_rows(), 2u);
+  // SetCell follows the same rule.
+  ASSERT_TRUE(t.SetCell(0, 1, Value::Double(6.0)).ok());
+  EXPECT_EQ(t.row(0)[1].as_int(), 6);
+  EXPECT_TRUE(t.SetCell(0, 1, Value::Double(4.9)).IsInvalidArgument());
+  EXPECT_TRUE(t.SetCell(0, 1, Value::Double(1e300)).IsInvalidArgument());
+  EXPECT_EQ(t.row(0)[1].as_int(), 6);
 }
 
 TEST(TableTest, IndexLookup) {
@@ -333,6 +376,183 @@ TEST(TableTest, IndexLookupFollowsTheKeyRule) {
             (std::vector<size_t>{2}));
   EXPECT_TRUE(t.IndexLookup({"p_retailprice"}, {Value::Double(1.5)})
                   ->empty());
+}
+
+// --- Columnar layout (storage/table.h) --------------------------------------
+
+/// (id INT PK, v DOUBLE, s STRING) with `rows` rows, loaded by InsertAll.
+Table LayoutTable(int64_t rows) {
+  TableSchema schema("layout");
+  EXPECT_TRUE(schema.AddColumn({"id", DataType::kInt64, false}).ok());
+  EXPECT_TRUE(schema.AddColumn({"v", DataType::kDouble, true}).ok());
+  EXPECT_TRUE(schema.AddColumn({"s", DataType::kString, true}).ok());
+  EXPECT_TRUE(schema.SetPrimaryKey({"id"}).ok());
+  Table t(std::move(schema));
+  std::vector<Row> batch;
+  for (int64_t i = 0; i < rows; ++i) {
+    batch.push_back({Value::Int(i),
+                     i % 3 == 0 ? Value::Null() : Value::Int(i),
+                     Value::String("row " + std::to_string(i))});
+  }
+  EXPECT_TRUE(t.InsertAll(std::move(batch)).ok());
+  return t;
+}
+
+std::vector<const ValueSegment*> SegmentsOf(const std::vector<Chunk>& chunks) {
+  std::vector<const ValueSegment*> out;
+  for (const Chunk& chunk : chunks) {
+    for (const Chunk::SegmentPtr& seg : chunk.segments()) {
+      out.push_back(seg.get());
+    }
+  }
+  return out;
+}
+
+TEST(TableLayoutTest, ScanSharesStoredChunksWhole) {
+  Table t = LayoutTable(2500);
+  const std::vector<Chunk> a = t.ScanChunks(Table::kChunkRows);
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_EQ(a[0].num_rows(), 1024u);
+  EXPECT_EQ(a[2].num_rows(), 452u);
+  for (const Chunk& chunk : a) {
+    EXPECT_FALSE(chunk.has_selection());
+    // Stored in the declared types, never kMixed: the INT 1 in the DOUBLE
+    // column reads back as 1.0.
+    EXPECT_EQ(chunk.segment(0).rep(), ValueSegment::Rep::kInt64);
+    EXPECT_EQ(chunk.segment(1).rep(), ValueSegment::Rep::kDouble);
+    EXPECT_EQ(chunk.segment(2).rep(), ValueSegment::Rep::kString);
+  }
+  EXPECT_TRUE(t.row(1)[1].is_double());
+  // No value is copied: two scans, and a scan of any larger size, hand
+  // out the same segments.
+  EXPECT_EQ(SegmentsOf(a), SegmentsOf(t.ScanChunks(Table::kChunkRows)));
+  EXPECT_EQ(SegmentsOf(a), SegmentsOf(t.ScanChunks(1 << 20)));
+  // Below the stored size the scan copies, cut at multiples of the size.
+  const std::vector<Chunk> small = t.ScanChunks(7);
+  ASSERT_EQ(small.size(), 358u);  // 357 * 7 + 1
+  std::vector<Row> rows;
+  for (const Chunk& chunk : small) {
+    EXPECT_LE(chunk.num_rows(), 7u);
+    chunk.AppendRowsTo(&rows);
+  }
+  ASSERT_EQ(rows.size(), t.num_rows());
+  for (size_t r = 0; r < rows.size(); r += 97) {
+    const Row want = t.row(r);
+    for (size_t c = 0; c < 3; ++c) EXPECT_TRUE(rows[r][c].SameAs(want[c]));
+  }
+}
+
+TEST(TableLayoutTest, SmallAppendsNeverFragment) {
+  Table t = LayoutTable(0);
+  for (int64_t batch = 0; batch < 60; ++batch) {
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < 100; ++i) {
+      rows.push_back({Value::Int(batch * 100 + i), Value::Double(1.5),
+                      Value::Null()});
+    }
+    ASSERT_TRUE(t.InsertAll(std::move(rows)).ok());
+  }
+  const std::vector<Chunk> chunks = t.ScanChunks(Table::kChunkRows);
+  ASSERT_EQ(chunks.size(), 6u);  // 5 * 1024 + 880
+  for (size_t i = 0; i + 1 < chunks.size(); ++i) {
+    EXPECT_EQ(chunks[i].num_rows(), Table::kChunkRows);
+  }
+  EXPECT_EQ(chunks.back().num_rows(), 880u);
+  EXPECT_EQ(t.row(5999)[0].as_int(), 5999);
+}
+
+TEST(TableLayoutTest, CloneSharesSealedChunksAndCopiesTheRest) {
+  Table t = LayoutTable(2048);
+  const uint64_t fp = t.Fingerprint();
+  std::unique_ptr<Table> clone = t.Clone();
+  EXPECT_EQ(SegmentsOf(t.ScanChunks(Table::kChunkRows)),
+            SegmentsOf(clone->ScanChunks(Table::kChunkRows)));
+  EXPECT_EQ(clone->Fingerprint(), fp);
+  // The clone's appends and key set are its own.
+  ASSERT_TRUE(clone
+                  ->Insert({Value::Int(5000), Value::Double(2),
+                            Value::String("new")})
+                  .ok());
+  EXPECT_TRUE(t.Insert({Value::Int(5000), Value::Null(), Value::Null()}).ok());
+  EXPECT_TRUE(clone->Insert({Value::Int(5000), Value::Null(), Value::Null()})
+                  .IsAlreadyExists());
+  EXPECT_EQ(clone->num_rows(), 2049u);
+  // Summed with `counted`, a clone adds only what it does not share: its
+  // pending rows and its copy of the key structures.
+  Table base = LayoutTable(2048);
+  std::unique_ptr<Table> copy = base.Clone();
+  ASSERT_TRUE(copy->Insert({Value::Int(-1), Value::Null(), Value::Null()})
+                  .ok());
+  size_t shared = 0;
+  for (const ValueSegment* seg :
+       SegmentsOf(base.ScanChunks(Table::kChunkRows))) {
+    shared += seg->MemoryBytes();
+  }
+  EXPECT_GT(shared, 2048u * (8 + 8 + 32));
+  std::unordered_set<const ValueSegment*> counted;
+  EXPECT_EQ(base.MemoryBytes(&counted), base.MemoryBytes());
+  EXPECT_EQ(copy->MemoryBytes(&counted), copy->MemoryBytes() - shared);
+}
+
+TEST(TableLayoutTest, ChangesNeverWriteIntoASharedSegment) {
+  Table t = LayoutTable(1500);
+  const std::vector<Chunk> before = t.ScanChunks(Table::kChunkRows);
+  const uint64_t fp = t.Fingerprint();
+  std::unique_ptr<Table> clone = t.Clone();
+  ASSERT_TRUE(t.SetCell(3, 1, Value::Double(-1)).ok());     // sealed chunk
+  ASSERT_TRUE(t.SetCell(1200, 1, Value::Double(-2)).ok());  // short chunk
+  ASSERT_TRUE(t.AddColumn({"extra", DataType::kDate, true}).ok());
+  EXPECT_DOUBLE_EQ(t.row(3)[1].as_double(), -1);
+  EXPECT_DOUBLE_EQ(t.row(1200)[1].as_double(), -2);
+  EXPECT_TRUE(t.row(1499)[3].is_null());
+  // The earlier scan and the clone still see the old cells.
+  EXPECT_TRUE(before[0].ValueAt(1, 3).is_null());
+  EXPECT_TRUE(before[1].ValueAt(1, 1200 - 1024).is_null());
+  EXPECT_EQ(before[0].num_columns(), 3u);
+  EXPECT_EQ(clone->Fingerprint(), fp);
+  EXPECT_NE(t.Fingerprint(), fp);
+  // Only the touched (chunk, column) segments were replaced.
+  const std::vector<Chunk> after = t.ScanChunks(Table::kChunkRows);
+  EXPECT_NE(after[0].segment_ptr(1), before[0].segment_ptr(1));
+  EXPECT_EQ(after[0].segment_ptr(0), before[0].segment_ptr(0));
+  EXPECT_EQ(after[0].segment_ptr(2), before[0].segment_ptr(2));
+}
+
+TEST(TableLayoutTest, WriterMergesCopyOnWriteAndStopsAtTheFailingRow) {
+  Table t = LayoutTable(2000);
+  std::unique_ptr<Table> snapshot = t.Clone();
+  const std::vector<Chunk> before = t.ScanChunks(Table::kChunkRows);
+  // Input (id, v): a merge into row 3 (v NULL), a new row, a row whose v
+  // the DOUBLE column cannot hold, and a row after it.
+  const std::vector<Row> input = {{Value::Int(3), Value::Double(7.5)},
+                                  {Value::Int(5000), Value::Int(1)},
+                                  {Value::Int(6000), Value::String("x")},
+                                  {Value::Int(7000), Value::Double(1)}};
+  const Chunk chunk = MakeChunk(input, 2, 0, input.size());
+  ASSERT_EQ(chunk.segment(1).rep(), ValueSegment::Rep::kMixed);
+  int64_t written = 0;
+  Status status;
+  {
+    TableWriter writer(&t, {0, 1, -1}, {0});
+    status = writer.Append(chunk, &written);
+  }
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("type mismatch in column 'v'"),
+            std::string::npos)
+      << status;
+  // The rows before the failing one landed; the rest did not.
+  EXPECT_EQ(written, 1);
+  ASSERT_EQ(t.num_rows(), 2001u);
+  EXPECT_EQ(t.row(2000)[0].as_int(), 5000);
+  EXPECT_TRUE(t.row(2000)[1].is_double());
+  EXPECT_DOUBLE_EQ(t.row(3)[1].as_double(), 7.5);
+  // The merge wrote into a copy: the clone and the earlier scan keep NULL.
+  EXPECT_TRUE(snapshot->row(3)[1].is_null());
+  EXPECT_TRUE(before[0].ValueAt(1, 3).is_null());
+  // The failing row's key left the primary-key set with it.
+  EXPECT_TRUE(t.Insert({Value::Int(6000), Value::Null(), Value::Null()}).ok());
+  EXPECT_TRUE(t.Insert({Value::Int(5000), Value::Null(), Value::Null()})
+                  .IsAlreadyExists());
 }
 
 TEST(DatabaseTest, CreateGetDrop) {
@@ -587,9 +807,11 @@ TEST_P(CsvRoundtripProperty, RandomTableRoundtrips) {
   Table t2(schema);
   ASSERT_TRUE(LoadCsvInto(&t2, TableToCsv(t)).ok());
   ASSERT_EQ(t2.num_rows(), t.num_rows());
+  const std::vector<Row> rows = t.rows();
+  const std::vector<Row> rows2 = t2.rows();
   for (size_t i = 0; i < t.num_rows(); ++i) {
     for (size_t c = 0; c < 4; ++c) {
-      EXPECT_TRUE(t.rows()[i][c].SameAs(t2.rows()[i][c]))
+      EXPECT_TRUE(rows[i][c].SameAs(rows2[i][c]))
           << "row " << i << " col " << c;
     }
   }

@@ -6,7 +6,8 @@
 # exercised and every injected crash/recovery path is checked for memory
 # errors and undefined behaviour too. Either kind of report fails the
 # entry: ASan aborts on error, and UBSan is built with
-# -fno-sanitize-recover.
+# -fno-sanitize-recover (float-cast-overflow included, which GCC's
+# -fsanitize=undefined leaves out).
 #
 # The crash label covers both durable substrates: the docstore WAL
 # (wal_crash_test, docs/ROBUSTNESS.md §6) and the warehouse generation
@@ -16,11 +17,13 @@
 # the chunk kernels against the reference executor at chunk sizes 1/7/1024/
 # rows+1, where the hash kernels (join, aggregation, surrogate key, loader
 # merge) read keys straight from segment payloads (storage/key.h) and the
-# column evaluator runs random expressions; and etl_test and chunk_test: the
+# column evaluator runs random expressions; etl_test and chunk_test: the
 # expression unit cases (ExprTest, each through the reference row walk and
 # the column evaluator, integer overflow included), SUM's accumulator and
-# the segment constructors. New tests are picked up automatically via the
-# labels.
+# the segment constructors; and storage_test and key_test: Table indexing
+# into its shared and pending chunks, the loader's TableWriter, DOUBLE ->
+# INT coercion and casts, and RowKey/KeyIndex. New tests are picked up
+# automatically via the labels.
 #
 # Each matrix entry (ctest test) runs individually so one failure cannot
 # mask another: the script prints a per-entry pass/fail summary at the end
