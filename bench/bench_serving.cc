@@ -180,7 +180,7 @@ void BM_RollbackServing(benchmark::State& state) {
   injector.Enable(7);
   for (auto _ : state) {
     state.PauseTiming();
-    auto scratch = warehouse.BeginBuild();
+    auto scratch = warehouse.BeginEmptyBuild();
     if (warehouse.Publish(std::move(scratch)).ok()) std::abort();
     state.ResumeTiming();
     // Post-fault recovery: resume serving from the untouched store.
@@ -199,9 +199,6 @@ void BM_RollbackServing(benchmark::State& state) {
   state.counters["warehouse_rows"] = static_cast<double>(rows);
   RecordHostInfo(state);
 }
-// Iterations are pinned: the timed region is microseconds but every
-// iteration pays a paused O(rows) scratch build, so letting the harness
-// calibrate toward min_time would grind for hours on setup alone.
 BENCHMARK(BM_RollbackServing)
     ->Arg(2)
     ->Arg(10)

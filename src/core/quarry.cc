@@ -588,21 +588,15 @@ Result<etl::ExecutionReport> Quarry::RefreshServing(const ExecContext* ctx) {
         if (!TenantId(c).empty()) {
           QUARRY_SPAN_ATTR(span, "tenant", TenantId(c));
         }
-        BuildInFlight build(&serving_builds_in_flight_);
-        // Clone-merge-publish: readers keep serving generation N from their
-        // pins while the loaders merge the source delta into the clone.
-        std::unique_ptr<storage::Database> scratch = warehouse_.BeginBuild();
-        deployer::Deployer dep(source_, scratch.get());
-        QUARRY_ASSIGN_OR_RETURN(
-            etl::ExecutionReport result,
-            dep.Refresh(design_->flow(), {}, c, config_.etl_exec));
-        auto annex = std::make_shared<const md::MdSchema>(design_->schema());
-        const std::string annex_bytes = xml::Write(*annex->ToXml());
-        QUARRY_ASSIGN_OR_RETURN(
-            scope->record().generation,
-            warehouse_.Publish(std::move(scratch), std::move(annex),
-                               annex_bytes));
-        return result;
+        // A refresh is a deploy of the current design over the current
+        // source.
+        deployer::DeployOptions options;
+        options.context = c;
+        QUARRY_ASSIGN_OR_RETURN(deployer::DeploymentOutcome outcome,
+                                DeployServingInternal(std::move(options)));
+        if (outcome.published_generation == 0) return outcome.failure->cause;
+        scope->record().generation = outcome.published_generation;
+        return std::move(outcome.report.etl);
       });
 }
 

@@ -126,7 +126,8 @@ struct RecoveryReport {
 ///   4. RemoveRequirement() / ChangeRequirement() accommodate evolution.
 ///   5. DeployServing() emits SQL + ktr, creates the DW star schema, runs
 ///      the unified ETL to populate it and publishes the result as the next
-///      warehouse generation; RefreshServing() loads source changes.
+///      warehouse generation; RefreshServing() does the same to pick up
+///      source changes.
 class Quarry {
  public:
   /// Validates the mapping against the ontology, snapshots source table
@@ -274,11 +275,17 @@ class Quarry {
   Result<deployer::DeploymentOutcome> DeployServing(
       deployer::DeployOptions options = {}, const ExecContext* ctx = nullptr);
 
-  /// Incrementally refreshes the serving warehouse: clones the current
-  /// generation, runs the refresh ETL against the clone, and publishes it
-  /// as generation N+1. Requires a prior successful DeployServing
-  /// (NotFound otherwise). Queries keep serving generation N throughout.
-  /// Admission-gated on the design lane.
+  /// Refreshes the serving warehouse: rebuilds the current design over the
+  /// current source exactly as DeployServing does (default DeployOptions,
+  /// `ctx` as the context) and publishes it as generation N+1, so a
+  /// refreshed warehouse equals a fresh deploy's and holds no table of a
+  /// removed requirement. Like a deploy it writes the "complete" deployment
+  /// record (in a durable session one metadata WAL append per refresh) and
+  /// takes it back on a publish fault. Returns the ETL report, or the
+  /// failure's cause (its status code kept) when nothing was published.
+  /// Requires a prior successful DeployServing (NotFound otherwise).
+  /// Queries keep serving generation N throughout. Admission-gated on the
+  /// design lane.
   Result<etl::ExecutionReport> RefreshServing(const ExecContext* ctx = nullptr);
 
   /// Runs a cube query against a pinned warehouse generation through the
@@ -337,8 +344,8 @@ class Quarry {
   R Gated(const char* kind, Lane lane, const ExecContext* ctx, Body body,
           const ShedFallback<R>& on_shed = nullptr);
 
-  /// Un-gated body of DeployServing: the caller holds submit_mu_ and has
-  /// passed the design-lane gate.
+  /// Un-gated build-and-publish body of DeployServing and RefreshServing:
+  /// the caller holds submit_mu_ and has passed the design-lane gate.
   Result<deployer::DeploymentOutcome> DeployServingInternal(
       deployer::DeployOptions options);
 

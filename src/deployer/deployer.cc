@@ -353,21 +353,4 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
   return std::move(outcome);
 }
 
-Result<etl::ExecutionReport> Deployer::Refresh(const etl::Flow& flow,
-                                               const etl::RetryPolicy& retry,
-                                               const ExecContext* ctx,
-                                               const etl::ExecOptions& exec) {
-  QUARRY_SPAN("deploy.refresh");
-  QUARRY_RETURN_NOT_OK(CheckContext(ctx, "refresh"));
-  QUARRY_ASSIGN_OR_RETURN(etl::Flow optimized,
-                          OptimizeForExecution(flow, *source_));
-  etl::Executor executor(source_, target_);
-  QUARRY_ASSIGN_OR_RETURN(etl::ExecutionReport report,
-                          executor.Run(optimized, exec, retry, nullptr, ctx));
-  QUARRY_RETURN_NOT_OK(
-      target_->CheckReferentialIntegrity().WithContext("post-refresh "
-                                                       "integrity check"));
-  return report;
-}
-
 }  // namespace quarry::deployer

@@ -21,7 +21,7 @@ struct DeploymentReport {
   std::string ddl;       ///< Generated SQL script (also executed).
   std::string pdi_ktr;   ///< Generated Pentaho-style transformation XML.
   int tables_created = 0;
-  etl::ExecutionReport etl;  ///< Stats of the initial ETL population run.
+  etl::ExecutionReport etl;  ///< Stats of the ETL population run.
   bool referential_integrity_ok = false;
 };
 
@@ -60,7 +60,7 @@ struct DeployOptions {
 /// \brief Structured description of a failed (or degraded) deployment.
 struct DeploymentFailure {
   /// "generate" | "ddl" | "etl" | "integrity" | "metadata", or "publish"
-  /// on the serving path (Quarry::DeployServing).
+  /// on the serving path (Quarry::DeployServing / RefreshServing).
   std::string stage;
   std::string failed_node;  ///< ETL node id (etl stage only).
   std::map<std::string, int64_t> rows_loaded;  ///< Completed loader progress.
@@ -77,17 +77,17 @@ struct DeploymentOutcome {
   bool partial = false;      ///< Best-effort kept some loaded tables.
   DeploymentReport report;   ///< Valid on success; partially filled otherwise.
   std::optional<DeploymentFailure> failure;
-  /// Serving path only (Quarry::DeployServing): the warehouse generation
-  /// this deployment was published as; 0 when nothing was published
-  /// (failure, or a plain into-a-target deployment).
+  /// Serving path only (Quarry::DeployServing / RefreshServing): the
+  /// warehouse generation this deployment was published as; 0 when nothing
+  /// was published (failure, or a plain into-a-target deployment).
   uint64_t published_generation = 0;
 };
 
 /// \brief The Design Deployer (paper §2.4): turns the unified design
-/// solutions into executables for the target platforms and performs the
-/// initial deployment — CREATE TABLE script executed on the embedded
-/// relational engine (the PostgreSQL stand-in) and the unified ETL flow run
-/// on the embedded ETL engine (the Pentaho stand-in) to populate it.
+/// solutions into executables for the target platforms and deploys them —
+/// CREATE TABLE script executed on the embedded relational engine (the
+/// PostgreSQL stand-in) and the unified ETL flow run on the embedded ETL
+/// engine (the Pentaho stand-in) to populate it.
 ///
 /// Deployment is transactional (docs/ROBUSTNESS.md): it builds into an
 /// empty target, and the metadata store is snapshotted up front; any
@@ -111,16 +111,6 @@ class Deployer {
   Result<DeploymentOutcome> DeployTransactional(
       const md::MdSchema& schema, const etl::Flow& flow,
       const ontology::SourceMapping& mapping, const DeployOptions& options);
-
-  /// Incremental refresh of an already-deployed warehouse: re-runs the ETL
-  /// flow without touching the schema. Keyed loaders skip rows already
-  /// present and merge-fill new measure columns, so only source changes
-  /// since the last run land in the target. Verifies integrity afterwards.
-  /// `exec.max_workers > 1` refreshes on the wavefront scheduler.
-  Result<etl::ExecutionReport> Refresh(const etl::Flow& flow,
-                                       const etl::RetryPolicy& retry = {},
-                                       const ExecContext* ctx = nullptr,
-                                       const etl::ExecOptions& exec = {});
 
  private:
   const storage::Database* source_;

@@ -52,9 +52,7 @@ class Database {
   // -- recovery support (see docs/ROBUSTNESS.md) ----------------------------
 
   /// Copy of the whole catalog: every table's Clone, which shares its
-  /// sealed chunks and copies its pending rows and key structures. A
-  /// refresh builds the next warehouse generation on a clone of the
-  /// current one.
+  /// sealed chunks and copies its pending rows and key structures.
   std::unique_ptr<Database> Clone() const;
 
   /// Replaces (or inserts) one table wholesale, bypassing FK admission

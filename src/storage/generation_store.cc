@@ -117,12 +117,6 @@ Result<GenerationStore::Pin> GenerationStore::AcquirePrevious() const {
   return MakePin(previous_);
 }
 
-std::unique_ptr<Database> GenerationStore::BeginBuild() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (current_.id == 0) return std::make_unique<Database>(name_);
-  return current_.db->Clone();
-}
-
 std::unique_ptr<Database> GenerationStore::BeginEmptyBuild() const {
   return std::make_unique<Database>(name_);
 }

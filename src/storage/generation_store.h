@@ -40,11 +40,11 @@ struct GenerationStoreStats {
 /// generation-stamped snapshot scheme (§6.3).
 ///
 /// Every published generation is an immutable `Database` owned by a
-/// shared_ptr. Writers build the *next* generation off to the side (a
-/// scratch database obtained from BeginBuild / BeginEmptyBuild, never
-/// reachable by readers) and atomically publish it on success; a failed
-/// build — lifecycle abort, operator fault, or an injected publish fault —
-/// simply discards the scratch, so rollback is a pointer drop instead of a
+/// shared_ptr. Writers build the *next* generation off to the side (an
+/// empty scratch database obtained from BeginEmptyBuild, never reachable
+/// by readers) and atomically publish it on success; a failed build —
+/// lifecycle abort, operator fault, or an injected publish fault — simply
+/// discards the scratch, so rollback is a pointer drop instead of a
 /// full-database copy-back. Readers Acquire() a Pin: an RAII, refcounted
 /// handle onto one generation that keeps serving that exact snapshot for
 /// the whole query, no matter how many generations publish meanwhile.
@@ -138,13 +138,9 @@ class GenerationStore {
   /// generations have been published or the previous one was retired.
   Result<Pin> AcquirePrevious() const;
 
-  /// A scratch database seeded with a Clone of the current generation (or
-  /// empty when none): it shares the generation's immutable chunks and
-  /// copies the rest (storage/table.h) — the refresh path: loaders merge
-  /// the source delta into the copy, then Publish() swaps it in.
-  std::unique_ptr<Database> BeginBuild() const;
-
-  /// A fresh, empty scratch database — the full-deploy path.
+  /// A fresh, empty scratch database named after the store: every deploy
+  /// and refresh builds the next generation into one, then Publish()
+  /// swaps it in.
   std::unique_ptr<Database> BeginEmptyBuild() const;
 
   /// Atomically publishes `next` as the new current generation and retires

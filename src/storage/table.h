@@ -55,7 +55,7 @@ class Table {
   /// A copy that shares every sealed chunk and copies what can still
   /// change: the pending rows, the primary-key set and the indexes.
   /// Recovery paths snapshot a table before a risky mutation and restore
-  /// it on failure; a refresh builds on a clone of the published tables.
+  /// it on failure.
   std::unique_ptr<Table> Clone() const;
 
   /// Deterministic content hash over schema and rows; equal state yields
@@ -116,7 +116,7 @@ class Table {
   /// Bytes the table holds in memory: typed payloads, null masks, string
   /// heap bytes and key structures. With `counted`, a stored segment
   /// already in it is skipped and every other one is added, so a sum over
-  /// tables that share segments (a refresh's clone) counts each once.
+  /// tables that share segments (a Clone and its source) counts each once.
   size_t MemoryBytes(
       std::unordered_set<const ValueSegment*>* counted = nullptr) const;
 

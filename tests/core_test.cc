@@ -169,6 +169,63 @@ TEST_F(QuarryTest, RefreshPicksUpSourceGrowth) {
   EXPECT_TRUE(dw.CheckReferentialIntegrity().ok());
 }
 
+// The refresh oracle: a refreshed warehouse is byte-identical to what a
+// fresh instance over the same source deploys for the same requirements.
+uint64_t FreshDeployFingerprint(
+    const storage::Database& src,
+    const std::vector<InformationRequirement>& irs) {
+  auto fresh = Quarry::Create(ontology::BuildTpchOntology(),
+                              ontology::BuildTpchMappings(), &src);
+  EXPECT_TRUE(fresh.ok()) << fresh.status();
+  if (!fresh.ok()) return 0;
+  for (const InformationRequirement& ir : irs) {
+    EXPECT_TRUE((*fresh)->AddRequirement(ir).ok()) << ir.id;
+  }
+  auto deployment = (*fresh)->DeployServing();
+  EXPECT_TRUE(deployment.ok() && deployment->success);
+  return (*fresh)->warehouse().Acquire()->db().Fingerprint();
+}
+
+uint64_t ServedFingerprint(const Quarry& quarry) {
+  return quarry.warehouse().Acquire()->db().Fingerprint();
+}
+
+TEST_F(QuarryTest, RefreshAnswersWhatAFreshDeployAnswers) {
+  ASSERT_TRUE(quarry_->AddRequirement(RevenueIr()).ok());
+  ASSERT_TRUE(quarry_->AddRequirement(NetprofitIr()).ok());
+  auto deployment = quarry_->DeployServing();
+  ASSERT_TRUE(deployment.ok() && deployment->success);
+
+  // A second line of lineitem row 0's order: same part, supplier and
+  // measures, so it lands in fact groups that already exist.
+  storage::Table* lineitem = *src_.GetTable("lineitem");
+  storage::Row copy = lineitem->row(0);
+  copy[*lineitem->schema().ColumnIndex("l_linenumber")] =
+      storage::Value::Int(99);
+  ASSERT_TRUE(lineitem->Insert(std::move(copy)).ok());
+
+  auto refresh = quarry_->RefreshServing();
+  ASSERT_TRUE(refresh.ok()) << refresh.status();
+  EXPECT_EQ(quarry_->warehouse().current_generation(), 2u);
+  EXPECT_EQ(ServedFingerprint(*quarry_),
+            FreshDeployFingerprint(src_, {RevenueIr(), NetprofitIr()}));
+}
+
+TEST_F(QuarryTest, RefreshDropsTheTablesOfARemovedRequirement) {
+  ASSERT_TRUE(quarry_->AddRequirement(RevenueIr()).ok());
+  ASSERT_TRUE(quarry_->AddRequirement(NetprofitIr()).ok());
+  auto deployment = quarry_->DeployServing();
+  ASSERT_TRUE(deployment.ok() && deployment->success);
+
+  ASSERT_TRUE(quarry_->RemoveRequirement("ir_netprofit").ok());
+  auto refresh = quarry_->RefreshServing();
+  ASSERT_TRUE(refresh.ok()) << refresh.status();
+  EXPECT_FALSE(quarry_->warehouse().Acquire()->db().HasTable(
+      "fact_table_netprofit"));
+  EXPECT_EQ(ServedFingerprint(*quarry_),
+            FreshDeployFingerprint(src_, {RevenueIr()}));
+}
+
 TEST_F(QuarryTest, ChangeRequirementReplacesDefinition) {
   ASSERT_TRUE(quarry_->AddRequirement(RevenueIr()).ok());
   InformationRequirement changed = RevenueIr();

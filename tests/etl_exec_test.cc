@@ -324,7 +324,7 @@ TEST(ExecutorTest, LoaderWithKeysIsIdempotent) {
 }
 
 TEST(ExecutorTest, DeltaLoadAfterSourceGrowth) {
-  // Incremental refresh: re-running a flow after the source grew loads
+  // Re-running a flow into the same target after the source grew loads
   // only the new rows (keyed loaders skip/merge existing keys).
   auto src = MakeTinySource();
   Database target("dw");

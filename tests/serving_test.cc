@@ -55,8 +55,10 @@ TEST(GenerationStoreTest, EmptyStoreHasNothingToPin) {
   EXPECT_TRUE(store.Acquire().status().IsNotFound());
   EXPECT_TRUE(store.AcquirePrevious().status().IsNotFound());
   EXPECT_TRUE(store.PublishedFingerprint(1).status().IsNotFound());
-  // An empty-store build is a fresh database named after the store.
-  EXPECT_EQ(store.BeginBuild()->num_tables(), 0u);
+  // A build is a fresh database named after the store.
+  std::unique_ptr<storage::Database> scratch = store.BeginEmptyBuild();
+  EXPECT_EQ(scratch->name(), "w");
+  EXPECT_EQ(scratch->num_tables(), 0u);
 }
 
 TEST(GenerationStoreTest, PublishRetainsCurrentAndPreviousOnly) {
@@ -108,18 +110,19 @@ TEST(GenerationStoreTest, MemoryGaugeCountsASharedSegmentOnce) {
   ASSERT_TRUE(store.Publish(std::move(db)).ok());
   EXPECT_EQ(gauge.value(), static_cast<double>(first_bytes));
 
-  // Generation 2: a refresh-style clone of generation 1 that appends k
-  // rows. It shares the four chunks, so the gauge grows by the new short
-  // chunk plus the clone's own key set, not by a second copy.
+  // Generation 2: a clone of generation 1 that appends k rows. It shares
+  // the four chunks, so the gauge grows by the new short chunk plus the
+  // clone's own key set, not by a second copy.
   const int64_t k = 100;
-  std::unique_ptr<storage::Database> next = store.BeginBuild();
-  ASSERT_TRUE((*next->GetTable("t"))->InsertAll(rows(10000, k)).ok());
+  std::unique_ptr<storage::Database> next;
   std::unordered_set<const storage::ValueSegment*> counted;
   {
     auto pin = store.Acquire();
     ASSERT_TRUE(pin.ok());
+    next = pin->db().Clone();
     pin->db().MemoryBytes(&counted);
   }
+  ASSERT_TRUE((*next->GetTable("t"))->InsertAll(rows(10000, k)).ok());
   const std::unordered_set<const storage::ValueSegment*> first_segments =
       counted;
   const size_t added = next->MemoryBytes(&counted);
@@ -152,22 +155,26 @@ TEST(GenerationStoreTest, PinOutlivesRetirementOfItsGeneration) {
   EXPECT_EQ(store.stats().active_pins, 0);
 }
 
-TEST(GenerationStoreTest, BeginBuildClonesWithoutAffectingReaders) {
+TEST(GenerationStoreTest, ScratchWritesStayInvisibleUntilPublish) {
   GenerationStore store("w");
   ASSERT_TRUE(store.Publish(TinyDb(1)).ok());
-  std::unique_ptr<storage::Database> scratch = store.BeginBuild();
-  ASSERT_TRUE(
-      (*scratch->GetTable("t"))->Insert({Value::Int(42)}).ok());
-  // The scratch mutation is invisible until published.
   auto before = store.Acquire();
   ASSERT_TRUE(before.ok());
-  EXPECT_EQ((*before->db().GetTable("t"))->num_rows(), 1u);
+  const uint64_t fp_before = before->db().Fingerprint();
+  std::unique_ptr<storage::Database> scratch = store.BeginEmptyBuild();
+  storage::TableSchema schema("t");
+  ASSERT_TRUE(schema.AddColumn({"k", storage::DataType::kInt64, false}).ok());
+  auto table = scratch->CreateTable(std::move(schema));
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->Insert({Value::Int(42)}).ok());
+  // The scratch writes are invisible until published.
+  EXPECT_EQ(store.current_generation(), 1u);
+  EXPECT_EQ(Marker(store.Acquire()->db()), 1);
   ASSERT_TRUE(store.Publish(std::move(scratch)).ok());
-  auto after = store.Acquire();
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ((*after->db().GetTable("t"))->num_rows(), 2u);
-  // The old pin still reads the old snapshot.
-  EXPECT_EQ((*before->db().GetTable("t"))->num_rows(), 1u);
+  EXPECT_EQ(Marker(store.Acquire()->db()), 42);
+  // The old pin still reads the old snapshot, bit-identical.
+  EXPECT_EQ(Marker(before->db()), 1);
+  EXPECT_EQ(before->db().Fingerprint(), fp_before);
 }
 
 TEST(GenerationStoreTest, PublishFaultIsAnO1Rollback) {

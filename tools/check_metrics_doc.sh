@@ -38,8 +38,12 @@ for family in "${registered[@]}"; do
     status=1
   fi
 done
+# A set lookup, not `printf | grep -q`: under pipefail that pipeline fails
+# whenever grep exits on its match before printf has written every name.
+declare -A is_registered=()
+for family in "${registered[@]}"; do is_registered["${family}"]=1; done
 for family in "${documented[@]}"; do
-  if ! printf '%s\n' "${registered[@]}" | grep -qx "${family}"; then
+  if [[ -z "${is_registered[${family}]:-}" ]]; then
     echo "STALE: ${family} (in ${doc#"${repo_root}"/}, no longer registered in src/)"
     status=1
   fi

@@ -60,7 +60,7 @@ run_step() {
 
 tier1() {
   cmake -B "${build_dir}" -S "${repo_root}" &&
-    cmake --build "${build_dir}" -j &&
+    cmake --build "${build_dir}" -j "$(nproc)" &&
     ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 }
 

@@ -41,7 +41,7 @@ sanitizer="${2:-address}"
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DQUARRY_SANITIZE="${sanitizer}"
-cmake --build "${build_dir}" -j
+cmake --build "${build_dir}" -j "$(nproc)"
 
 # abort_on_error makes an ASan report fail the ctest run instead of only
 # printing; detect_leaks catches WAL fds / buffers dropped on crash paths.

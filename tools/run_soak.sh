@@ -20,7 +20,7 @@ cycles="${3:-${QUARRY_SOAK_CYCLES:-50}}"
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DQUARRY_SANITIZE=address
-cmake --build "${build_dir}" -j
+cmake --build "${build_dir}" -j "$(nproc)"
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}"
 export QUARRY_SOAK_READERS="${readers}"

@@ -18,7 +18,7 @@ build_dir="${1:-${repo_root}/build-tsan}"
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DQUARRY_SANITIZE=thread
-cmake --build "${build_dir}" -j
+cmake --build "${build_dir}" -j "$(nproc)"
 
 # halt_on_error makes a TSan report fail the ctest run instead of only
 # printing a warning and exiting 0.
