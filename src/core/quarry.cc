@@ -123,8 +123,8 @@ class Quarry::RequestScope {
     record_.admission_wait_micros = micros;
   }
 
-  /// The flow a deployment's ETL profile is drawn over. It must stay
-  /// unchanged until Finish runs.
+  /// The flow a deployment's or refresh's ETL profile is drawn over. It
+  /// must stay unchanged until Finish runs.
   void set_profile_flow(const etl::Flow* flow) { profile_flow_ = flow; }
 
   // Describe folds an entry point's result into the record and returns the
@@ -138,10 +138,17 @@ class Quarry::RequestScope {
     return outcome.status();
   }
 
+  /// Rows, slowest operators, and the full ETL profile of a refresh. It
+  /// returns a report only once it published; the body sets the generation.
   Status Describe(const Result<etl::ExecutionReport>& report) {
     if (report.ok()) {
       record_.rows = report->rows_processed;
       record_.slowest_ops = SlowestOpsFromReport(*report);
+      if (profile_flow_ != nullptr) {
+        profile_renderer_ = [this, &report] {
+          return RenderEtlProfile(Status::OK(), record_.generation, *report);
+        };
+      }
     }
     return report.status();
   }
@@ -173,17 +180,7 @@ class Quarry::RequestScope {
     record_.slowest_ops = SlowestOpsFromReport(o.report.etl);
     if (profile_flow_ != nullptr) {
       profile_renderer_ = [this, status, &o] {
-        obs::RequestProfile profile;
-        profile.request_id = record_.id;
-        profile.kind = record_.kind;
-        profile.status =
-            status.ok() ? "ok" : StatusCodeToString(status.code());
-        profile.generation = o.published_generation;
-        profile.rows = o.report.etl.rows_processed;
-        profile.admission_wait_micros = record_.admission_wait_micros;
-        profile.total_micros = o.report.etl.total_millis * 1000.0;
-        profile.roots = etl::BuildProfileTrees(*profile_flow_, o.report.etl);
-        return profile.ToJson();
+        return RenderEtlProfile(status, o.published_generation, o.report.etl);
       };
     }
     return status;
@@ -213,6 +210,22 @@ class Quarry::RequestScope {
   }
 
  private:
+  /// The EXPLAIN ANALYZE JSON of a deployment's or refresh's ETL run over
+  /// the profile flow.
+  std::string RenderEtlProfile(const Status& status, uint64_t generation,
+                               const etl::ExecutionReport& report) const {
+    obs::RequestProfile profile;
+    profile.request_id = record_.id;
+    profile.kind = record_.kind;
+    profile.status = status.ok() ? "ok" : StatusCodeToString(status.code());
+    profile.generation = generation;
+    profile.rows = report.rows_processed;
+    profile.admission_wait_micros = record_.admission_wait_micros;
+    profile.total_micros = report.total_millis * 1000.0;
+    profile.roots = etl::BuildProfileTrees(*profile_flow_, report);
+    return profile.ToJson();
+  }
+
   std::unique_ptr<ExecContext> owned_;
   obs::RequestRecord record_;
   const etl::Flow* profile_flow_ = nullptr;
@@ -577,6 +590,7 @@ Result<etl::ExecutionReport> Quarry::RefreshServing(const ExecContext* ctx) {
       "refresh_serving", Lane::kDesign, ctx,
       [&](const ExecContext* c,
           RequestScope* scope) -> Result<etl::ExecutionReport> {
+        scope->set_profile_flow(&design_->flow());
         if (!warehouse_.has_generation()) {
           return Status::NotFound(
               "no published warehouse generation to refresh — run "

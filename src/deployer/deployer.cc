@@ -287,7 +287,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
                      DeploymentRecord(options, "partial", report,
                                       outcome.failure->kept_tables));
       }
-      return std::move(outcome);
+      return outcome;
     }
     roll_back();
     DeploymentOutcome failed =
@@ -350,7 +350,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
                 "Deployments that committed all five stages")
       .Increment();
   outcome.success = true;
-  return std::move(outcome);
+  return outcome;
 }
 
 }  // namespace quarry::deployer

@@ -6,8 +6,9 @@
 // (tests/etl_reference.h): parameter parsing, column resolution and the
 // aggregation accumulate/finalize logic, so SUM's int/double widening and
 // NULL handling are stated once. Key hashing is not here: the kernels key
-// their hash tables with storage::RowKey (storage/key.h), and the
-// reference keeps its own Row-keyed tables beside it.
+// their hash tables a chunk at a time with storage::ChunkKeys
+// (storage/key.h), and the reference keeps its own Row-keyed tables beside
+// it.
 
 #include <algorithm>
 #include <string>

@@ -29,11 +29,11 @@
 namespace quarry::etl {
 
 using storage::Chunk;
+using storage::ChunkKeys;
 using storage::ChunkRow;
 using storage::DataType;
 using storage::KeyIndex;
 using storage::Row;
-using storage::RowKey;
 using storage::Value;
 using storage::ValueSegment;
 using kernel::AggState;
@@ -259,24 +259,24 @@ Result<Relation> FunctionKernel(const Node& node, const Relation& in,
 
 Result<Relation> SurrogateKeyKernel(const Node& node, const Relation& in,
                                     ChunkGate* gate) {
-  std::vector<std::string> keys = SplitNonEmpty(Param(node, "keys"));
+  std::vector<std::string> key_names = SplitNonEmpty(Param(node, "keys"));
   std::string column = Param(node, "column");
-  if (column.empty() || keys.empty()) {
+  if (column.empty() || key_names.empty()) {
     return Status::ExecutionError("surrogate key '" + node.id +
                                   "' needs column and keys params");
   }
   QUARRY_ASSIGN_OR_RETURN(auto positions,
-                          ColumnPositions(in.columns, keys, node.id));
+                          ColumnPositions(in.columns, key_names, node.id));
   // Dense ids in first-seen key order: the key's KeyIndex id, plus one.
   KeyIndex ids;
-  RowKey key;
+  ChunkKeys keys;
   return AppendColumn(
       in, column, gate, [&](const Chunk& chunk) -> Result<Chunk::SegmentPtr> {
         std::vector<int64_t> values(chunk.capacity());
+        keys.Set(chunk, positions);
         for (size_t i = 0; i < chunk.num_rows(); ++i) {
-          const uint32_t phys = chunk.PhysicalRow(i);
-          key.Set(chunk, positions, phys);
-          values[phys] = int64_t{ids.Insert(key.bytes()).first} + 1;
+          values[chunk.PhysicalRow(i)] =
+              int64_t{ids.Insert(keys.key(i), keys.hash(i)).first} + 1;
         }
         return std::make_shared<const ValueSegment>(
             ValueSegment::FromTyped(std::move(values), {}));
@@ -310,14 +310,13 @@ Result<Relation> JoinKernel(const Node& node, const Relation& left,
   KeyIndex build;
   storage::KeyPostings matches;    // Positions index build_rows.
   std::vector<ChunkRow> build_rows;
-  RowKey key;
+  ChunkKeys keys;
   for (const Chunk& chunk : right.chunks) {
+    keys.Set(chunk, right_pos);
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
-      const uint32_t phys = chunk.PhysicalRow(i);
-      key.Set(chunk, right_pos, phys);
-      if (key.has_null()) continue;
-      matches.Append(build.Insert(key.bytes()).first);
-      build_rows.push_back({&chunk, phys});
+      if (keys.has_null(i)) continue;
+      matches.Append(build.Insert(keys.key(i), keys.hash(i)).first);
+      build_rows.push_back({&chunk, chunk.PhysicalRow(i)});
     }
   }
 
@@ -341,11 +340,14 @@ Result<Relation> JoinKernel(const Node& node, const Relation& left,
     // probe order; a null right row pads a left-join miss with NULLs.
     std::vector<ChunkRow> left_rows;
     std::vector<ChunkRow> right_rows;
+    left_rows.reserve(chunk.num_rows());
+    right_rows.reserve(chunk.num_rows());
+    keys.Set(chunk, left_pos);
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
       const uint32_t phys = chunk.PhysicalRow(i);
-      key.Set(chunk, left_pos, phys);
-      const uint32_t id =
-          key.has_null() ? KeyIndex::kNotFound : build.Find(key.bytes());
+      const uint32_t id = keys.has_null(i)
+                              ? KeyIndex::kNotFound
+                              : build.Find(keys.key(i), keys.hash(i));
       if (id == KeyIndex::kNotFound) {
         if (left_join) {
           left_rows.push_back({&chunk, phys});
@@ -396,13 +398,13 @@ Result<Relation> AggregationKernel(const Node& node, const Relation& in,
   KeyIndex groups;
   std::vector<AggState> states;
   std::vector<ChunkRow> first_rows;
-  RowKey key;
+  ChunkKeys keys;
   for (const Chunk& chunk : in.chunks) {
     QUARRY_RETURN_NOT_OK(gate->Enter(chunk));
+    keys.Set(chunk, group_pos);
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
       const uint32_t phys = chunk.PhysicalRow(i);
-      key.Set(chunk, group_pos, phys);
-      auto [gid, inserted] = groups.Insert(key.bytes());
+      auto [gid, inserted] = groups.Insert(keys.key(i), keys.hash(i));
       if (inserted) {
         first_rows.push_back({&chunk, phys});
         states.resize(states.size() + specs.size());

@@ -83,7 +83,10 @@ std::string NumberToString(double v) {
 /// JSON has no Inf literal; histogram bucket bounds use a string there.
 std::string JsonNumber(double v) {
   if (std::isinf(v) || std::isnan(v)) {
-    return "\"" + NumberToString(v) + "\"";
+    std::string quoted(1, '"');
+    quoted += NumberToString(v);
+    quoted += '"';
+    return quoted;
   }
   return NumberToString(v);
 }

@@ -110,11 +110,11 @@ Status Database::CheckReferentialIntegrity() const {
         ref_positions.push_back(*ref.schema().ColumnIndex(c));
       }
       KeyIndex ref_keys;
-      RowKey key;
+      ChunkKeys keys;
       for (const Chunk& chunk : ref.ScanChunks(Table::kChunkRows)) {
-        for (uint32_t r = 0; r < chunk.num_rows(); ++r) {
-          key.Set(chunk, ref_positions, r);
-          ref_keys.Insert(key.bytes());
+        keys.Set(chunk, ref_positions);
+        for (size_t r = 0; r < keys.size(); ++r) {
+          ref_keys.Insert(keys.key(r), keys.hash(r));
         }
       }
       std::vector<size_t> positions;
@@ -122,13 +122,14 @@ Status Database::CheckReferentialIntegrity() const {
         positions.push_back(*table->schema().ColumnIndex(c));
       }
       for (const Chunk& chunk : table->ScanChunks(Table::kChunkRows)) {
-        for (uint32_t r = 0; r < chunk.num_rows(); ++r) {
-          key.Set(chunk, positions, r);
-          if (key.has_null()) continue;  // SQL: NULL FKs are not checked.
-          if (ref_keys.Find(key.bytes()) == KeyIndex::kNotFound) {
+        keys.Set(chunk, positions);
+        for (size_t r = 0; r < keys.size(); ++r) {
+          if (keys.has_null(r)) continue;  // SQL: NULL FKs are not checked.
+          if (ref_keys.Find(keys.key(r), keys.hash(r)) ==
+              KeyIndex::kNotFound) {
             std::string key_text;
             for (size_t p : positions) {
-              key_text += chunk.segment(p).At(r).ToString() + ",";
+              key_text += chunk.ValueAt(p, r).ToString() + ",";
             }
             return Status::ValidationError(
                 "dangling foreign key (" + key_text + ") from '" + name +

@@ -358,7 +358,7 @@ Status ParseSegment(std::string_view bytes, TableSchema* schema,
 // --- small file / path helpers ----------------------------------------------
 
 std::string SegmentFileName(size_t index) {
-  char buf[16];
+  char buf[32];  // "t", up to 20 digits of a size_t, ".seg", NUL.
   std::snprintf(buf, sizeof(buf), "t%04zu.seg", index);
   return buf;
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 namespace quarry::storage {
 
@@ -19,94 +20,225 @@ constexpr char kDateTag = 'D';
 constexpr uint64_t kTagMask = 0xFFFFFFFF00000000ull;
 constexpr int kMinSlotBits = 4;
 
-/// The probe start is the hash's top bits, so they must depend on every
-/// key byte; libstdc++'s MurmurHash64A ends with an avalanche that does.
-uint64_t HashBytes(std::string_view key) {
-  return std::hash<std::string_view>{}(key);
-}
+// The key components, one type per kind of value: size() is the component's
+// length in bytes, and Put(out) writes it at `out` and returns its end.
+// RowKey and ChunkKeys both encode through these.
 
-}  // namespace
-
-void RowKey::AddTagged(char tag, const void* payload, size_t size) {
-  const size_t at = bytes_.size();
-  bytes_.resize(at + 1 + size);
-  bytes_[at] = tag;
-  if (size > 0) std::memcpy(&bytes_[at + 1], payload, size);
-}
-
-void RowKey::AddNumber(double d) {
-  if (d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d)) {
-    const int64_t i = static_cast<int64_t>(d);  // In range: exact.
-    AddTagged(kIntTag, &i, sizeof(i));
-    return;
+struct NullPart {
+  size_t size() const { return 1; }
+  char* Put(char* out) const {
+    *out = kNullTag;
+    return out + 1;
   }
-  AddTagged(kFloatTag, &d, sizeof(d));
-}
+};
 
-void RowKey::AddString(const std::string& s) {
-  const uint64_t size = s.size();
-  AddTagged(kStringTag, &size, sizeof(size));
-  bytes_.append(s);
-}
+/// A tag and a fixed-size payload: bool (one byte), int, date.
+template <char kTag, typename T>
+struct FixedPart {
+  T payload;
+  size_t size() const { return 1 + sizeof(T); }
+  char* Put(char* out) const {
+    *out = kTag;
+    std::memcpy(out + 1, &payload, sizeof(T));
+    return out + 1 + sizeof(T);
+  }
+};
+using BoolPart = FixedPart<kBoolTag, char>;
+using IntPart = FixedPart<kIntTag, int64_t>;
+using DatePart = FixedPart<kDateTag, int32_t>;
 
-void RowKey::Add(const Value& value) {
+/// A double keys as the int64 it holds exactly, else as its bits.
+struct NumberPart {
+  double d;
+  size_t size() const { return 1 + sizeof(double); }
+  char* Put(char* out) const {
+    if (d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d)) {
+      return IntPart{static_cast<int64_t>(d)}.Put(out);  // In range: exact.
+    }
+    return FixedPart<kFloatTag, double>{d}.Put(out);
+  }
+};
+
+/// A string: its length, then its bytes.
+struct StringPart {
+  std::string_view s;
+  size_t size() const { return 1 + sizeof(uint64_t) + s.size(); }
+  char* Put(char* out) const {
+    out = FixedPart<kStringTag, uint64_t>{s.size()}.Put(out);
+    if (!s.empty()) std::memcpy(out, s.data(), s.size());
+    return out + s.size();
+  }
+};
+
+template <typename Part>
+constexpr bool kIsNull = std::is_same_v<Part, NullPart>;
+
+/// Calls fn(part) with `value`'s component.
+template <typename Fn>
+void VisitValue(const Value& value, Fn&& fn) {
   if (value.is_null()) {
-    has_null_ = true;
-    AddTagged(kNullTag, nullptr, 0);
+    fn(NullPart{});
   } else if (value.is_int()) {
-    const int64_t i = value.as_int();
-    AddTagged(kIntTag, &i, sizeof(i));
+    fn(IntPart{value.as_int()});
   } else if (value.is_double()) {
-    AddNumber(value.as_double());
+    fn(NumberPart{value.as_double()});
   } else if (value.is_string()) {
-    AddString(value.as_string());
+    fn(StringPart{value.as_string()});
   } else if (value.is_bool()) {
-    const char b = value.as_bool() ? 1 : 0;
-    AddTagged(kBoolTag, &b, 1);
+    fn(BoolPart{value.as_bool() ? char{1} : char{0}});
   } else {
-    const int32_t days = value.as_date_days();
-    AddTagged(kDateTag, &days, sizeof(days));
+    fn(DatePart{value.as_date_days()});
   }
 }
 
-void RowKey::Add(const ValueSegment& segment, size_t row) {
+/// Calls fn(i, part) with the component of physical row rows[i] of
+/// `segment` (row i when `rows` is null) for i in [0, n): one typed loop
+/// per representation; kMixed goes through each row's Value.
+template <typename Fn>
+void VisitRows(const ValueSegment& segment, const uint32_t* rows, size_t n,
+               Fn&& fn) {
   using Rep = ValueSegment::Rep;
+  auto row = [rows](size_t i) -> size_t {
+    return rows != nullptr ? rows[i] : i;
+  };
   if (segment.rep() == Rep::kMixed) {
-    Add(segment.values()[row]);
+    const Value* values = segment.values().data();
+    for (size_t i = 0; i < n; ++i) {
+      VisitValue(values[row(i)], [&](const auto& part) { fn(i, part); });
+    }
     return;
   }
-  if (segment.IsNull(row)) {
-    has_null_ = true;
-    AddTagged(kNullTag, nullptr, 0);
-    return;
-  }
+  const uint8_t* nulls =
+      segment.has_nulls() ? segment.nulls().data() : nullptr;
+  auto each = [&](auto part_of) {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t r = row(i);
+      if (nulls != nullptr && nulls[r] != 0) {
+        fn(i, NullPart{});
+      } else {
+        fn(i, part_of(r));
+      }
+    }
+  };
   switch (segment.rep()) {
     case Rep::kInt64:
-      AddTagged(kIntTag, &segment.ints()[row], sizeof(int64_t));
+      each([p = segment.ints().data()](size_t r) { return IntPart{p[r]}; });
       return;
     case Rep::kDouble:
-      AddNumber(segment.doubles()[row]);
+      each([p = segment.doubles().data()](size_t r) {
+        return NumberPart{p[r]};
+      });
       return;
     case Rep::kString:
-      AddString(segment.strings()[row]);
+      each([p = segment.strings().data()](size_t r) {
+        return StringPart{p[r]};
+      });
       return;
-    case Rep::kBool: {
-      const char b = segment.bools()[row] != 0 ? 1 : 0;
-      AddTagged(kBoolTag, &b, 1);
+    case Rep::kBool:
+      each([p = segment.bools().data()](size_t r) {
+        return BoolPart{p[r] != 0 ? char{1} : char{0}};
+      });
       return;
-    }
     case Rep::kDate:
-      AddTagged(kDateTag, &segment.dates()[row], sizeof(int32_t));
+      each([p = segment.dates().data()](size_t r) { return DatePart{p[r]}; });
       return;
     case Rep::kMixed:
       return;  // Handled above.
   }
 }
 
+/// The size of every row's component of `segment` when they all have one
+/// (a fixed-width representation without NULLs), else 0.
+size_t UniformPartSize(const ValueSegment& segment) {
+  if (segment.has_nulls()) return 0;
+  switch (segment.rep()) {
+    case ValueSegment::Rep::kInt64:
+      return IntPart{}.size();
+    case ValueSegment::Rep::kDouble:
+      return NumberPart{}.size();
+    case ValueSegment::Rep::kBool:
+      return BoolPart{}.size();
+    case ValueSegment::Rep::kDate:
+      return DatePart{}.size();
+    case ValueSegment::Rep::kString:
+    case ValueSegment::Rep::kMixed:
+      return 0;
+  }
+  return 0;
+}
+
+/// Appends `part` to a RowKey's bytes and NULL flag.
+template <typename Part>
+void AppendPart(const Part& part, std::string* bytes, bool* has_null) {
+  if constexpr (kIsNull<Part>) *has_null = true;
+  const size_t at = bytes->size();
+  bytes->resize(at + part.size());
+  part.Put(bytes->data() + at);
+}
+
+template <typename T>
+T Load(const char* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return v;
+}
+
+/// MurmurHash3's 64-bit finalizer: every input bit reaches every output
+/// bit.
+inline uint64_t Fmix64(uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdull;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ull;
+  k ^= k >> 33;
+  return k;
+}
+
+/// KeyIndex::Hash. The probe start is the hash's top bits, so they must
+/// depend on every key byte. A key of at most 16 bytes is read as two
+/// words that together cover it (overlapping when it is shorter), and each
+/// word goes through a bijective finalizer; libstdc++'s MurmurHash64A ends
+/// with an avalanche that does the same for longer keys.
+inline uint64_t HashKey(std::string_view key) {
+  const size_t n = key.size();
+  if (n > 16) return std::hash<std::string_view>{}(key);
+  const char* p = key.data();
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  if (n >= 8) {
+    lo = Load<uint64_t>(p);
+    hi = Load<uint64_t>(p + n - 8);
+  } else if (n >= 4) {
+    lo = Load<uint32_t>(p);
+    hi = Load<uint32_t>(p + n - 4);
+  } else if (n > 0) {
+    lo = uint64_t{static_cast<uint8_t>(p[0])} |
+         uint64_t{static_cast<uint8_t>(p[n / 2])} << 8 |
+         uint64_t{static_cast<uint8_t>(p[n - 1])} << 16;
+  }
+  return Fmix64(lo ^ Fmix64(hi ^ (n * 0x9E3779B97F4A7C15ull)));
+}
+
+}  // namespace
+
+void RowKey::Add(const Value& value) {
+  VisitValue(value, [this](const auto& part) {
+    AppendPart(part, &bytes_, &has_null_);
+  });
+}
+
+void RowKey::Add(const ValueSegment& segment, size_t row) {
+  const uint32_t r = static_cast<uint32_t>(row);
+  VisitRows(segment, &r, 1, [this](size_t, const auto& part) {
+    AppendPart(part, &bytes_, &has_null_);
+  });
+}
+
 void RowKey::AddAs(const ValueSegment& segment, size_t row, DataType type) {
   if (type == DataType::kDouble &&
       segment.rep() == ValueSegment::Rep::kInt64 && !segment.IsNull(row)) {
-    AddNumber(static_cast<double>(segment.ints()[row]));
+    AppendPart(NumberPart{static_cast<double>(segment.ints()[row])}, &bytes_,
+               &has_null_);
     return;
   }
   Add(segment, row);
@@ -117,11 +249,50 @@ void RowKey::Set(const Row& row, const std::vector<size_t>& positions) {
   for (size_t p : positions) Add(row[p]);
 }
 
-void RowKey::Set(const Chunk& chunk, const std::vector<size_t>& positions,
-                 uint32_t phys) {
-  Clear();
-  for (size_t p : positions) Add(chunk.segment(p), phys);
+void ChunkKeys::Set(const Chunk& chunk, const std::vector<size_t>& positions) {
+  const size_t n = chunk.num_rows();
+  const uint32_t* rows =
+      chunk.has_selection() ? chunk.selection()->data() : nullptr;
+  // offsets[i + 1] holds row i's key length (less `uniform`, the part
+  // every row shares), then where its next component goes, and in the end
+  // where its key ends, which is where row i + 1's begins.
+  offsets_.assign(n + 1, 0);
+  size_t* offsets = offsets_.data();
+  size_t uniform = 0;
+  for (size_t p : positions) {
+    const ValueSegment& segment = chunk.segment(p);
+    if (const size_t size = UniformPartSize(segment); size > 0) {
+      uniform += size;
+      continue;
+    }
+    VisitRows(segment, rows, n, [offsets](size_t i, const auto& part) {
+      offsets[i + 1] += part.size();
+    });
+  }
+  size_t total = 0;
+  for (size_t i = 1; i <= n; ++i) {
+    const size_t size = offsets[i] + uniform;
+    offsets[i] = total;
+    total += size;
+  }
+  bytes_.resize(total);
+  nulls_.assign(n, 0);
+  char* bytes = bytes_.data();
+  uint8_t* nulls = nulls_.data();
+  for (size_t p : positions) {
+    VisitRows(chunk.segment(p), rows, n,
+              [offsets, bytes, nulls](size_t i, const auto& part) {
+                if constexpr (kIsNull<std::decay_t<decltype(part)>>) {
+                  nulls[i] = 1;
+                }
+                offsets[i + 1] = part.Put(bytes + offsets[i + 1]) - bytes;
+              });
+  }
+  hashes_.resize(n);
+  for (size_t i = 0; i < n; ++i) hashes_[i] = HashKey(key(i));
 }
+
+uint64_t KeyIndex::Hash(std::string_view key) { return HashKey(key); }
 
 size_t KeyIndex::Probe(std::string_view key, uint64_t hash) const {
   const uint64_t tag = hash & kTagMask;
@@ -133,21 +304,31 @@ size_t KeyIndex::Probe(std::string_view key, uint64_t hash) const {
     if ((slot & kTagMask) != tag) continue;
     const uint32_t id = static_cast<uint32_t>(slot) - 1;
     const size_t begin = id == 0 ? 0 : ends_[id - 1];
-    if (std::string_view(bytes_).substr(begin, ends_[id] - begin) == key) {
+    if (ends_[id] - begin == key.size() &&
+        (key.empty() ||
+         std::memcmp(bytes_.data() + begin, key.data(), key.size()) == 0)) {
       return i;
     }
   }
 }
 
 uint32_t KeyIndex::Find(std::string_view key) const {
+  return Find(key, HashKey(key));
+}
+
+uint32_t KeyIndex::Find(std::string_view key, uint64_t hash) const {
   if (slots_.empty()) return kNotFound;
-  const uint64_t slot = slots_[Probe(key, HashBytes(key))];
+  const uint64_t slot = slots_[Probe(key, hash)];
   return slot == 0 ? kNotFound : static_cast<uint32_t>(slot) - 1;
 }
 
 std::pair<uint32_t, bool> KeyIndex::Insert(std::string_view key) {
+  return Insert(key, HashKey(key));
+}
+
+std::pair<uint32_t, bool> KeyIndex::Insert(std::string_view key,
+                                           uint64_t hash) {
   if (2 * (size() + 1) > slots_.size()) Grow();
-  const uint64_t hash = HashBytes(key);
   const size_t i = Probe(key, hash);
   if (slots_[i] != 0) return {static_cast<uint32_t>(slots_[i]) - 1, false};
   const uint32_t id = static_cast<uint32_t>(size());
@@ -163,7 +344,7 @@ void KeyIndex::EraseLast() {
       std::string_view(bytes_).substr(begin, ends_.back() - begin);
   // The last key was placed after every other one, so no probe sequence
   // passes through its slot: emptying it restores the table before it.
-  slots_[Probe(key, HashBytes(key))] = 0;
+  slots_[Probe(key, HashKey(key))] = 0;
   bytes_.resize(begin);
   ends_.pop_back();
 }

@@ -1,9 +1,16 @@
 #ifndef QUARRY_STORAGE_KEY_H_
 #define QUARRY_STORAGE_KEY_H_
 
-// Hash keys for every hash table over row keys: the ETL kernels' join,
-// aggregation, surrogate-key and loader-merge tables, Table's primary-key
-// set and indexes, and the foreign-key check (DESIGN.md §8).
+// Hash keys for every hash table over row keys (DESIGN.md §8). Two
+// encoders write the same canonical bytes:
+//   * ChunkKeys encodes a whole chunk's keys one column at a time and
+//     hashes them in one pass. The ETL kernels' join, aggregation and
+//     surrogate-key tables and the foreign-key check key through it.
+//   * RowKey builds one key a component at a time, from Values or typed
+//     segment rows. Table's primary-key set and indexes and the loader's
+//     merge table (TableWriter) key through it.
+// KeyIndex interns the bytes of either, and takes ChunkKeys' precomputed
+// hash so a probe never hashes a key twice.
 
 #include <cstdint>
 #include <limits>
@@ -51,22 +58,42 @@ class RowKey {
 
   /// Sets the key to `row`'s columns at `positions`.
   void Set(const Row& row, const std::vector<size_t>& positions);
-  /// Sets the key to the columns at `positions` of `chunk`'s physical row
-  /// `phys`.
-  void Set(const Chunk& chunk, const std::vector<size_t>& positions,
-           uint32_t phys);
 
   std::string_view bytes() const { return bytes_; }
   /// True when some component is NULL.
   bool has_null() const { return has_null_; }
 
  private:
-  void AddTagged(char tag, const void* payload, size_t size);
-  void AddNumber(double d);
-  void AddString(const std::string& s);
-
   std::string bytes_;
   bool has_null_ = false;
+};
+
+/// \brief The keys of a chunk's live rows over some key columns: key(i) is
+/// the RowKey of live row i's components, has_null(i) its NULL flag and
+/// hash(i) KeyIndex::Hash(key(i)).
+///
+/// Set() encodes one key column at a time, with one typed loop per segment
+/// representation (kMixed goes through each row's Value), then hashes every
+/// row's key in one pass. A kernel keeps one ChunkKeys per call and Sets it
+/// chunk by chunk.
+class ChunkKeys {
+ public:
+  /// Encodes the live rows of `chunk` over the columns at `positions`.
+  void Set(const Chunk& chunk, const std::vector<size_t>& positions);
+
+  size_t size() const { return hashes_.size(); }
+  std::string_view key(size_t i) const {
+    return std::string_view(bytes_.data() + offsets_[i],
+                            offsets_[i + 1] - offsets_[i]);
+  }
+  bool has_null(size_t i) const { return nulls_[i] != 0; }
+  uint64_t hash(size_t i) const { return hashes_[i]; }
+
+ private:
+  std::string bytes_;            ///< Every row's key, in row order.
+  std::vector<size_t> offsets_;  ///< Row i's key is [offsets_[i], [i + 1]).
+  std::vector<uint8_t> nulls_;
+  std::vector<uint64_t> hashes_;
 };
 
 /// \brief Interns RowKey bytes: each distinct key gets a dense id, in
@@ -80,13 +107,22 @@ class KeyIndex {
  public:
   static constexpr uint32_t kNotFound = std::numeric_limits<uint32_t>::max();
 
+  /// The hash a key is placed by. A key of at most 16 bytes (one number, a
+  /// short string) hashes inline; a longer one takes libstdc++'s
+  /// std::hash. Either way the top bits depend on every key byte.
+  static uint64_t Hash(std::string_view key);
+
   size_t size() const { return ends_.size(); }
 
   /// The key's id, or kNotFound.
   uint32_t Find(std::string_view key) const;
+  /// Find with `hash` == Hash(key), computed by the caller.
+  uint32_t Find(std::string_view key, uint64_t hash) const;
 
   /// The key's id and whether it was new; a new key gets id size().
   std::pair<uint32_t, bool> Insert(std::string_view key);
+  /// Insert with `hash` == Hash(key), computed by the caller.
+  std::pair<uint32_t, bool> Insert(std::string_view key, uint64_t hash);
 
   /// Removes the key with the highest id, the one inserted last.
   void EraseLast();

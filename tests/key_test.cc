@@ -1,14 +1,16 @@
-// storage::RowKey, KeyIndex and KeyPostings (storage/key.h): the key rule
-// every hash table over row keys follows, checked against what a table
-// keyed by Row with HashRow and Value::SameAs decides (the reference
-// executor's tables, tests/etl_reference.h), plus the pinned Value::Hash
-// values Table::Fingerprint depends on.
+// storage::RowKey, ChunkKeys, KeyIndex and KeyPostings (storage/key.h): the
+// key rule every hash table over row keys follows, checked against what a
+// table keyed by Row with HashRow and Value::SameAs decides (the reference
+// executor's tables, tests/etl_reference.h), ChunkKeys checked row by row
+// against RowKey, plus the pinned Value::Hash values Table::Fingerprint
+// depends on.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,6 +71,7 @@ std::vector<Value> Corpus() {
           Value::Double(1e300),
           Value::Double(5e-324),
           Value::String(""),
+          Value::String("a string past sixteen bytes"),
           Value::String("1"),
           Value::String("a"),
           Value::String("ab"),
@@ -129,29 +132,109 @@ TEST(RowKeyTest, CompositeKeysDecideWhatRowKeyedTablesDecide) {
             KeyOf({Value::String("a"), Value::Null()}));
 }
 
-TEST(RowKeyTest, SegmentRowsKeyLikeTheirValues) {
-  // Every representation, kMixed included, takes the same key path.
+/// The corpus as one kMixed column (column 0) plus one column per typed
+/// representation, int, double, string, date and bool, with the NULL
+/// (columns 1-5) and without it (columns 6-10).
+std::vector<std::vector<Value>> CorpusColumns() {
   const std::vector<Value> corpus = Corpus();
   std::vector<std::vector<Value>> columns = {corpus};  // kMixed
-  std::vector<Value> ints, doubles, strings, dates, bools;
-  for (const Value& v : corpus) {
-    if (v.is_null() || v.is_int()) ints.push_back(v);
-    if (v.is_null() || v.is_double()) doubles.push_back(v);
-    if (v.is_null() || v.is_string()) strings.push_back(v);
-    if (v.is_null() || v.is_date()) dates.push_back(v);
-    if (v.is_null() || v.is_bool()) bools.push_back(v);
+  for (bool with_null : {true, false}) {
+    std::vector<Value> ints, doubles, strings, dates, bools;
+    for (const Value& v : corpus) {
+      if (v.is_null() && !with_null) continue;
+      if (v.is_null() || v.is_int()) ints.push_back(v);
+      if (v.is_null() || v.is_double()) doubles.push_back(v);
+      if (v.is_null() || v.is_string()) strings.push_back(v);
+      if (v.is_null() || v.is_date()) dates.push_back(v);
+      if (v.is_null() || v.is_bool()) bools.push_back(v);
+    }
+    columns.insert(columns.end(), {ints, doubles, strings, dates, bools});
   }
-  columns.insert(columns.end(), {ints, doubles, strings, dates, bools});
+  return columns;
+}
+
+/// Checks every live row of `keys`, encoded from `chunk` over `positions`,
+/// against the RowKey of the row's Values and KeyIndex's hash of it.
+void ExpectChunkKeysMatchRowKeys(const ChunkKeys& keys, const Chunk& chunk,
+                                 const std::vector<size_t>& positions) {
+  ASSERT_EQ(keys.size(), chunk.num_rows());
+  for (size_t i = 0; i < chunk.num_rows(); ++i) {
+    RowKey expected;
+    std::string row_text;
+    for (size_t p : positions) {
+      expected.Add(chunk.ValueAt(p, i));
+      row_text += chunk.ValueAt(p, i).ToString() + ",";
+    }
+    EXPECT_EQ(keys.key(i), expected.bytes()) << "live row " << i << ": "
+                                             << row_text;
+    EXPECT_EQ(keys.has_null(i), expected.has_null()) << row_text;
+    EXPECT_EQ(keys.hash(i), KeyIndex::Hash(expected.bytes())) << row_text;
+  }
+}
+
+TEST(RowKeyTest, SegmentRowsKeyLikeTheirValues) {
+  // Every representation, kMixed included, takes the same key path, one
+  // row at a time (RowKey) and a chunk at a time (ChunkKeys).
+  const std::vector<std::vector<Value>> columns = CorpusColumns();
   for (const std::vector<Value>& column : columns) {
-    ValueSegment segment = ValueSegment::FromValues(column);
+    auto segment = std::make_shared<const ValueSegment>(
+        ValueSegment::FromValues(column));
     for (size_t i = 0; i < column.size(); ++i) {
       RowKey from_segment;
-      from_segment.Add(segment, i);
+      from_segment.Add(*segment, i);
       EXPECT_EQ(from_segment.bytes(), KeyOf({column[i]}))
           << column[i].ToString() << " rep "
-          << static_cast<int>(segment.rep());
+          << static_cast<int>(segment->rep());
       EXPECT_EQ(from_segment.has_null(), column[i].is_null());
-      EXPECT_EQ(segment.IsNull(i), column[i].is_null());
+      EXPECT_EQ(segment->IsNull(i), column[i].is_null());
+    }
+
+    // The whole chunk, then every other row and the last one under a
+    // selection vector.
+    const Chunk whole(column.size(), {segment});
+    ChunkKeys keys;
+    keys.Set(whole, {0});
+    ExpectChunkKeysMatchRowKeys(keys, whole, {0});
+    std::vector<uint32_t> selected;
+    for (uint32_t r = 1; r < column.size(); r += 2) selected.push_back(r);
+    if (selected.back() != column.size() - 1) {
+      selected.push_back(static_cast<uint32_t>(column.size() - 1));
+    }
+    const Chunk sparse(
+        column.size(), {segment},
+        std::make_shared<const std::vector<uint32_t>>(selected));
+    keys.Set(sparse, {0});
+    ExpectChunkKeysMatchRowKeys(keys, sparse, {0});
+  }
+
+  // Multi-column keys over columns of every representation: column c's
+  // row r is its values[(r * (c + 1)) % size], so the rows mix NULLs, long
+  // and empty strings, and numbers of both kinds across the columns.
+  const size_t rows = columns[0].size() * 3;
+  std::vector<Chunk::SegmentPtr> segments;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    std::vector<Value> values;
+    for (size_t r = 0; r < rows; ++r) {
+      values.push_back(columns[c][(r * (c + 1)) % columns[c].size()]);
+    }
+    segments.push_back(std::make_shared<const ValueSegment>(
+        ValueSegment::FromValues(std::move(values))));
+  }
+  std::vector<uint32_t> selected;
+  for (uint32_t r = 0; r < rows; ++r) {
+    if (r % 3 != 1) selected.push_back(r);
+  }
+  const Chunk whole(rows, segments);
+  const Chunk sparse(rows, segments,
+                     std::make_shared<const std::vector<uint32_t>>(selected));
+  const std::vector<std::vector<size_t>> key_columns = {
+      {1, 2}, {2, 1},  {3, 0, 4}, {5, 3, 2, 1, 0, 4}, {2, 2},
+      {6, 7}, {9, 10}, {6, 8, 1}, {7, 0, 9, 3},       {}};
+  ChunkKeys keys;
+  for (const std::vector<size_t>& positions : key_columns) {
+    for (const Chunk* chunk : {&whole, &sparse}) {
+      keys.Set(*chunk, positions);
+      ExpectChunkKeysMatchRowKeys(keys, *chunk, positions);
     }
   }
 }
@@ -214,6 +297,33 @@ TEST(KeyIndexTest, DenseIdsInFirstInsertOrder) {
   EXPECT_EQ(index.Insert("").first, 0u);  // A zero-column key.
   EXPECT_EQ(index.Find(""), 0u);
   EXPECT_EQ(copy.Find(KeyOf({Value::Int(7919)})), 1u);
+}
+
+TEST(KeyIndexTest, PrecomputedHashesGiveTheSameIds) {
+  // Keys of every length around the 16-byte inline-hash boundary.
+  std::vector<std::string> keys;
+  for (const Value& v : Corpus()) keys.push_back(KeyOf({v}));
+  for (int64_t i = 0; i < 2000; ++i) {
+    keys.push_back(KeyOf({Value::Int(i)}));
+    keys.push_back(KeyOf({Value::Int(i), Value::String("x")}));
+    keys.push_back(KeyOf({Value::String(std::string(i % 24, 'k'))}));
+  }
+  KeyIndex one_arg;
+  KeyIndex hashed;
+  for (const std::string& key : keys) {
+    const auto expected = one_arg.Insert(key);
+    EXPECT_EQ(hashed.Insert(key, KeyIndex::Hash(key)), expected);
+  }
+  EXPECT_EQ(hashed.size(), one_arg.size());
+  for (const std::string& key : keys) {
+    const uint32_t id = one_arg.Find(key);
+    ASSERT_NE(id, KeyIndex::kNotFound);
+    EXPECT_EQ(hashed.Find(key, KeyIndex::Hash(key)), id);
+    EXPECT_EQ(hashed.Find(key), id);
+    EXPECT_EQ(one_arg.Find(key, KeyIndex::Hash(key)), id);
+  }
+  const std::string absent = KeyOf({Value::String("absent")});
+  EXPECT_EQ(hashed.Find(absent, KeyIndex::Hash(absent)), KeyIndex::kNotFound);
 }
 
 TEST(KeyIndexTest, EraseLastUndoesTheLastInsert) {

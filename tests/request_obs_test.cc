@@ -275,6 +275,47 @@ TEST_F(RequestObsTest, SlowThresholdPromotesProfiles) {
   }
 }
 
+// A refresh record keeps its EXPLAIN ANALYZE profile above the slow
+// threshold, as a deploy record does: one tree per sink of the flow.
+TEST_F(RequestObsTest, SlowRefreshRecordsItsProfile) {
+  auto& log = obs::RequestLog::Instance();
+  log.set_slow_threshold_micros(0.0);  // Everything is "slow".
+  auto quarry = MakeServingQuarry(/*max_workers=*/1);
+  auto refreshed = quarry->RefreshServing();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+
+  std::vector<std::string> sinks;
+  for (const auto& [id, node] : quarry->flow().nodes()) {
+    bool has_successor = false;
+    for (const auto& edge : quarry->flow().edges()) {
+      has_successor = has_successor || edge.from == id;
+    }
+    if (!has_successor) sinks.push_back(id);
+  }
+  ASSERT_FALSE(sinks.empty());
+
+  const auto records = log.Snapshot();
+  ASSERT_FALSE(records.empty());
+  const auto& refresh = records.back();
+  EXPECT_EQ(refresh.kind, "refresh_serving");
+  ASSERT_FALSE(refresh.profile_json.empty());
+  auto parsed = json::Parse(refresh.profile_json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  std::vector<std::string> roots;
+  std::string kind;
+  for (const auto& [key, value] : parsed->as_object()) {
+    if (key == "kind") kind = value.as_string();
+    if (key != "plan") continue;
+    for (const auto& root : value.as_array()) {
+      for (const auto& [field, v] : root.as_object()) {
+        if (field == "id") roots.push_back(v.as_string());
+      }
+    }
+  }
+  EXPECT_EQ(kind, "refresh_serving");
+  EXPECT_EQ(roots, sinks);
+}
+
 // Failed requests are recorded with their status-code name and counted in
 // the failure family.
 TEST_F(RequestObsTest, FailuresAreRecordedWithStatus) {
