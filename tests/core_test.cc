@@ -226,6 +226,20 @@ TEST_F(QuarryTest, RefreshDropsTheTablesOfARemovedRequirement) {
             FreshDeployFingerprint(src_, {RevenueIr()}));
 }
 
+// Golden value: one fixed design over the fixture's source must keep
+// deploying the same warehouse, whatever the deployer does to the flow on
+// its way to the executor. The constant is specific to gcc 12 / libstdc++:
+// Value::Hash (and so Database::Fingerprint) goes through std::hash.
+TEST_F(QuarryTest, GoldenDeployFingerprint) {
+  ASSERT_TRUE(quarry_->AddRequirement(RevenueIr()).ok());
+  ASSERT_TRUE(quarry_->AddRequirement(NetprofitIr()).ok());
+  auto deployment = quarry_->DeployServing();
+  ASSERT_TRUE(deployment.ok()) << deployment.status();
+  ASSERT_TRUE(deployment->success);
+  EXPECT_EQ(ServedFingerprint(*quarry_), 13289266302668545119ull)
+      << ServedFingerprint(*quarry_);
+}
+
 TEST_F(QuarryTest, ChangeRequirementReplacesDefinition) {
   ASSERT_TRUE(quarry_->AddRequirement(RevenueIr()).ok());
   InformationRequirement changed = RevenueIr();
