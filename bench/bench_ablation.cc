@@ -5,15 +5,12 @@
 //      (on vs off: structural complexity of the unified schema)
 //  A3  selection push-down (the flagship equivalence rule)
 //      (normalized vs as-generated flows: engine rows processed)
-//  A4  early-projection insertion (column liveness)
-//      (plain vs pruned execution plans: wall time)
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <map>
 
-#include "common/timer.h"
 #include "datagen/tpch.h"
 #include "etl/equivalence.h"
 #include "etl/exec/executor.h"
@@ -148,36 +145,6 @@ void PrintAblations() {
     std::printf("  %-18s %14lld %14lld %7.1f%%\n", original.name().c_str(),
                 static_cast<long long>(r1->rows_processed),
                 static_cast<long long>(r2->rows_processed), 100.0 * saving);
-  }
-
-  // --- A4: early-projection insertion (column liveness) -------------------
-  std::printf("\nA4: early projections — execution wall time per flow\n");
-  std::printf("  %-18s %12s %12s %8s\n", "flow", "plain_ms", "pruned_ms",
-              "saving");
-  for (size_t i = 0; i < env.designs.size(); ++i) {
-    const Flow& original = env.designs[i].flow;
-    Flow pruned = original.Clone();
-    auto inserted = quarry::etl::InsertEarlyProjections(&pruned, env.columns);
-    if (!inserted.ok()) std::abort();
-    quarry::Timer t_plain;
-    {
-      quarry::storage::Database t("a");
-      if (!quarry::etl::Executor(&env.source, &t).Run(original).ok()) {
-        std::abort();
-      }
-    }
-    double plain_ms = t_plain.ElapsedMillis();
-    quarry::Timer t_pruned;
-    {
-      quarry::storage::Database t("b");
-      if (!quarry::etl::Executor(&env.source, &t).Run(pruned).ok()) {
-        std::abort();
-      }
-    }
-    double pruned_ms = t_pruned.ElapsedMillis();
-    std::printf("  %-18s %12.1f %12.1f %7.1f%%\n", original.name().c_str(),
-                plain_ms, pruned_ms,
-                100.0 * (1.0 - pruned_ms / plain_ms));
   }
   std::printf("\n");
 }

@@ -3,7 +3,9 @@
 // platforms — a PostgreSQL-dialect DDL script and a Pentaho-PDI-style
 // transformation — deploys them on the embedded engines, and archives all
 // metadata. Also demonstrates the metadata layer's plug-in exporters and
-// its on-disk persistence (the MongoDB stand-in).
+// its on-disk persistence (the MongoDB stand-in). The export goes to the
+// directory given as argv[1], by default quarry_deployment_demo under the
+// system's temporary directory.
 
 #include <filesystem>
 #include <iostream>
@@ -27,7 +29,7 @@ int Fail(const quarry::Status& status) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   quarry::storage::Database source("tpch");
   if (auto s = quarry::datagen::PopulateTpch(&source, {0.01, 41}); !s.ok()) {
     return Fail(s);
@@ -102,8 +104,10 @@ int main() {
             << " index on fact_table_revenue(p_partkey)\n";
 
   // --- export the warehouse + archive the metadata repository ---------------
-  std::filesystem::path out_dir =
-      std::filesystem::temp_directory_path() / "quarry_deployment_demo";
+  const std::filesystem::path out_dir =
+      argc > 1 ? std::filesystem::path(argv[1])
+               : std::filesystem::temp_directory_path() /
+                     "quarry_deployment_demo";
   std::filesystem::remove_all(out_dir);
   std::filesystem::create_directories(out_dir);
   for (const std::string& name : warehouse.TableNames()) {

@@ -13,8 +13,8 @@
 //   save <dir> / load <dir>             persist / restore the session
 //   quit
 //
-// Example session: see examples/quarryctl_demo.txt (executed by the test
-// suite and the examples build).
+// Example session: see examples/quarryctl_demo.txt (the `quarryctl` ctest,
+// label `examples`, replays it).
 
 #include <fstream>
 #include <iostream>

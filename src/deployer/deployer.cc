@@ -9,7 +9,6 @@
 #include "common/timer.h"
 #include "deployer/pdi_generator.h"
 #include "deployer/sql_generator.h"
-#include "etl/equivalence.h"
 #include "json/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -39,26 +38,6 @@ struct StageScope {
   const char* stage;
   Timer timer;
 };
-
-/// Execution-plan optimization: the logical (xLM) flow is kept as designed;
-/// the deployer prunes dead columns right after each extraction before
-/// running (see etl::InsertEarlyProjections).
-Result<etl::Flow> OptimizeForExecution(const etl::Flow& flow,
-                                       const storage::Database& source) {
-  etl::TableColumns columns;
-  for (const std::string& name : source.TableNames()) {
-    std::vector<std::string> cols;
-    for (const storage::Column& c : (*source.GetTable(name))->schema()
-                                        .columns()) {
-      cols.push_back(c.name);
-    }
-    columns[name] = std::move(cols);
-  }
-  etl::Flow optimized = flow.Clone();
-  QUARRY_RETURN_NOT_OK(
-      etl::InsertEarlyProjections(&optimized, columns).status());
-  return optimized;
-}
 
 /// Deploy-level retry backoff: clipped by the policy's overall budget and
 /// the request deadline, and accumulated into `*spent_ms` so the budget
@@ -181,7 +160,6 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
   }
 
   // Stage 1: generate the executables. Nothing is mutated yet.
-  Result<etl::Flow> optimized = Status::Internal("not generated");
   {
     StageScope stage("generate");
     QUARRY_SPAN("deploy.generate");
@@ -189,8 +167,6 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
     if (!sql.ok()) return fail("generate", sql.status());
     report.ddl = std::move(*sql);
     report.pdi_ktr = GeneratePdiText(flow, options.database_name);
-    optimized = OptimizeForExecution(flow, *source_);
-    if (!optimized.ok()) return fail("generate", optimized.status());
   }
 
   if (Status live = CheckContext(ctx, "deploy stage 'ddl'"); !live.ok()) {
@@ -242,7 +218,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
     StageScope stage("etl");
     QUARRY_SPAN("deploy.etl");
     etl_report =
-        executor.Run(*optimized, options.exec, options.retry, &checkpoint, ctx);
+        executor.Run(flow, options.exec, options.retry, &checkpoint, ctx);
   }
   if (!etl_report.ok()) {
     // Best-effort keeps completed tables only for genuine operator faults.
@@ -256,7 +232,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
       for (const auto& [table, n] : checkpoint.loaded) keep.insert(table);
       std::set<std::string> completed(checkpoint.completed.begin(),
                                       checkpoint.completed.end());
-      for (const auto& [id, node] : optimized->nodes()) {
+      for (const auto& [id, node] : flow.nodes()) {
         if (node.type != etl::OpType::kLoader || completed.count(id) > 0) {
           continue;
         }

@@ -1,10 +1,8 @@
 #include "etl/equivalence.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
-#include "common/str_util.h"
 #include "etl/expr.h"
 
 namespace quarry::etl {
@@ -122,33 +120,6 @@ Result<bool> CanonicalizeSelectionOrder(Flow* flow) {
   return false;
 }
 
-Result<bool> MergeAdjacentSelections(Flow* flow) {
-  for (const auto& [id, node] : flow->nodes()) {
-    if (node.type != OpType::kSelection) continue;
-    std::vector<std::string> preds = flow->Predecessors(id);
-    if (preds.size() != 1) continue;
-    const std::string upstream_id = preds[0];
-    const Node& upstream = *flow->GetNode(upstream_id).value();
-    if (upstream.type != OpType::kSelection) continue;
-    if (flow->Successors(upstream_id).size() != 1) continue;
-    if (node.params.count("predicate") == 0 ||
-        upstream.params.count("predicate") == 0) {
-      continue;
-    }
-    std::string merged = "(" + upstream.params.at("predicate") + ") AND (" +
-                         node.params.at("predicate") + ")";
-    std::set<std::string> merged_reqs = upstream.requirement_ids;
-    const std::string down_id = id;
-    Node* down = *flow->GetMutableNode(down_id);
-    down->params["predicate"] = merged;
-    down->requirement_ids.insert(merged_reqs.begin(), merged_reqs.end());
-    QUARRY_RETURN_NOT_OK(Detach(flow, upstream_id));
-    QUARRY_RETURN_NOT_OK(flow->RemoveNode(upstream_id));
-    return true;
-  }
-  return false;
-}
-
 Result<bool> RemoveRedundantProjection(Flow* flow,
                                        const TableColumns& sources) {
   QUARRY_ASSIGN_OR_RETURN(auto columns, InferColumns(*flow, sources));
@@ -163,205 +134,6 @@ Result<bool> RemoveRedundantProjection(Flow* flow,
     return true;
   }
   return false;
-}
-
-Result<int> InsertEarlyProjections(Flow* flow, const TableColumns& sources) {
-  QUARRY_ASSIGN_OR_RETURN(auto columns, InferColumns(*flow, sources));
-  QUARRY_ASSIGN_OR_RETURN(auto order, flow->TopologicalOrder());
-
-  // Backward liveness: required[n] = columns of n's output that some
-  // successor consumes.
-  std::map<std::string, std::set<std::string>> required;
-  auto parse_csv = [](const std::string& text) {
-    std::set<std::string> out;
-    for (const std::string& part : Split(text, ',')) {
-      std::string trimmed(Trim(part));
-      if (!trimmed.empty()) out.insert(std::move(trimmed));
-    }
-    return out;
-  };
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const Node& node = *flow->GetNode(*it).value();
-    const std::set<std::string>& downstream = required[node.id];
-    std::vector<std::string> preds = flow->Predecessors(node.id);
-    auto add_to = [&](const std::string& pred,
-                      const std::set<std::string>& wanted) {
-      for (const std::string& c : wanted) {
-        // Only columns the predecessor actually produces.
-        const auto& pred_cols = columns.at(pred);
-        if (std::find(pred_cols.begin(), pred_cols.end(), c) !=
-            pred_cols.end()) {
-          required[pred].insert(c);
-        }
-      }
-    };
-    switch (node.type) {
-      case OpType::kLoader: {
-        // The target binding is resolved at run time: keep everything.
-        if (!preds.empty()) {
-          const auto& in = columns.at(preds[0]);
-          required[preds[0]].insert(in.begin(), in.end());
-        }
-        break;
-      }
-      case OpType::kSelection: {
-        if (preds.empty()) break;
-        std::set<std::string> wanted = downstream;
-        auto pred_it = node.params.find("predicate");
-        if (pred_it != node.params.end()) {
-          auto parsed = ParseExpr(pred_it->second);
-          if (!parsed.ok()) return parsed.status();
-          auto refs = (*parsed)->ReferencedColumns();
-          wanted.insert(refs.begin(), refs.end());
-        }
-        add_to(preds[0], wanted);
-        break;
-      }
-      case OpType::kProjection: {
-        if (preds.empty()) break;
-        auto cols = node.params.find("columns");
-        add_to(preds[0], parse_csv(cols == node.params.end() ? ""
-                                                             : cols->second));
-        break;
-      }
-      case OpType::kJoin: {
-        if (preds.size() != 2) break;
-        auto left = node.params.find("left");
-        auto right = node.params.find("right");
-        std::set<std::string> left_wanted = downstream;
-        std::set<std::string> right_wanted = downstream;
-        if (left != node.params.end()) {
-          for (const std::string& k : parse_csv(left->second)) {
-            left_wanted.insert(k);
-          }
-        }
-        if (right != node.params.end()) {
-          for (const std::string& k : parse_csv(right->second)) {
-            right_wanted.insert(k);
-          }
-        }
-        add_to(preds[0], left_wanted);
-        add_to(preds[1], right_wanted);
-        break;
-      }
-      case OpType::kAggregation: {
-        if (preds.empty()) break;
-        std::set<std::string> wanted;
-        auto group = node.params.find("group");
-        if (group != node.params.end()) {
-          wanted = parse_csv(group->second);
-        }
-        auto aggs = node.params.find("aggs");
-        if (aggs != node.params.end()) {
-          auto specs = ParseAggSpecs(aggs->second);
-          if (!specs.ok()) return specs.status();
-          for (const AggSpec& s : *specs) {
-            if (s.input != "*") wanted.insert(s.input);
-          }
-        }
-        add_to(preds[0], wanted);
-        break;
-      }
-      case OpType::kFunction: {
-        if (preds.empty()) break;
-        std::set<std::string> wanted = downstream;
-        auto expr = node.params.find("expr");
-        if (expr != node.params.end()) {
-          auto parsed = ParseExpr(expr->second);
-          if (!parsed.ok()) return parsed.status();
-          auto refs = (*parsed)->ReferencedColumns();
-          wanted.insert(refs.begin(), refs.end());
-        }
-        add_to(preds[0], wanted);
-        break;
-      }
-      case OpType::kSort: {
-        if (preds.empty()) break;
-        std::set<std::string> wanted = downstream;
-        auto by = node.params.find("by");
-        if (by != node.params.end()) {
-          for (const std::string& c : parse_csv(by->second)) {
-            wanted.insert(c);
-          }
-        }
-        add_to(preds[0], wanted);
-        break;
-      }
-      case OpType::kSurrogateKey: {
-        if (preds.empty()) break;
-        std::set<std::string> wanted = downstream;
-        auto keys = node.params.find("keys");
-        if (keys != node.params.end()) {
-          for (const std::string& c : parse_csv(keys->second)) {
-            wanted.insert(c);
-          }
-        }
-        add_to(preds[0], wanted);
-        break;
-      }
-      case OpType::kUnion: {
-        // Union inputs must keep identical schemas; per-branch pruning
-        // could diverge (different branches need different extras), so the
-        // union is a liveness barrier.
-        for (const std::string& pred : preds) {
-          const auto& in = columns.at(pred);
-          required[pred].insert(in.begin(), in.end());
-        }
-        break;
-      }
-      case OpType::kDatastore:
-      case OpType::kExtraction: {
-        if (!preds.empty()) add_to(preds[0], downstream);
-        break;
-      }
-    }
-  }
-
-  // Insert a narrow projection after each extraction that carries more
-  // than its consumers need (in original table column order, so repeated
-  // runs are stable).
-  int inserted = 0;
-  std::vector<std::string> extraction_ids;
-  for (const auto& [id, node] : flow->nodes()) {
-    if (node.type == OpType::kExtraction) extraction_ids.push_back(id);
-  }
-  for (const std::string& id : extraction_ids) {
-    const std::set<std::string>& wanted = required[id];
-    const std::vector<std::string>& produced = columns.at(id);
-    if (wanted.empty() || wanted.size() >= produced.size()) continue;
-    std::vector<std::string> keep;
-    for (const std::string& c : produced) {
-      if (wanted.count(c) > 0) keep.push_back(c);
-    }
-    std::string keep_csv = Join(keep, ",");
-    // Idempotence: skip if the sole consumer is already this projection.
-    std::vector<std::string> succs = flow->Successors(id);
-    if (succs.size() == 1) {
-      const Node& succ = *flow->GetNode(succs[0]).value();
-      if (succ.type == OpType::kProjection &&
-          succ.params.count("columns") > 0 &&
-          succ.params.at("columns") == keep_csv) {
-        continue;
-      }
-    }
-    Node proj;
-    proj.id = "EARLYPROJ_" + id;
-    int suffix = 2;
-    while (flow->HasNode(proj.id)) {
-      proj.id = "EARLYPROJ_" + id + "#" + std::to_string(suffix++);
-    }
-    proj.type = OpType::kProjection;
-    proj.params["columns"] = keep_csv;
-    proj.requirement_ids = flow->GetNode(id).value()->requirement_ids;
-    std::string proj_id = proj.id;
-    QUARRY_RETURN_NOT_OK(flow->AddNode(std::move(proj)));
-    for (const std::string& succ : succs) {
-      QUARRY_RETURN_NOT_OK(flow->ReplaceEdge(id, succ, proj_id, succ));
-    }
-    QUARRY_RETURN_NOT_OK(flow->AddEdge(id, proj_id));
-    ++inserted;
-  }
-  return inserted;
 }
 
 Result<int> Normalize(Flow* flow, const TableColumns& sources) {

@@ -18,6 +18,10 @@ namespace quarry::etl {
 ///
 /// Safety: a node is only moved past another when it is that node's sole
 /// consumer, so no other branch of the DAG observes a changed dataset.
+///
+/// Only the ETL integrator applies them: the deployer runs the flow as
+/// designed, and the executor's column liveness (LiveColumnsOf in
+/// etl/schema_inference.h, DESIGN.md §8) keeps dead columns out of the run.
 
 /// Moves one Selection below its upstream Join (onto the side whose columns
 /// cover the predicate) or below a row-preserving unary operator (Function,
@@ -29,11 +33,6 @@ Result<bool> PushSelectionDown(Flow* flow, const TableColumns& sources);
 /// commute).
 Result<bool> CanonicalizeSelectionOrder(Flow* flow);
 
-/// Fuses a chain of two adjacent Selections into one with an AND predicate
-/// (kept out of Normalize: it merges requirement traces, which the
-/// integrator prefers to keep separate; exposed for the ablation bench).
-Result<bool> MergeAdjacentSelections(Flow* flow);
-
 /// Drops a Projection whose output equals its input's columns.
 Result<bool> RemoveRedundantProjection(Flow* flow,
                                        const TableColumns& sources);
@@ -42,16 +41,6 @@ Result<bool> RemoveRedundantProjection(Flow* flow,
 /// RemoveRedundantProjection} to a fixpoint. Returns the number of rewrites
 /// applied.
 Result<int> Normalize(Flow* flow, const TableColumns& sources);
-
-/// Column-liveness optimization: computes, backwards from the sinks, which
-/// columns each operator's consumers actually need, and inserts a narrow
-/// Projection directly after every Extraction whose table provides more.
-/// Loaders conservatively require their whole input (their target binding
-/// is resolved at run time). Idempotent; returns the number of projections
-/// inserted. Kept out of Normalize — it changes flow shape, so the
-/// deployer applies it at execution-plan time instead (see the A4 ablation
-/// for the measured effect).
-Result<int> InsertEarlyProjections(Flow* flow, const TableColumns& sources);
 
 }  // namespace quarry::etl
 

@@ -506,39 +506,6 @@ TEST(EquivalenceTest, CanonicalSelectionOrderConverges) {
             b.GetNode("s2").value()->params.at("predicate"));
 }
 
-TEST(EquivalenceTest, MergeAdjacentSelectionsPreservesSemantics) {
-  Database src;
-  ASSERT_TRUE(datagen::PopulateTpch(&src, {0.001, 3}).ok());
-  Flow flow("f");
-  ASSERT_TRUE(flow.AddNode(MakeNode("ds", OpType::kDatastore,
-                                    {{"table", "lineitem"}}))
-                  .ok());
-  ASSERT_TRUE(flow.AddNode(MakeNode("s1", OpType::kSelection,
-                                    {{"predicate", "l_quantity > 10"}}))
-                  .ok());
-  ASSERT_TRUE(flow.AddNode(MakeNode("s2", OpType::kSelection,
-                                    {{"predicate", "l_discount < 0.05"}}))
-                  .ok());
-  ASSERT_TRUE(flow.AddNode(MakeNode("ld", OpType::kLoader,
-                                    {{"table", "out"}}))
-                  .ok());
-  ASSERT_TRUE(flow.AddEdge("ds", "s1").ok());
-  ASSERT_TRUE(flow.AddEdge("s1", "s2").ok());
-  ASSERT_TRUE(flow.AddEdge("s2", "ld").ok());
-
-  Flow merged = flow.Clone();
-  auto did = MergeAdjacentSelections(&merged);
-  ASSERT_TRUE(did.ok()) << did.status();
-  EXPECT_TRUE(*did);
-  EXPECT_EQ(merged.num_nodes(), 3u);
-
-  Database t1("a"), t2("b");
-  ASSERT_TRUE(Executor(&src, &t1).Run(flow).ok());
-  ASSERT_TRUE(Executor(&src, &t2).Run(merged).ok());
-  EXPECT_EQ((*t1.GetTable("out"))->num_rows(),
-            (*t2.GetTable("out"))->num_rows());
-}
-
 TEST(EquivalenceTest, RedundantProjectionRemoved) {
   Database src;
   ASSERT_TRUE(datagen::PopulateTpch(&src, {0.001, 3}).ok());
@@ -561,83 +528,6 @@ TEST(EquivalenceTest, RedundantProjectionRemoved) {
   EXPECT_TRUE(*removed);
   EXPECT_FALSE(flow.HasNode("pr"));
   EXPECT_EQ(flow.Successors("ds"), (std::vector<std::string>{"ld"}));
-}
-
-TEST(EquivalenceTest, EarlyProjectionsPruneUnusedColumns) {
-  Database src;
-  ASSERT_TRUE(datagen::PopulateTpch(&src, {0.001, 3}).ok());
-  Flow flow = MakeJoinWithLateSelection();
-  auto inserted = InsertEarlyProjections(&flow, ColumnsOf(src));
-  ASSERT_TRUE(inserted.ok()) << inserted.status();
-  // A pipeline aggregating two of lineitem's ten columns: the optimizer
-  // must narrow right after the extraction.
-  Flow narrow("n");
-  ASSERT_TRUE(narrow.AddNode(MakeNode("ds", OpType::kDatastore,
-                                      {{"table", "lineitem"}}))
-                  .ok());
-  ASSERT_TRUE(narrow.AddNode(MakeNode("ex", OpType::kExtraction,
-                                      {{"table", "lineitem"}}))
-                  .ok());
-  ASSERT_TRUE(narrow.AddNode(MakeNode("ag", OpType::kAggregation,
-                                      {{"group", "l_partkey"},
-                                       {"aggs", "SUM(l_quantity) AS q"}}))
-                  .ok());
-  ASSERT_TRUE(
-      narrow.AddNode(MakeNode("ld", OpType::kLoader, {{"table", "out"}}))
-          .ok());
-  ASSERT_TRUE(narrow.AddEdge("ds", "ex").ok());
-  ASSERT_TRUE(narrow.AddEdge("ex", "ag").ok());
-  ASSERT_TRUE(narrow.AddEdge("ag", "ld").ok());
-  auto n = InsertEarlyProjections(&narrow, ColumnsOf(src));
-  ASSERT_TRUE(n.ok()) << n.status();
-  EXPECT_EQ(*n, 1);
-  EXPECT_TRUE(narrow.HasNode("EARLYPROJ_ex"));
-  // The inserted projection keeps exactly the two needed columns.
-  EXPECT_EQ(narrow.GetNode("EARLYPROJ_ex").value()->params.at("columns"),
-            "l_partkey,l_quantity");
-  // Idempotent.
-  auto again = InsertEarlyProjections(&narrow, ColumnsOf(src));
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*again, 0);
-  // Semantics preserved.
-  Database t1("a"), t2("b");
-  Flow baseline("b");
-  ASSERT_TRUE(baseline.AddNode(MakeNode("ds", OpType::kDatastore,
-                                        {{"table", "lineitem"}}))
-                  .ok());
-  ASSERT_TRUE(baseline.AddNode(MakeNode("ex", OpType::kExtraction,
-                                        {{"table", "lineitem"}}))
-                  .ok());
-  ASSERT_TRUE(baseline.AddNode(MakeNode("ag", OpType::kAggregation,
-                                        {{"group", "l_partkey"},
-                                         {"aggs",
-                                          "SUM(l_quantity) AS q"}}))
-                  .ok());
-  ASSERT_TRUE(
-      baseline.AddNode(MakeNode("ld", OpType::kLoader, {{"table", "out"}}))
-          .ok());
-  ASSERT_TRUE(baseline.AddEdge("ds", "ex").ok());
-  ASSERT_TRUE(baseline.AddEdge("ex", "ag").ok());
-  ASSERT_TRUE(baseline.AddEdge("ag", "ld").ok());
-  ASSERT_TRUE(Executor(&src, &t1).Run(narrow).ok());
-  ASSERT_TRUE(Executor(&src, &t2).Run(baseline).ok());
-  EXPECT_EQ((*t1.GetTable("out"))->num_rows(),
-            (*t2.GetTable("out"))->num_rows());
-}
-
-TEST(EquivalenceTest, EarlyProjectionsPreserveIntegratedFlowResults) {
-  Database src;
-  ASSERT_TRUE(datagen::PopulateTpch(&src, {0.002, 21}).ok());
-  // Use a realistic interpreted flow via the join-with-selection shape.
-  Flow flow = MakeJoinWithLateSelection();
-  Flow optimized = flow.Clone();
-  ASSERT_TRUE(quarry::etl::Normalize(&optimized, ColumnsOf(src)).ok());
-  ASSERT_TRUE(InsertEarlyProjections(&optimized, ColumnsOf(src)).ok());
-  Database t1("a"), t2("b");
-  ASSERT_TRUE(Executor(&src, &t1).Run(flow).ok());
-  ASSERT_TRUE(Executor(&src, &t2).Run(optimized).ok());
-  EXPECT_EQ((*t1.GetTable("out"))->num_rows(),
-            (*t2.GetTable("out"))->num_rows());
 }
 
 TEST(EquivalenceTest, CostModelAgreesWithMeasuredRowReduction) {

@@ -19,6 +19,7 @@
 
 #include "core/quarry.h"
 #include "datagen/retail.h"
+#include "etl/exec/executor.h"
 #include "json/json.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -314,6 +315,66 @@ TEST_F(RequestObsTest, SlowRefreshRecordsItsProfile) {
   }
   EXPECT_EQ(kind, "refresh_serving");
   EXPECT_EQ(roots, sinks);
+}
+
+/// The ids of every node in a profile plan (a node shared by two parents
+/// appears once).
+void CollectPlanIds(const json::Value& node, std::set<std::string>* ids) {
+  for (const auto& [field, v] : node.as_object()) {
+    if (field == "id") ids->insert(v.as_string());
+    if (field != "children") continue;
+    for (const auto& child : v.as_array()) CollectPlanIds(child, ids);
+  }
+}
+
+std::set<std::string> PlanIds(const std::string& profile_json) {
+  std::set<std::string> ids;
+  auto parsed = json::Parse(profile_json);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) return ids;
+  for (const auto& [key, value] : parsed->as_object()) {
+    if (key != "plan") continue;
+    for (const auto& root : value.as_array()) CollectPlanIds(root, &ids);
+  }
+  return ids;
+}
+
+std::set<std::string> RanIds(const etl::ExecutionReport& report) {
+  std::set<std::string> ids;
+  for (const etl::NodeStats& node : report.nodes) ids.insert(node.node_id);
+  return ids;
+}
+
+// The EXPLAIN ANALYZE plan of a deployment and of a refresh is drawn over
+// the flow the executor ran: it names every node that ran, and no other.
+TEST_F(RequestObsTest, DeployAndRefreshPlansNameEveryNodeThatRan) {
+  auto& log = obs::RequestLog::Instance();
+  log.set_slow_threshold_micros(0.0);  // Everything is "slow".
+  auto quarry = MakeServingQuarry(/*max_workers=*/1);
+  auto deployed = quarry->DeployServing();
+  ASSERT_TRUE(deployed.ok()) << deployed.status().ToString();
+  ASSERT_TRUE(deployed->success);
+  auto refreshed = quarry->RefreshServing();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+
+  const std::set<std::string> deploy_ran = RanIds(deployed->report.etl);
+  const std::set<std::string> refresh_ran = RanIds(*refreshed);
+  ASSERT_FALSE(deploy_ran.empty());
+  ASSERT_FALSE(refresh_ran.empty());
+  int checked = 0;
+  for (const auto& record : log.Snapshot()) {
+    const std::set<std::string>* ran = nullptr;
+    if (record.kind == "deploy_serving" &&
+        record.generation == deployed->published_generation) {
+      ran = &deploy_ran;
+    } else if (record.kind == "refresh_serving") {
+      ran = &refresh_ran;
+    }
+    if (ran == nullptr) continue;
+    ++checked;
+    EXPECT_EQ(PlanIds(record.profile_json), *ran) << record.kind;
+  }
+  EXPECT_EQ(checked, 2);
 }
 
 // Failed requests are recorded with their status-code name and counted in
