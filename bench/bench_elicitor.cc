@@ -4,7 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "common/prng.h"
 #include "common/timer.h"
@@ -17,6 +19,12 @@ using quarry::ontology::Multiplicity;
 using quarry::ontology::Ontology;
 using quarry::req::Elicitor;
 
+/// "C<i>", the id of synthetic concept i. Appends: GCC 12 reports a false
+/// -Wrestrict on `"C" + std::to_string(i)`.
+std::string ConceptId(int64_t i) {
+  return std::string("C").append(std::to_string(i));
+}
+
 /// Synthetic ontology: a functional "galaxy" — `n` concepts, each with a
 /// couple of numeric + descriptive properties, chained into rollup spines
 /// with random extra to-one shortcuts (shape of a real enterprise model).
@@ -24,7 +32,7 @@ Ontology SyntheticOntology(int n, uint64_t seed) {
   quarry::Prng rng(seed);
   Ontology onto("synthetic_" + std::to_string(n));
   for (int i = 0; i < n; ++i) {
-    std::string id = "C" + std::to_string(i);
+    std::string id = ConceptId(i);
     if (!onto.AddConcept(id).ok()) std::abort();
     (void)onto.AddDataProperty(id, "amount",
                                quarry::storage::DataType::kDouble);
@@ -33,18 +41,18 @@ Ontology SyntheticOntology(int n, uint64_t seed) {
   }
   // Spine: Ci -> C(i/2) (tree of rollups toward C0).
   for (int i = 1; i < n; ++i) {
-    std::string from = "C" + std::to_string(i);
-    std::string to = "C" + std::to_string(i / 2);
-    (void)onto.AddAssociation("a" + std::to_string(i), from, to,
+    std::string from = ConceptId(i);
+    std::string to = ConceptId(i / 2);
+    (void)onto.AddAssociation(std::string("a").append(std::to_string(i)),
+                              from, to,
                               Multiplicity::kManyToOne);
   }
   // Shortcuts.
   for (int i = 0; i < n / 2; ++i) {
     int from = static_cast<int>(rng.Uniform(1, n - 1));
     int to = static_cast<int>(rng.Uniform(0, from - 1));
-    (void)onto.AddAssociation("s" + std::to_string(i),
-                              "C" + std::to_string(from),
-                              "C" + std::to_string(to),
+    (void)onto.AddAssociation(std::string("s").append(std::to_string(i)),
+                              ConceptId(from), ConceptId(to),
                               Multiplicity::kManyToOne);
   }
   return onto;
@@ -71,7 +79,7 @@ void PrintSeries() {
   for (int n : {8, 32, 128, 512, 2048}) {
     Ontology onto = SyntheticOntology(n, 5);
     Elicitor e(&onto);
-    std::string focus = "C" + std::to_string(n - 1);
+    std::string focus = ConceptId(n - 1);
     quarry::Timer t1;
     auto suggestions = e.SuggestDimensions(focus);
     double dims_us = t1.ElapsedMicros();
@@ -109,7 +117,7 @@ BENCHMARK(BM_SuggestFactsTpch);
 void BM_SuggestDimensionsSynthetic(benchmark::State& state) {
   Ontology onto = SyntheticOntology(static_cast<int>(state.range(0)), 5);
   Elicitor elicitor(&onto);
-  std::string focus = "C" + std::to_string(state.range(0) - 1);
+  std::string focus = ConceptId(state.range(0) - 1);
   for (auto _ : state) {
     auto dims = elicitor.SuggestDimensions(focus);
     if (!dims.ok()) std::abort();

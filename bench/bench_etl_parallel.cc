@@ -1,13 +1,15 @@
 // Wavefront-scheduler experiments (docs/ROBUSTNESS.md §8,
-// BENCH_parallel.json):
+// BENCH_parallel.json). Every run goes through the scheduler; the 1-worker
+// arm runs the nodes on the calling thread in topological order, and the
+// N-worker arms on a pool of N threads:
 //  - wide multi-branch flow (6 independent extract→transform→load chains)
-//    executed serially and with 2/4/8 workers — the headline wavefront
+//    executed with 1, 2, 4 and 8 workers — the headline wavefront
 //    speedup. On a multi-core host the 4-worker run is expected >= 2x; on
 //    a single-vCPU container CPU-bound branches cannot overlap and the
-//    interesting number is how little the scheduler loses;
+//    interesting number is how little the thread pool loses;
 //  - deep chain flow (60 dependent nodes): zero exploitable parallelism by
-//    construction, so (parallel - serial) / nodes is the per-node
-//    scheduling overhead (thread pool, ready queue, condvar signalling);
+//    construction, so (4 workers - 1 worker) / nodes is the per-node cost
+//    of the thread pool (thread start, condvar hand-offs between threads);
 //  - latency-bound wide flow: each branch's transform draws one injected
 //    transient fault and sleeps through a deterministic 25 ms retry
 //    backoff. Workers overlap the sleeps even on one vCPU — the wavefront
@@ -140,7 +142,7 @@ Flow BuildWideFlow() {
 }
 
 /// 60 dependent selections: the longest path IS the flow, so any time a
-/// parallel run loses versus serial is pure scheduler overhead.
+/// multi-worker run loses versus one worker is pure thread-pool overhead.
 Flow BuildChainFlow(int length) {
   Flow flow("chain");
   (void)flow.AddNode(

@@ -65,7 +65,7 @@ struct QuarryConfig {
   AdmissionOptions admission;
   /// How ETL runs execute: every run goes through the chunk kernels
   /// (DESIGN.md §8) with `chunk_size` rows per chunk; `max_workers > 1`
-  /// runs deploy/refresh flows on the wavefront scheduler
+  /// runs the independent nodes of deploy/refresh flows concurrently
   /// (docs/ROBUSTNESS.md §8). Applied to RefreshServing always, and to
   /// DeployServing unless the caller's DeployOptions ask for parallelism
   /// themselves.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <set>
 #include <thread>
 
@@ -117,8 +116,9 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
 
   // The target starts empty, so every table in it is one this deploy
   // created and undoing the target is erasing them (and the name the DDL's
-  // CREATE DATABASE set); the metadata store is snapshotted and restored
-  // byte-identically (docs/ROBUSTNESS.md).
+  // CREATE DATABASE set). The metadata store needs no snapshot: the only
+  // write to it is the deployment record, and write_record undoes a failed
+  // one (docs/ROBUSTNESS.md).
   const std::string target_name = target_->name();
   auto erase_created_tables = [&]() {
     for (const std::string& name : target_->TableNames()) {
@@ -126,10 +126,19 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
     }
     target_->set_name(target_name);
   };
-  std::optional<docstore::DocumentStore> meta_snapshot;
-  if (options.metadata != nullptr) {
-    meta_snapshot = options.metadata->Clone();
-  }
+  // A failed Upsert leaves one trace, the "deployments" collection that
+  // GetOrCreate made for it, so the write drops a collection it created.
+  auto write_record = [&](const std::string& status,
+                          const std::vector<std::string>& kept_tables) {
+    docstore::DocumentStore& meta = *options.metadata;
+    const bool had_collection = meta.Get("deployments").ok();
+    Status written = meta.GetOrCreate("deployments")
+                         ->Upsert(options.deployment_id,
+                                  DeploymentRecord(options, status, report,
+                                                   kept_tables));
+    if (!written.ok() && !had_collection) meta.DropIfEmpty("deployments");
+    return written;
+  };
 
   auto roll_back = [&]() {
     QUARRY_SPAN("deploy.rollback");
@@ -137,9 +146,6 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
                   "Deployments rolled back to the pre-deploy snapshot")
         .Increment();
     erase_created_tables();
-    if (options.metadata != nullptr) {
-      options.metadata->RestoreFrom(*meta_snapshot);
-    }
   };
   auto fail = [&](std::string stage, Status cause) -> DeploymentOutcome {
     DeploymentFailure failure;
@@ -258,10 +264,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
       outcome.failure = std::move(failure);
       if (options.metadata != nullptr && outcome.partial) {
         // Best effort all the way down: a failed record write is ignored.
-        (void)options.metadata->GetOrCreate("deployments")
-            ->Upsert(options.deployment_id,
-                     DeploymentRecord(options, "partial", report,
-                                      outcome.failure->kept_tables));
+        (void)write_record("partial", outcome.failure->kept_tables);
       }
       return outcome;
     }
@@ -306,10 +309,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
     QUARRY_SPAN("deploy.metadata");
     Status record_status;
     for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      record_status =
-          options.metadata->GetOrCreate("deployments")
-              ->Upsert(options.deployment_id,
-                       DeploymentRecord(options, "complete", report, {}));
+      record_status = write_record("complete", {});
       if (record_status.ok()) break;
       if (IsLifecycleError(record_status)) break;
       if (attempt < max_attempts) {

@@ -33,9 +33,9 @@ struct DeployOptions {
   etl::RetryPolicy retry;
   /// How the ETL population stage executes: the chunk kernels cut
   /// `exec.chunk_size` rows per chunk (DESIGN.md §8), and
-  /// `exec.max_workers > 1` runs independent nodes on the wavefront
-  /// scheduler (docs/ROBUSTNESS.md §8); target tables are byte-identical
-  /// whatever either knob says.
+  /// `exec.max_workers > 1` runs independent nodes concurrently
+  /// (docs/ROBUSTNESS.md §8); target tables are byte-identical whatever
+  /// either knob says.
   etl::ExecOptions exec;
   /// Request lifecycle (nullable): cancellation + deadline are checked at
   /// every stage boundary and cooperatively inside the ETL stage; budgets
@@ -49,9 +49,9 @@ struct DeployOptions {
   /// unfinished ones, and mark the deployment "partial" in the metadata
   /// store instead of rolling everything back.
   bool best_effort = false;
-  /// Snapshot/rolled back together with the target; receives the
-  /// deployment record in its "deployments" collection. Usually the
-  /// metadata repository's underlying store. May be null.
+  /// Receives the deployment record in its "deployments" collection, the
+  /// deploy's only write to it; a failed record write is undone. Usually
+  /// the metadata repository's underlying store. May be null.
   docstore::DocumentStore* metadata = nullptr;
   /// Id of the deployment record document.
   std::string deployment_id = "deployment";
@@ -90,11 +90,11 @@ struct DeploymentOutcome {
 /// engine (the Pentaho stand-in) to populate it.
 ///
 /// Deployment is transactional (docs/ROBUSTNESS.md): it builds into an
-/// empty target, and the metadata store is snapshotted up front; any
-/// mid-deploy failure erases every table the deploy created, restores the
-/// metadata store byte-identically and reports a DeploymentFailure, unless
-/// best-effort mode keeps the fully-loaded tables and marks the deployment
-/// partial.
+/// empty target and writes the metadata store only in its last stage (the
+/// deployment record); any mid-deploy failure erases every table the
+/// deploy created, leaves the metadata store byte-identical and reports a
+/// DeploymentFailure, unless best-effort mode keeps the fully-loaded tables
+/// and marks the deployment partial.
 class Deployer {
  public:
   /// Both databases must outlive the deployer. `source` holds the

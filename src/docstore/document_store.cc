@@ -355,6 +355,13 @@ Status DocumentStore::Drop(const std::string& name) {
   return Status::OK();
 }
 
+void DocumentStore::DropIfEmpty(const std::string& name) {
+  auto it = collections_.find(name);
+  if (it == collections_.end() || it->second->size() > 0) return;
+  (void)it->second->LogMutation("dropc", "", nullptr);
+  collections_.erase(it);
+}
+
 std::vector<std::string> DocumentStore::CollectionNames() const {
   std::vector<std::string> out;
   out.reserve(collections_.size());

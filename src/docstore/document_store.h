@@ -142,6 +142,13 @@ class DocumentStore {
 
   Status Drop(const std::string& name);
 
+  /// Removes `name` if it exists and holds no document: the undo of a
+  /// GetOrCreate whose first write failed. Like GetOrCreate's, the record
+  /// on a durable store is logged best-effort (a failed append leaves at
+  /// most an empty collection for recovery to find), so the collection
+  /// always leaves memory.
+  void DropIfEmpty(const std::string& name);
+
   std::vector<std::string> CollectionNames() const;
 
   /// Atomically snapshots every collection into `dir` (which must exist):

@@ -68,9 +68,7 @@ Result<FlowCostEstimate> EstimateCost(
         rows_out = rows_in;  // Row-preserving unary operators.
     }
     base_rows[id] = base;
-    auto wit = config.weights.find(node.type);
-    double weight = wit == config.weights.end() ? 1.0 : wit->second;
-    double cost = weight * rows_in;
+    double cost = config.weight(node.type) * rows_in;
     if (node.type == OpType::kSort) {
       cost *= std::log2(rows_in + 2.0);
     }

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
-#include <set>
-#include <string_view>
 #include <thread>
 
 #include "common/fault_injection.h"
@@ -21,37 +19,9 @@ using kernel::Param;
 
 namespace {
 
-// Unlabelled executor totals are cached; per-operator instances go through
-// the registry once per op type (the map behind it is tiny).
-obs::Counter& RowsInCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Instance().counter(
-      "quarry_etl_rows_in_total", "Rows entering ETL operators");
-  return c;
-}
-
-obs::Counter& RowsOutCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Instance().counter(
-      "quarry_etl_rows_out_total", "Rows produced by ETL operators");
-  return c;
-}
-
-obs::Counter& RetryCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Instance().counter(
-      "quarry_etl_node_retries_total",
-      "Extra attempts beyond the first across all ETL nodes");
-  return c;
-}
-
 obs::Counter& RunCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Instance().counter(
       "quarry_etl_runs_total", "ETL flow executions started");
-  return c;
-}
-
-obs::Counter& RunFailureCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Instance().counter(
-      "quarry_etl_run_failures_total",
-      "ETL flow executions that returned an error");
   return c;
 }
 
@@ -62,34 +32,6 @@ obs::Counter& ResumeCounter() {
   return c;
 }
 
-/// Runs aborted by their request lifecycle rather than an operator fault,
-/// by reason. All three instances register eagerly so dashboards see zeros
-/// before the first abort.
-obs::Counter& LifecycleAbortCounter(const char* reason) {
-  static obs::Counter& cancelled = obs::MetricsRegistry::Instance().counter(
-      "quarry_etl_lifecycle_aborts_total",
-      "ETL runs aborted by cancellation, deadline expiry or budget "
-      "exhaustion",
-      {{"reason", "cancelled"}});
-  static obs::Counter& deadline = obs::MetricsRegistry::Instance().counter(
-      "quarry_etl_lifecycle_aborts_total", "", {{"reason", "deadline"}});
-  static obs::Counter& budget = obs::MetricsRegistry::Instance().counter(
-      "quarry_etl_lifecycle_aborts_total", "", {{"reason", "budget"}});
-  if (std::string_view(reason) == "cancelled") return cancelled;
-  if (std::string_view(reason) == "deadline") return deadline;
-  return budget;
-}
-
-void CountLifecycleAbort(const Status& status) {
-  if (status.IsCancelled()) {
-    LifecycleAbortCounter("cancelled").Increment();
-  } else if (status.IsDeadlineExceeded()) {
-    LifecycleAbortCounter("deadline").Increment();
-  } else if (status.IsResourceExhausted()) {
-    LifecycleAbortCounter("budget").Increment();
-  }
-}
-
 /// Node id -> Node::Signature(): with the edges, the shape a checkpoint
 /// records and Resume compares.
 std::map<std::string, std::string> NodeSignatures(const Flow& flow) {
@@ -98,19 +40,6 @@ std::map<std::string, std::string> NodeSignatures(const Flow& flow) {
     out.emplace(id, node.Signature());
   }
   return out;
-}
-
-void CountNodeDone(const Node& node, int64_t rows_out, double micros) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
-  obs::Labels op_label{{"op", OpTypeToString(node.type)}};
-  reg.counter("quarry_etl_nodes_executed_total",
-              "ETL operator executions by operator type", op_label)
-      .Increment();
-  reg.histogram("quarry_etl_node_micros",
-                "Wall time per ETL operator execution in microseconds",
-                /*bounds=*/{}, op_label)
-      .Observe(micros);
-  RowsOutCounter().Increment(rows_out);
 }
 
 }  // namespace
@@ -278,21 +207,12 @@ Result<ExecutionReport> Executor::RunInternal(const Flow& flow,
                      static_cast<int64_t>(RequestId(ctx)));
   }
   RunCounter().Increment();
-  // Touch the failure/retry/resume families so they expose as zeros from
-  // the first run instead of appearing only once something goes wrong.
-  RunFailureCounter();
-  RetryCounter();
+  // Touch the resume family so it exposes as zero from the first run; the
+  // scheduler registers the failure, retry and abort families.
   ResumeCounter();
-  LifecycleAbortCounter("cancelled");  // Registers all three reasons.
   if (resume) ResumeCounter().Increment();
-  ExecutionReport report;
   Timer total;
-  Prng backoff_prng(retry.jitter_seed);
-  BackoffBudget backoff;  // Against retry.total_backoff_budget_millis.
 
-  std::set<std::string> completed;
-  std::map<std::string, Relation> done;
-  bool resumed_any = false;
   if (resume) {
     if (checkpoint == nullptr || !checkpoint->valid) {
       return Status::InvalidArgument("Resume requires a valid checkpoint");
@@ -308,34 +228,16 @@ Result<ExecutionReport> Executor::RunInternal(const Flow& flow,
           "checkpoint of flow '" + flow.name() +
           "' was taken on a flow of another shape (nodes, params or edges)");
     }
-    completed.insert(checkpoint->completed.begin(),
-                     checkpoint->completed.end());
-    done = std::move(checkpoint->datasets);
-    checkpoint->datasets.clear();
-    report.loaded = checkpoint->loaded;
-    resumed_any = !completed.empty();
   } else if (checkpoint != nullptr) {
     *checkpoint = Checkpoint{};
     checkpoint->flow_name = flow.name();
     checkpoint->signatures = NodeSignatures(flow);
     checkpoint->edges = flow.edges();
   }
+  const bool resumed_any = resume && !checkpoint->completed.empty();
   if (checkpoint != nullptr) {
     checkpoint->failed_node.clear();
     checkpoint->valid = true;
-  }
-
-  // Reference counts so each materialized dataset is freed as soon as its
-  // last consumer has run — integrated flows would otherwise hold every
-  // intermediate at once and lose their execution-time advantage to memory
-  // pressure. On resume, consumers that already ran don't count.
-  std::map<std::string, size_t> remaining_consumers;
-  for (const auto& [id, node] : flow.nodes()) {
-    size_t pending = 0;
-    for (const std::string& succ : flow.Successors(id)) {
-      if (completed.count(succ) == 0) ++pending;
-    }
-    remaining_consumers[id] = pending;
   }
 
   // Column liveness (DESIGN.md §8): the output columns each node's
@@ -343,90 +245,14 @@ Result<ExecutionReport> Executor::RunInternal(const Flow& flow,
   // recomputes the sets the checkpointed intermediates were built with.
   const std::map<std::string, LiveColumns> live = LiveColumnsOf(flow, order);
 
-  // Parallel runs go through the wavefront scheduler once the shared
-  // prologue above (validation, counters, checkpoint/resume state,
-  // liveness) has run. When source and target alias, a loader write would
-  // race the datastore reads of concurrent siblings, so such runs silently
-  // degrade to serial.
-  if (options.max_workers > 1 && source_ != target_) {
-    Scheduler scheduler(this, options);
-    return scheduler.Run(flow, order, live, retry, checkpoint, ctx,
-                         std::move(completed), std::move(done),
-                         std::move(remaining_consumers), std::move(report),
-                         resumed_any, total);
-  }
-
-  for (const std::string& id : order) {
-    if (completed.count(id) > 0) continue;  // Resumed from checkpoint.
-    const Node& node = *flow.GetNode(id).value();
-    QUARRY_NAMED_SPAN(node_span,
-                      std::string("etl.node.") + OpTypeToString(node.type));
-    QUARRY_SPAN_ATTR(node_span, "node_id", id);
-    Timer node_timer;
-    std::vector<const Relation*> inputs;
-    int64_t rows_in = 0;
-    for (const std::string& pred : flow.Predecessors(id)) {
-      const Relation& input = done.at(pred);
-      inputs.push_back(&input);
-      rows_in += input.row_count();
-    }
-    RowsInCounter().Increment(rows_in);
-
-    NodeAttempt outcome =
-        ExecuteNode(node, inputs, live.at(id), retry, ctx,
-                    /*protect_loader_always=*/checkpoint != nullptr,
-                    &backoff_prng, &backoff, options);
-    Result<Relation>& result = outcome.result;
-    const int attempts_used = outcome.attempts;
-    if (attempts_used > 1) RetryCounter().Increment(attempts_used - 1);
-    if (!result.ok()) {
-      CountLifecycleAbort(result.status());
-      if (checkpoint != nullptr) {
-        checkpoint->failed_node = id;
-        // The run is abandoned, so the live intermediates move into the
-        // checkpoint wholesale — the success path never copies a dataset.
-        checkpoint->datasets = std::move(done);
-      }
-      RunFailureCounter().Increment();
-      QUARRY_SPAN_ATTR(node_span, "error", result.status().message());
-      std::string context = "node '" + id + "' (" +
-                            OpTypeToString(node.type) + ")";
-      if (attempts_used > 1) {
-        context += " after " + std::to_string(attempts_used) + " attempts";
-      }
-      return result.status().WithContext(context);
-    }
-    if (outcome.loader.fired) {
-      report.loaded[outcome.loader.table] += outcome.loader.rows;
-    }
-
-    NodeStats stats;
-    stats.node_id = id;
-    stats.type = node.type;
-    stats.rows_in = rows_in;
-    stats.rows_out = result->row_count();
-    stats.millis = node_timer.ElapsedMillis();
-    stats.attempts = attempts_used;
-    CountNodeDone(node, stats.rows_out, node_timer.ElapsedMicros());
-    QUARRY_SPAN_ATTR(node_span, "rows_in", rows_in);
-    QUARRY_SPAN_ATTR(node_span, "rows_out", stats.rows_out);
-    QUARRY_SPAN_ATTR(node_span, "attempts", attempts_used);
-    report.rows_processed += rows_in;
-    report.attempts += attempts_used;
-    if (attempts_used > 1) report.retried_nodes.push_back(id);
-    report.nodes.push_back(stats);
-    completed.insert(id);
-    for (const std::string& pred : flow.Predecessors(id)) {
-      if (--remaining_consumers[pred] == 0) done.erase(pred);
-    }
-    if (remaining_consumers[id] > 0) {
-      done.emplace(id, std::move(*result));
-    }
-    if (checkpoint != nullptr) {
-      checkpoint->completed.push_back(id);
-      checkpoint->loaded = report.loaded;
-    }
-  }
+  // The wavefront scheduler walks every run. When source and target alias,
+  // a loader write would race the datastore reads of concurrent siblings,
+  // so such runs get one worker.
+  Scheduler scheduler(this, options,
+                      source_ == target_ ? 1 : options.max_workers);
+  QUARRY_ASSIGN_OR_RETURN(
+      ExecutionReport report,
+      scheduler.Run(flow, order, live, retry, checkpoint, ctx));
   report.total_millis = total.ElapsedMillis();
   report.recovered = resumed_any || !report.retried_nodes.empty();
   return report;

@@ -49,10 +49,11 @@ struct Relation {
 /// Backoff before the Nth retry is exponential with deterministic jitter:
 ///   exp    = min(base_backoff_millis * 2^(N-1), max_backoff_millis)
 ///   sleep  = exp * ((1 - jitter_fraction) + jitter_fraction * U)
-/// where U is a uniform draw from a Prng seeded with `jitter_seed` — the
-/// same policy yields the same sleep sequence on every run. The default
-/// base of 0 disables sleeping entirely (tests and benches retry
-/// instantly).
+/// where U is a uniform draw from the node's own Prng, seeded with
+/// `jitter_seed ^ hash(node id)` — the same policy yields the same sleep
+/// sequence for a node on every run, whichever worker runs it and however
+/// many other nodes retried. The default base of 0 disables sleeping
+/// entirely (tests and benches retry instantly).
 struct RetryPolicy {
   int max_attempts = 1;  ///< 1 = fail fast (no retry).
   double base_backoff_millis = 0.0;
@@ -92,8 +93,8 @@ double BoundedBackoffMillis(const RetryPolicy& policy, int failed_attempts,
 /// prefix of the topological order: a parallel run that fails mid-wavefront
 /// checkpoints the completed antichain's downward closure — siblings of the
 /// failed node that finished out of topological-order position are included
-/// and never re-run. `Resume` skips exactly that set, so resuming after a
-/// mid-parallel fault works like resuming a serial run.
+/// and never re-run. `Resume` skips exactly that set, at any worker count.
+/// A one-worker run records it in topological order.
 struct Checkpoint {
   std::string flow_name;
   /// The flow's shape: node id -> Node::Signature(), and the edges in
@@ -110,12 +111,13 @@ struct Checkpoint {
 
 /// \brief How a flow is executed (docs/ROBUSTNESS.md §8).
 struct ExecOptions {
-  /// Worker-pool size of the wavefront scheduler. 1 (the default) runs the
-  /// flow serially on the calling thread — exactly the pre-scheduler
-  /// behavior. N > 1 executes independent nodes concurrently; target-table
-  /// contents stay byte-identical to a serial run because loader nodes are
+  /// Worker-pool size of the wavefront scheduler (etl/exec/scheduler.h),
+  /// which walks every run. 1 (the default) runs the nodes one at a time,
+  /// in topological order, on the calling thread. N > 1 executes
+  /// independent nodes concurrently on N threads; target-table contents
+  /// stay byte-identical to a one-worker run because loader nodes are
   /// sequenced in topological order (tests/etl_parallel_test.cc proves it
-  /// differentially). Values above the node count just idle extra workers.
+  /// differentially). The pool never exceeds the number of nodes to run.
   int max_workers = 1;
   /// Rows per chunk wherever a kernel cuts rows into chunks (the Datastore
   /// scan, Sort's output); every other kernel keeps its input's chunk
@@ -161,8 +163,9 @@ std::vector<obs::ProfileNode> BuildProfileTrees(const Flow& flow,
 /// \brief Executes logical ETL flows (xLM) — the repo's stand-in for
 /// Pentaho PDI (see DESIGN.md §2).
 ///
-/// Operators are evaluated in topological order, materializing one
-/// Relation per node. Loader semantics: the target table is created on
+/// Every run goes through the wavefront scheduler (etl/exec/scheduler.h),
+/// which materializes one Relation per node and frees it once its last
+/// consumer has run. Loader semantics: the target table is created on
 /// first use (column types inferred from the data, a column mixing INT and
 /// DOUBLE as DOUBLE) unless it already exists; target columns the dataset
 /// lacks load as NULL; when the Loader declares `keys`, a row whose key,
@@ -191,14 +194,15 @@ std::vector<obs::ProfileNode> BuildProfileTrees(const Flow& flow,
 /// roll back to their per-attempt snapshot and the checkpoint is populated,
 /// so Resume after a timeout works exactly like Resume after a fault.
 ///
-/// Parallelism (docs/ROBUSTNESS.md §8): with ExecOptions::max_workers > 1
-/// the run goes through the wavefront scheduler (etl/exec/scheduler.h) —
-/// independent nodes execute concurrently on a worker pool while sharing
-/// one ExecContext (atomic budget charges, per-node checks, cooperative
-/// polls). Loader nodes are sequenced in topological order, so the target
-/// tables come out byte-identical to a serial run. When source and target
-/// alias, parallel requests silently degrade to serial: a loader writing
-/// the catalog a sibling extraction is reading from cannot be overlapped.
+/// Parallelism (docs/ROBUSTNESS.md §8): with one worker (the default) the
+/// scheduler runs the nodes in topological order on the calling thread.
+/// With ExecOptions::max_workers > 1 independent nodes execute
+/// concurrently on a worker pool while sharing one ExecContext (atomic
+/// budget charges, per-node checks, cooperative polls). Loader nodes are
+/// sequenced in topological order, so the target tables come out
+/// byte-identical at every worker count. When source and target alias, a
+/// run gets one worker whatever it asked for: a loader writing the catalog
+/// a sibling extraction is reading from cannot be overlapped.
 class Executor {
  public:
   /// `source` provides Datastore tables; `target` receives Loader output.
@@ -217,10 +221,10 @@ class Executor {
                               const ExecContext* ctx = nullptr);
 
   /// Like the above, with explicit execution options — `options.max_workers
-  /// > 1` runs independent nodes on the wavefront scheduler
-  /// (etl/exec/scheduler.h). Every contract of the serial path carries
-  /// over: retries per node (applied on whichever worker runs the node),
-  /// lifecycle errors never retried, loader rollback, checkpoint/Resume.
+  /// > 1` runs independent nodes concurrently. Every contract holds at any
+  /// worker count: retries per node (applied on whichever worker runs the
+  /// node), lifecycle errors never retried, loader rollback,
+  /// checkpoint/Resume.
   Result<ExecutionReport> Run(const Flow& flow, const ExecOptions& options,
                               const RetryPolicy& retry,
                               Checkpoint* checkpoint = nullptr,
@@ -229,15 +233,16 @@ class Executor {
   /// Continues a failed run from `checkpoint`: completed operators are
   /// skipped (their checkpointed outputs feed the remaining ones) and the
   /// checkpoint keeps advancing, so Resume can itself be resumed. The
-  /// checkpoint's completed *set* may come from a serial or a parallel run;
-  /// a serial or a parallel Resume accepts either. A flow whose name or
+  /// checkpoint's completed *set* may come from a run at any worker count,
+  /// and a Resume at any worker count accepts it. A flow whose name or
   /// shape (Checkpoint::signatures, Checkpoint::edges) differs from the
   /// checkpointed one is refused with InvalidArgument.
   Result<ExecutionReport> Resume(const Flow& flow, Checkpoint* checkpoint,
                                  const RetryPolicy& retry = {},
                                  const ExecContext* ctx = nullptr);
 
-  /// Resume on the wavefront scheduler (options.max_workers > 1).
+  /// Resume with explicit execution options (options.max_workers > 1 runs
+  /// independent nodes concurrently).
   Result<ExecutionReport> Resume(const Flow& flow, const ExecOptions& options,
                                  Checkpoint* checkpoint,
                                  const RetryPolicy& retry = {},
@@ -258,7 +263,7 @@ class Executor {
 
   /// Thread-safe accumulator for RetryPolicy::total_backoff_budget_millis:
   /// in a parallel run several workers may sleep concurrently, and the
-  /// budget bounds their *sum*, exactly like the serial sum of sleeps.
+  /// budget bounds the *sum* of every worker's sleeps.
   class BackoffBudget {
    public:
     double spent_millis() const {
@@ -302,13 +307,15 @@ class Executor {
                            const ExecContext* ctx,
                            const ExecOptions& options);
 
-  /// The per-node attempt loop shared by the serial path and the scheduler:
-  /// context pre-check, loader table snapshot, RunNode (budget charges ride
+  /// The per-node attempt loop the scheduler runs for every node: context
+  /// pre-check, loader table snapshot, RunNode (budget charges ride
   /// inside it), loader rollback on failure, bounded backoff between
   /// attempts. Lifecycle errors are never retried.
   /// `protect_loader_always` forces the loader snapshot even without
-  /// retries/checkpoint/ctx (parallel runs always protect: a sibling's
-  /// failure must never leave this loader's table half-written).
+  /// retries/ctx. The scheduler sets it for a run with a checkpoint, so a
+  /// Resume never finds a half-written table, and for a run with more than
+  /// one worker, where a sibling's failure must never leave this loader's
+  /// table half-written.
   NodeAttempt ExecuteNode(const Node& node,
                           const std::vector<const Relation*>& inputs,
                           const LiveColumns& live, const RetryPolicy& retry,

@@ -161,13 +161,6 @@ std::map<std::string, std::vector<std::string>> Flow::SuccessorLists() const {
   return out;
 }
 
-std::map<std::string, size_t> Flow::InDegrees() const {
-  std::map<std::string, size_t> out;
-  for (const auto& [id, node] : nodes_) out[id] = 0;
-  for (const Edge& e : edges_) ++out[e.to];
-  return out;
-}
-
 std::vector<std::string> Flow::SourceIds() const {
   std::vector<std::string> out;
   for (const auto& [id, node] : nodes_) {

@@ -104,12 +104,8 @@ class Flow {
 
   /// Successor adjacency of every node (edge insertion order per node) in
   /// one O(edges) pass — the per-id Successors() is O(edges) per call,
-  /// which the wavefront scheduler would turn into O(V·E).
+  /// which a pass over every node would turn into O(V·E).
   std::map<std::string, std::vector<std::string>> SuccessorLists() const;
-
-  /// Incoming-edge count of every node in one O(edges) pass; the
-  /// scheduler's dependency counters start from these.
-  std::map<std::string, size_t> InDegrees() const;
 
   /// Nodes with no incoming / outgoing edges.
   std::vector<std::string> SourceIds() const;

@@ -87,6 +87,16 @@ TEST(DocumentStoreTest, GetOrCreateAndDrop) {
   EXPECT_TRUE(store.Drop("designs").IsNotFound());
 }
 
+TEST(DocumentStoreTest, DropIfEmptyKeepsDocuments) {
+  DocumentStore store;
+  ASSERT_TRUE(store.GetOrCreate("full")->Upsert("a", Doc("full", 1)).ok());
+  store.GetOrCreate("empty");
+  store.DropIfEmpty("full");
+  store.DropIfEmpty("empty");
+  store.DropIfEmpty("absent");
+  EXPECT_EQ(store.CollectionNames(), (std::vector<std::string>{"full"}));
+}
+
 TEST(DocumentStoreTest, SaveAndLoadDirectory) {
   std::string dir =
       std::filesystem::temp_directory_path() / "quarry_docstore_test";

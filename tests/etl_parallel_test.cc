@@ -1,7 +1,7 @@
 // Differential tests for the executor. EtlParallelTest (docs/ROBUSTNESS.md
 // §8): every flow must produce byte-identical target tables and equivalent
 // execution reports no matter how many workers run it, and the lifecycle /
-// fault-injection contracts of the serial executor must carry over.
+// fault-injection contracts of a one-worker run must carry over.
 // EtlVectorizedTest (DESIGN.md §8): the chunk runtime must match the
 // row-at-a-time reference executor at every chunk size. Runs under TSan via
 // tools/run_tsan.sh (ctest label `tsan`).
@@ -26,6 +26,7 @@
 #include "etl_test_util.h"
 #include "interpreter/interpreter.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "ontology/tpch_ontology.h"
 #include "storage/database.h"
 
@@ -406,6 +407,118 @@ TEST(EtlParallelTest, SchedulerMetricsAreRecorded) {
   EXPECT_GE(worker_nodes, static_cast<int64_t>(flow.num_nodes()));
 }
 
+/// Three datastores: a → p (Selection) → loader v; b → q → w (Selections)
+/// → loader L3; c → loader L. TopologicalOrder() is a b c p q L v w L3,
+/// while a FIFO ready queue with the loader chain edges L→v→L3 would run
+/// w before v.
+Flow BuildChainOrderFlow() {
+  Flow flow("chain_order");
+  (void)flow.AddNode(MakeNode("a", OpType::kDatastore, {{"table", "src0"}}));
+  (void)flow.AddNode(MakeNode("b", OpType::kDatastore, {{"table", "src1"}}));
+  (void)flow.AddNode(MakeNode("c", OpType::kDatastore, {{"table", "src2"}}));
+  (void)flow.AddNode(
+      MakeNode("p", OpType::kSelection, {{"predicate", "v >= 3"}}));
+  (void)flow.AddNode(
+      MakeNode("q", OpType::kSelection, {{"predicate", "v >= 5"}}));
+  (void)flow.AddNode(
+      MakeNode("w", OpType::kSelection, {{"predicate", "w > 10.0"}}));
+  (void)flow.AddNode(MakeNode("v", OpType::kLoader, {{"table", "out_v"}}));
+  (void)flow.AddNode(MakeNode("L3", OpType::kLoader, {{"table", "out_l3"}}));
+  (void)flow.AddNode(MakeNode("L", OpType::kLoader, {{"table", "out_l"}}));
+  (void)flow.AddEdge("a", "p");
+  (void)flow.AddEdge("p", "v");
+  (void)flow.AddEdge("b", "q");
+  (void)flow.AddEdge("q", "w");
+  (void)flow.AddEdge("w", "L3");
+  (void)flow.AddEdge("c", "L");
+  return flow;
+}
+
+std::vector<std::string> NodeOrder(const ExecutionReport& report) {
+  std::vector<std::string> ids;
+  for (const NodeStats& stats : report.nodes) ids.push_back(stats.node_id);
+  return ids;
+}
+
+TEST(EtlParallelTest, OneWorkerRunsInTopologicalOrderOnTheCallingThread) {
+  auto source = BuildRandomSource(/*seed=*/37);
+  Flow flow = BuildChainOrderFlow();
+  ASSERT_TRUE(flow.Validate().ok());
+  auto order = flow.TopologicalOrder();
+  ASSERT_TRUE(order.ok()) << order.status();
+  ASSERT_EQ(*order, (std::vector<std::string>{"a", "b", "c", "p", "q", "L",
+                                              "v", "w", "L3"}));
+  RunOutcome reference = testutil::RunReference(*source, flow);
+  ASSERT_TRUE(reference.status.ok()) << reference.status;
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
+  const int64_t parallel_runs_before =
+      reg.counter("quarry_etl_scheduler_parallel_runs_total").value();
+  obs::TraceRecorder::Instance().Start();
+  storage::Database target("dw");
+  Executor executor(source.get(), &target);
+  Checkpoint checkpoint;
+  auto report = executor.Run(flow, ExecOptions{}, RetryPolicy{}, &checkpoint);
+  obs::TraceRecorder::Instance().Stop();
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  EXPECT_EQ(NodeOrder(*report), *order);
+  EXPECT_EQ(checkpoint.completed, *order);
+  EXPECT_EQ(target.Fingerprint(), reference.fingerprint);
+  EXPECT_EQ(report->loaded, reference.report.loaded);
+  EXPECT_EQ(reg.counter("quarry_etl_scheduler_parallel_runs_total").value(),
+            parallel_runs_before);
+#ifndef QUARRY_DISABLE_TRACING
+  // Every node span nests in the run span on the same thread: the one
+  // worker is the calling thread.
+  std::vector<obs::SpanRecord> spans = obs::TraceRecorder::Instance().Snapshot();
+  const obs::SpanRecord* run = nullptr;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name == "etl.run") run = &span;
+  }
+  ASSERT_NE(run, nullptr);
+  size_t node_spans = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name.rfind("etl.node.", 0) != 0) continue;
+    ++node_spans;
+    EXPECT_EQ(span.tid, run->tid) << span.name;
+    EXPECT_EQ(span.depth, run->depth + 1) << span.name;
+  }
+  EXPECT_EQ(node_spans, flow.num_nodes());
+#endif  // QUARRY_DISABLE_TRACING
+}
+
+TEST_F(EtlParallelFaultTest, OneWorkerResumeRunsInTopologicalOrder) {
+  auto source = BuildRandomSource(/*seed=*/37);
+  Flow flow = BuildChainOrderFlow();
+  auto order = flow.TopologicalOrder();
+  ASSERT_TRUE(order.ok()) << order.status();
+  RunOutcome reference = testutil::RunReference(*source, flow);
+  ASSERT_TRUE(reference.status.ok()) << reference.status;
+
+  // The selections run p, q, w: the third hit fails w for good.
+  fault::Injector::Instance().ClearConfigs();
+  fault::Injector::Instance().Configure("etl.exec.Selection",
+                                        {.fail_from_hit = 3});
+  fault::Injector::Instance().Enable(/*seed=*/39);
+  storage::Database target("dw");
+  Executor executor(source.get(), &target);
+  Checkpoint checkpoint;
+  auto failed = executor.Run(flow, ExecOptions{}, RetryPolicy{}, &checkpoint);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(checkpoint.failed_node, "w");
+  const std::vector<std::string> prefix(order->begin(), order->begin() + 7);
+  EXPECT_EQ(checkpoint.completed, prefix);
+
+  fault::Injector::Instance().Disable();
+  auto resumed = executor.Resume(flow, ExecOptions{}, &checkpoint);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(NodeOrder(*resumed), (std::vector<std::string>{"w", "L3"}));
+  EXPECT_EQ(checkpoint.completed, *order);
+  EXPECT_EQ(target.Fingerprint(), reference.fingerprint);
+  EXPECT_EQ(resumed->loaded, reference.report.loaded);
+}
+
 // ---------------------------------------------------------------------------
 // Differential harness (DESIGN.md §8): the chunk runtime against the
 // row-at-a-time reference executor (etl_reference.h). Every flow runs at
@@ -625,7 +738,7 @@ Flow BuildCrossTypeKeyFlow(const std::vector<std::string>& keys) {
   std::string left_keys, right_keys, tag;
   for (const std::string& k : keys) {
     left_keys += (left_keys.empty() ? "" : ",") + k;
-    right_keys += (right_keys.empty() ? "" : ",") + ("r" + k);
+    right_keys += (right_keys.empty() ? "r" : ",r") + k;
     tag += k;
   }
   Flow flow("keys_" + tag);

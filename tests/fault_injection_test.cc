@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <set>
 
 #include "datagen/tpch.h"
@@ -12,6 +13,7 @@
 #include "docstore/document_store.h"
 #include "integrator/design_integrator.h"
 #include "interpreter/interpreter.h"
+#include "obs/metrics.h"
 #include "ontology/tpch_ontology.h"
 #include "storage/sql.h"
 
@@ -344,6 +346,55 @@ TEST_F(FaultInjectionTest, UnrecoverableFaultRollsBackByteIdentically) {
     EXPECT_EQ(meta.Fingerprint(), meta_before)
         << "site " << site << " left the metadata store modified";
   }
+}
+
+// A failed deploy never writes the metadata store: a failed ETL stage
+// leaves it alone, and a failed record write drops the collection it
+// created, even when the WAL refuses the drop too. A durable store is thus
+// neither re-checkpointed nor changed, in memory or on disk.
+TEST_F(FaultInjectionTest, FailedDeployLeavesADurableMetadataStoreAlone) {
+  namespace fs = std::filesystem;
+  const std::string dir =
+      (fs::temp_directory_path() / "quarry_fault_durable_meta").string();
+  obs::Counter& checkpoints = obs::MetricsRegistry::Instance().counter(
+      "quarry_docstore_checkpoints_total");
+  for (const char* site :
+       {"etl.exec.Loader", "docstore.collection.upsert", "wal.append"}) {
+    SCOPED_TRACE(site);
+    Injector::Instance().Disable();
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    uint64_t meta_before = 0;
+    {
+      auto opened = docstore::DocumentStore::Open(dir);
+      ASSERT_TRUE(opened.ok()) << opened.status();
+      docstore::DocumentStore meta = std::move(*opened);
+      json::Object doc;
+      doc.emplace_back("kind", json::Value("ontology"));
+      ASSERT_TRUE(meta.GetOrCreate("ontologies")
+                      ->Upsert("onto", json::Value(std::move(doc)))
+                      .ok());
+      meta_before = meta.Fingerprint();
+      const int64_t checkpoints_before = checkpoints.value();
+
+      Injector::Instance().ClearConfigs();
+      Injector::Instance().Configure(site, {.fail_from_hit = 1});
+      Injector::Instance().Enable(7);
+      storage::Database target;
+      DeploymentOutcome outcome = Deploy(&target, &meta);
+      Injector::Instance().Disable();
+      ASSERT_FALSE(outcome.success);
+      ASSERT_TRUE(outcome.failure.has_value());
+      EXPECT_TRUE(outcome.failure->rolled_back);
+      EXPECT_EQ(target.num_tables(), 0u);
+      EXPECT_EQ(meta.Fingerprint(), meta_before);
+      EXPECT_EQ(checkpoints.value(), checkpoints_before);
+    }
+    auto recovered = docstore::DocumentStore::LoadFromDirectory(dir);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_EQ(recovered->Fingerprint(), meta_before);
+  }
+  fs::remove_all(dir);
 }
 
 TEST_F(FaultInjectionTest, TenPercentFaultRateEverywhereStillDeploys) {

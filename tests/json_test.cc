@@ -124,7 +124,7 @@ class XmlJsonRoundtripProperty : public ::testing::TestWithParam<uint64_t> {};
 void BuildRandomTree(quarry::Prng* rng, int depth, xml::Element* node) {
   int attrs = static_cast<int>(rng->Uniform(0, 2));
   for (int i = 0; i < attrs; ++i) {
-    node->SetAttr("a" + std::to_string(i), rng->Word(6));
+    node->SetAttr(std::string("a").append(std::to_string(i)), rng->Word(6));
   }
   if (depth >= 3 || rng->Chance(0.4)) {
     node->set_text(rng->Word(10));
@@ -132,7 +132,8 @@ void BuildRandomTree(quarry::Prng* rng, int depth, xml::Element* node) {
   }
   int kids = static_cast<int>(rng->Uniform(1, 3));
   for (int i = 0; i < kids; ++i) {
-    BuildRandomTree(rng, depth + 1, node->AddChild("tag" + rng->Word(3)));
+    BuildRandomTree(rng, depth + 1,
+                    node->AddChild(std::string("tag").append(rng->Word(3))));
   }
 }
 

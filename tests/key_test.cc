@@ -335,7 +335,7 @@ TEST(KeyIndexTest, EraseLastUndoesTheLastInsert) {
     ASSERT_TRUE(index.Insert(key).second);
     if (i % 3 == 0) {
       const std::string extra =
-          KeyOf({Value::String("x" + std::to_string(i))});
+          KeyOf({Value::String(std::string("x").append(std::to_string(i)))});
       const uint32_t id = index.Insert(extra).first;
       ASSERT_EQ(id, index.size() - 1);
       index.EraseLast();

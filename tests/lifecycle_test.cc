@@ -574,17 +574,18 @@ TEST_F(DeployLifecycleTest, CancelledMidDeployRollsBack) {
   }
 }
 
-// The acceptance scenario: a deliberately slow flow (TPC-H at 10x the usual
-// test scale) with a 50ms deadline fails promptly with kDeadlineExceeded,
-// leaves no half-deployed warehouse, and the same run is resumable at the
-// executor level via the existing Checkpoint/Resume.
+// The acceptance scenario: a deliberately slow flow (TPC-H at 40x the usual
+// test scale, so the whole run takes several times the 50ms deadline) with
+// a 50ms deadline fails promptly with kDeadlineExceeded, leaves no
+// half-deployed warehouse, and the same run is resumable at the executor
+// level via the existing Checkpoint/Resume.
 class SlowFlowDeadlineTest : public ::testing::Test {
  protected:
   SlowFlowDeadlineTest()
       : onto_(ontology::BuildTpchOntology()),
         mapping_(ontology::BuildTpchMappings()),
         interpreter_(&onto_, &mapping_) {
-    EXPECT_TRUE(datagen::PopulateTpch(&src_, {0.05, 23}).ok());
+    EXPECT_TRUE(datagen::PopulateTpch(&src_, {0.2, 23}).ok());
     auto design = interpreter_.Interpret(RevenueIr());
     EXPECT_TRUE(design.ok()) << design.status();
     design_ = std::move(*design);
@@ -643,7 +644,7 @@ int64_t CounterValue(const std::string& family, const obs::Labels& labels) {
 }
 
 TEST(AdmissionTest, FastPathAdmitsUpToLimit) {
-  AdmissionController gate({/*max_in_flight=*/2, /*max_queue_depth=*/0});
+  AdmissionController gate({.max_in_flight = 2, .max_queue_depth = 0, .lane = ""});
   int64_t admitted_before = CounterValue("quarry_admission_admitted_total", {});
   auto first = gate.Admit();
   auto second = gate.Admit();
@@ -661,7 +662,7 @@ TEST(AdmissionTest, FastPathAdmitsUpToLimit) {
 }
 
 TEST(AdmissionTest, FullQueueShedsWithOverloaded) {
-  AdmissionController gate({/*max_in_flight=*/1, /*max_queue_depth=*/0});
+  AdmissionController gate({.max_in_flight = 1, .max_queue_depth = 0, .lane = ""});
   int64_t shed_before = CounterValue("quarry_admission_shed_total",
                                      {{"reason", "queue_full"}});
   auto held = gate.Admit();
@@ -675,8 +676,10 @@ TEST(AdmissionTest, FullQueueShedsWithOverloaded) {
 }
 
 TEST(AdmissionTest, QueueTimeoutShedsWithOverloaded) {
-  AdmissionController gate({/*max_in_flight=*/1, /*max_queue_depth=*/4,
-                            /*queue_timeout_millis=*/20.0});
+  AdmissionController gate({.max_in_flight = 1,
+                            .max_queue_depth = 4,
+                            .queue_timeout_millis = 20.0,
+                            .lane = ""});
   int64_t shed_before = CounterValue("quarry_admission_shed_total",
                                      {{"reason", "queue_timeout"}});
   auto held = gate.Admit();
@@ -694,7 +697,7 @@ TEST(AdmissionTest, QueueTimeoutShedsWithOverloaded) {
 }
 
 TEST(AdmissionTest, WaiterAdmittedWhenSlotFreesFifo) {
-  AdmissionController gate({/*max_in_flight=*/1, /*max_queue_depth=*/4});
+  AdmissionController gate({.max_in_flight = 1, .max_queue_depth = 4, .lane = ""});
   auto held = gate.Admit();
   ASSERT_TRUE(held.ok());
 
@@ -724,7 +727,7 @@ TEST(AdmissionTest, WaiterAdmittedWhenSlotFreesFifo) {
 }
 
 TEST(AdmissionTest, CancellationUnparksQueuedWaiter) {
-  AdmissionController gate({/*max_in_flight=*/1, /*max_queue_depth=*/4});
+  AdmissionController gate({.max_in_flight = 1, .max_queue_depth = 4, .lane = ""});
   int64_t cancelled_before =
       CounterValue("quarry_admission_cancelled_total", {});
   auto held = gate.Admit();
@@ -747,7 +750,7 @@ TEST(AdmissionTest, CancellationUnparksQueuedWaiter) {
 }
 
 TEST(AdmissionTest, DeadlineExpiryWhileQueued) {
-  AdmissionController gate({/*max_in_flight=*/1, /*max_queue_depth=*/4});
+  AdmissionController gate({.max_in_flight = 1, .max_queue_depth = 4, .lane = ""});
   int64_t deadline_before =
       CounterValue("quarry_admission_deadline_total", {});
   auto held = gate.Admit();

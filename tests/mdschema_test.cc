@@ -19,7 +19,7 @@ MdSchema MakeRevenueSchema() {
   part.name = "Part";
   part.requirement_ids = {"ir_revenue"};
   part.levels.push_back(
-      {"Part", "Part", {{"p_name", DataType::kString, "Part.p_name"}}});
+      {"Part", "Part", {{"p_name", DataType::kString, "Part.p_name"}}, {}});
   EXPECT_TRUE(schema.AddDimension(part).ok());
 
   Dimension supplier;
@@ -27,11 +27,14 @@ MdSchema MakeRevenueSchema() {
   supplier.requirement_ids = {"ir_revenue"};
   Level supplier_level{
       "Supplier", "Supplier",
-      {{"s_name", DataType::kString, "Supplier.s_name"}}};
+      {{"s_name", DataType::kString, "Supplier.s_name"}},
+      {}};
   Level nation_level{"Nation", "Nation",
-                     {{"n_name", DataType::kString, "Nation.n_name"}}};
+                     {{"n_name", DataType::kString, "Nation.n_name"}},
+                     {}};
   Level region_level{"Region", "Region",
-                     {{"r_name", DataType::kString, "Region.r_name"}}};
+                     {{"r_name", DataType::kString, "Region.r_name"}},
+                     {}};
   supplier.levels = {supplier_level, nation_level, region_level};
   EXPECT_TRUE(schema.AddDimension(supplier).ok());
 
@@ -56,9 +59,12 @@ TEST(MdSchemaTest, AddAndLookup) {
   EXPECT_TRUE(schema.GetFact("fact_table_revenue").ok());
   EXPECT_TRUE(schema.GetDimension("Part").ok());
   EXPECT_TRUE(schema.GetFact("nope").status().IsNotFound());
-  EXPECT_TRUE(schema.AddFact({.name = "fact_table_revenue"})
-                  .IsAlreadyExists());
-  EXPECT_TRUE(schema.AddDimension({.name = "Part"}).IsAlreadyExists());
+  Fact same_fact;
+  same_fact.name = "fact_table_revenue";
+  EXPECT_TRUE(schema.AddFact(same_fact).IsAlreadyExists());
+  Dimension same_dimension;
+  same_dimension.name = "Part";
+  EXPECT_TRUE(schema.AddDimension(same_dimension).IsAlreadyExists());
 }
 
 TEST(MdSchemaTest, FindLevelAndMeasure) {
@@ -226,7 +232,7 @@ TEST(ValidatorTest, NonFunctionalFactDimensionPath) {
   MdSchema schema("s");
   Dimension dim;
   dim.name = "Lineitem";
-  dim.levels.push_back({"Lineitem", "Lineitem", {}});
+  dim.levels.push_back({"Lineitem", "Lineitem", {}, {}});
   ASSERT_TRUE(schema.AddDimension(dim).ok());
   Fact fact;
   fact.name = "fact_region";  // Region as fact cannot reach Lineitem.
@@ -284,8 +290,8 @@ TEST(ValidatorTest, HierarchyVisitingConceptTwice) {
   MdSchema schema("s");
   Dimension dim;
   dim.name = "D";
-  dim.levels.push_back({"A", "Part", {}});
-  dim.levels.push_back({"B", "Part", {}});
+  dim.levels.push_back({"A", "Part", {}, {}});
+  dim.levels.push_back({"B", "Part", {}, {}});
   ASSERT_TRUE(schema.AddDimension(dim).ok());
   auto violations = Validate(schema, nullptr);
   ASSERT_FALSE(violations.empty());
@@ -328,7 +334,7 @@ TEST(ComplexityTest, SharedDimensionBeatsDuplicatedOne) {
   Dimension part2;
   part2.name = "Part_copy";
   part2.levels.push_back(
-      {"Part", "Part", {{"p_name", DataType::kString, "Part.p_name"}}});
+      {"Part", "Part", {{"p_name", DataType::kString, "Part.p_name"}}, {}});
   ASSERT_TRUE(duplicated.AddDimension(part2).ok());
   Fact f3 = f2;
   f3.dimension_refs = {{"Part_copy", "Part"}};

@@ -186,7 +186,7 @@ TEST(TableTest, DoubleNarrowsIntoIntColumnOnlyWhenExact) {
 TEST(TableTest, IndexLookup) {
   Table t(MakePartSchema());
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(t.Insert({Value::Int(i), Value::String("p" + std::to_string(i % 10)),
+    ASSERT_TRUE(t.Insert({Value::Int(i), Value::String(std::string("p").append(std::to_string(i % 10))),
                           Value::Double(i * 1.5)})
                     .ok());
   }

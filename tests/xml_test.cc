@@ -166,7 +166,8 @@ class XmlRoundtripProperty : public ::testing::TestWithParam<uint64_t> {};
 void BuildRandomTree(quarry::Prng* rng, int depth, Element* node) {
   int attrs = static_cast<int>(rng->Uniform(0, 3));
   for (int i = 0; i < attrs; ++i) {
-    node->SetAttr("a" + std::to_string(i), rng->Word(5) + "<&>\"'");
+    node->SetAttr(std::string("a").append(std::to_string(i)),
+                  rng->Word(5) + "<&>\"'");
   }
   if (depth >= 4 || rng->Chance(0.3)) {
     node->set_text(rng->Word(8) + " & <text> " + rng->Word(3));
@@ -174,7 +175,8 @@ void BuildRandomTree(quarry::Prng* rng, int depth, Element* node) {
   }
   int kids = static_cast<int>(rng->Uniform(1, 4));
   for (int i = 0; i < kids; ++i) {
-    BuildRandomTree(rng, depth + 1, node->AddChild("n" + rng->Word(4)));
+    BuildRandomTree(rng, depth + 1,
+                    node->AddChild(std::string("n").append(rng->Word(4))));
   }
 }
 

@@ -25,11 +25,11 @@
 #                  compiles src/ as a package of its own, outside tier-1,
 #                  so a public-API change that breaks it would otherwise
 #                  leave ctest green.
-#  10. src -Werror — the src/ libraries alone, in build-werror/, with
-#                  -Werror added to the root build's -Wall -Wextra on the
-#                  cmake command line (CMAKE_CXX_FLAGS), so src/ stays free
-#                  of warnings while tests and benches keep them as
-#                  warnings.
+#  10. -Werror   — every target (src/ libraries, tests, benches, examples,
+#                  tools), in build-werror/, with -Werror added to the root
+#                  build's -Wall -Wextra on the cmake command line
+#                  (CMAKE_CXX_FLAGS), so a new warning anywhere fails the
+#                  gauntlet.
 #
 # Every step runs even after an earlier one fails, so one broken gate cannot
 # mask another; the script prints a per-step PASS/FAIL summary at the end and
@@ -111,12 +111,10 @@ quarry_bench_smoke() {
   (cd "${repo_root}" && python3 quarry_bench/run.py --smoke)
 }
 
-# quarry_core links every other src/ library, so building it builds them
-# all.
-src_werror() {
+all_werror() {
   local dir="${repo_root}/build-werror"
   cmake -B "${dir}" -S "${repo_root}" -DCMAKE_CXX_FLAGS=-Werror &&
-    cmake --build "${dir}" -j "$(nproc)" --target quarry_core
+    cmake --build "${dir}" -j "$(nproc)"
 }
 
 run_step "tier-1 build+ctest" tier1
@@ -129,7 +127,7 @@ run_step "metrics doc lint" "${repo_root}/tools/check_metrics_doc.sh"
 run_step "http smoke" "${repo_root}/tools/run_http_smoke.sh" "${build_dir}"
 run_step "load smoke" "${repo_root}/tools/run_load_smoke.sh" "${build_dir}"
 run_step "quarry_bench smoke" quarry_bench_smoke
-run_step "src -Werror" src_werror
+run_step "all targets -Werror" all_werror
 if [[ "${RUN_ALL_CHECKS_SOAK:-0}" == "1" ]]; then
   run_step "serving soak (asan)" "${repo_root}/tools/run_soak.sh"
 fi
