@@ -126,8 +126,12 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
     }
     target_->set_name(target_name);
   };
-  // A failed Upsert leaves one trace, the "deployments" collection that
-  // GetOrCreate made for it, so the write drops a collection it created.
+  // A failed Upsert leaves memory as it was but for the "deployments"
+  // collection GetOrCreate made for it, which the write drops. On a durable
+  // store it may also leave its frame in the WAL (the append reached the
+  // file, the fsync failed) or a fail-stopped writer, so the store is
+  // re-checkpointed as memory holds it: that discards the frame and opens
+  // a fresh log. Best effort, like RestoreFrom's re-checkpoint.
   auto write_record = [&](const std::string& status,
                           const std::vector<std::string>& kept_tables) {
     docstore::DocumentStore& meta = *options.metadata;
@@ -136,7 +140,10 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
                          ->Upsert(options.deployment_id,
                                   DeploymentRecord(options, status, report,
                                                    kept_tables));
-    if (!written.ok() && !had_collection) meta.DropIfEmpty("deployments");
+    if (!written.ok()) {
+      if (!had_collection) meta.DropIfEmpty("deployments");
+      if (meta.durable()) (void)meta.SaveToDirectory(meta.durable_dir());
+    }
     return written;
   };
 

@@ -50,8 +50,9 @@ struct DeployOptions {
   /// store instead of rolling everything back.
   bool best_effort = false;
   /// Receives the deployment record in its "deployments" collection, the
-  /// deploy's only write to it; a failed record write is undone. Usually
-  /// the metadata repository's underlying store. May be null.
+  /// deploy's only write to it; a failed record write is undone, and a
+  /// durable store re-checkpointed. Usually the metadata repository's
+  /// underlying store. May be null.
   docstore::DocumentStore* metadata = nullptr;
   /// Id of the deployment record document.
   std::string deployment_id = "deployment";

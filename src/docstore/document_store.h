@@ -188,9 +188,9 @@ class DocumentStore {
 
   // -- recovery support (see docs/ROBUSTNESS.md) ----------------------------
 
-  /// Deep copy of every collection. Transactional deployment snapshots the
-  /// metadata store alongside the target database. The copy is never
-  /// durable, whatever the original was.
+  /// Deep copy of every collection. A serving build snapshots the metadata
+  /// repository before it deploys and restores it if the publish fails.
+  /// The copy is never durable, whatever the original was.
   DocumentStore Clone() const;
 
   /// Resets this store to the snapshot's state. A durable store re-checkpoints

@@ -4,6 +4,36 @@
 
 namespace quarry::etl {
 
+namespace {
+
+// Per-row processing charge of an operator, relative to Extraction = 1.
+// No default case: -Wswitch names a new OpType here.
+double OpWeight(OpType type) {
+  switch (type) {
+    case OpType::kDatastore:
+      return 0.0;
+    case OpType::kSelection:
+    case OpType::kFunction:
+      return 0.5;
+    case OpType::kProjection:
+      return 0.3;
+    case OpType::kJoin:
+      return 2.0;
+    case OpType::kAggregation:
+      return 1.5;
+    case OpType::kUnion:
+      return 0.2;
+    case OpType::kExtraction:
+    case OpType::kSort:
+    case OpType::kSurrogateKey:
+    case OpType::kLoader:
+      return 1.0;
+  }
+  return 1.0;
+}
+
+}  // namespace
+
 Result<FlowCostEstimate> EstimateCost(
     const Flow& flow, const std::map<std::string, int64_t>& table_rows,
     const CostModelConfig& config) {
@@ -68,7 +98,7 @@ Result<FlowCostEstimate> EstimateCost(
         rows_out = rows_in;  // Row-preserving unary operators.
     }
     base_rows[id] = base;
-    double cost = config.weight(node.type) * rows_in;
+    double cost = OpWeight(node.type) * rows_in;
     if (node.type == OpType::kSort) {
       cost *= std::log2(rows_in + 2.0);
     }

@@ -1,8 +1,6 @@
 #ifndef QUARRY_ETL_COST_MODEL_H_
 #define QUARRY_ETL_COST_MODEL_H_
 
-#include <array>
-#include <cstddef>
 #include <map>
 #include <string>
 
@@ -18,11 +16,8 @@ namespace quarry::etl {
 /// Cost is estimated bottom-up from source cardinalities: each operator
 /// charges `weight(op) × input_rows` (Sort charges an extra log factor),
 /// and cardinalities propagate with per-operator ratios. The weights are
-/// per-row processing charges relative to Extraction = 1.
+/// fixed per-row charges relative to Extraction = 1 (cost_model.cc).
 struct CostModelConfig {
-  static constexpr size_t kNumOpTypes =
-      static_cast<size_t>(OpType::kLoader) + 1;
-
   double selection_selectivity = 0.33;  ///< Output fraction of a Selection.
   double aggregation_ratio = 0.2;       ///< Groups per input row.
   /// Join output scaling. Joins are estimated as foreign-key joins with the
@@ -32,25 +27,6 @@ struct CostModelConfig {
   /// selection pushed onto the build side correctly shrinks the join
   /// output.
   double join_fanout = 1.0;
-  /// Per-row charge of each operator type, indexed by OpType (weight()).
-  /// A plain array, not a map: GCC 12 warns falsely (-Wmaybe-uninitialized)
-  /// about a map member wherever a default QuarryConfig argument is
-  /// inlined.
-  std::array<double, kNumOpTypes> weights = {
-      0.0,  // kDatastore
-      1.0,  // kExtraction
-      0.5,  // kSelection
-      0.3,  // kProjection
-      2.0,  // kJoin
-      1.5,  // kAggregation
-      0.5,  // kFunction
-      1.0,  // kSort
-      0.2,  // kUnion
-      1.0,  // kSurrogateKey
-      1.0,  // kLoader
-  };
-
-  double weight(OpType op) const { return weights[static_cast<size_t>(op)]; }
 };
 
 /// Result of estimating one flow.

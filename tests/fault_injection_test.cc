@@ -348,37 +348,69 @@ TEST_F(FaultInjectionTest, UnrecoverableFaultRollsBackByteIdentically) {
   }
 }
 
-// A failed deploy never writes the metadata store: a failed ETL stage
-// leaves it alone, and a failed record write drops the collection it
-// created, even when the WAL refuses the drop too. A durable store is thus
-// neither re-checkpointed nor changed, in memory or on disk.
+// A failed deploy leaves a durable metadata store as it was, in memory and
+// after recovery. A failed ETL stage writes nothing, so the store is not
+// re-checkpointed. A failed record write drops the collection it created
+// and re-checkpoints the store, which discards what the write left in the
+// log (a record whose fsync failed, a creation whose put failed) and
+// replaces a writer a torn append fail-stopped: a later write succeeds and
+// recovery replays exactly it.
 TEST_F(FaultInjectionTest, FailedDeployLeavesADurableMetadataStoreAlone) {
   namespace fs = std::filesystem;
   const std::string dir =
       (fs::temp_directory_path() / "quarry_fault_durable_meta").string();
   obs::Counter& checkpoints = obs::MetricsRegistry::Instance().counter(
       "quarry_docstore_checkpoints_total");
-  for (const char* site :
-       {"etl.exec.Loader", "docstore.collection.upsert", "wal.append"}) {
-    SCOPED_TRACE(site);
+  auto doc = [](const char* kind) {
+    json::Object object;
+    object.emplace_back("kind", json::Value(kind));
+    return json::Value(std::move(object));
+  };
+  struct Case {
+    const char* site;
+    int64_t fail_from_hit;
+    bool earlier_record;  // "deployments" already holds a record
+  };
+  // Into a store without "deployments", wal.append's first hit is the
+  // collection's creation and its second the record.
+  const Case cases[] = {
+      {"etl.exec.Loader", 1, false},
+      {"etl.exec.Loader", 1, true},
+      {"docstore.collection.upsert", 1, false},
+      {"docstore.collection.upsert", 1, true},
+      {"wal.append", 1, false},
+      {"wal.append", 2, false},
+      {"wal.append", 1, true},
+      {"wal.append.torn", 1, false},
+      {"wal.append.torn", 1, true},
+      {"wal.sync", 1, false},
+      {"wal.sync", 1, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.site) + " from hit " +
+                 std::to_string(c.fail_from_hit) +
+                 (c.earlier_record ? ", earlier record" : ""));
     Injector::Instance().Disable();
     fs::remove_all(dir);
     fs::create_directories(dir);
-    uint64_t meta_before = 0;
+    uint64_t meta_after = 0;
     {
       auto opened = docstore::DocumentStore::Open(dir);
       ASSERT_TRUE(opened.ok()) << opened.status();
       docstore::DocumentStore meta = std::move(*opened);
-      json::Object doc;
-      doc.emplace_back("kind", json::Value("ontology"));
-      ASSERT_TRUE(meta.GetOrCreate("ontologies")
-                      ->Upsert("onto", json::Value(std::move(doc)))
-                      .ok());
-      meta_before = meta.Fingerprint();
+      ASSERT_TRUE(
+          meta.GetOrCreate("ontologies")->Upsert("onto", doc("ontology")).ok());
+      if (c.earlier_record) {
+        ASSERT_TRUE(meta.GetOrCreate("deployments")
+                        ->Upsert("earlier", doc("complete"))
+                        .ok());
+      }
+      const uint64_t meta_before = meta.Fingerprint();
       const int64_t checkpoints_before = checkpoints.value();
 
       Injector::Instance().ClearConfigs();
-      Injector::Instance().Configure(site, {.fail_from_hit = 1});
+      Injector::Instance().Configure(c.site,
+                                     {.fail_from_hit = c.fail_from_hit});
       Injector::Instance().Enable(7);
       storage::Database target;
       DeploymentOutcome outcome = Deploy(&target, &meta);
@@ -388,11 +420,21 @@ TEST_F(FaultInjectionTest, FailedDeployLeavesADurableMetadataStoreAlone) {
       EXPECT_TRUE(outcome.failure->rolled_back);
       EXPECT_EQ(target.num_tables(), 0u);
       EXPECT_EQ(meta.Fingerprint(), meta_before);
-      EXPECT_EQ(checkpoints.value(), checkpoints_before);
+      const bool record_failed = outcome.failure->stage == "metadata";
+      EXPECT_EQ(record_failed, std::string(c.site) != "etl.exec.Loader");
+      if (record_failed) {
+        EXPECT_GT(checkpoints.value(), checkpoints_before);
+      } else {
+        EXPECT_EQ(checkpoints.value(), checkpoints_before);
+      }
+
+      ASSERT_TRUE(
+          meta.GetOrCreate("ontologies")->Upsert("later", doc("ontology")).ok());
+      meta_after = meta.Fingerprint();
     }
     auto recovered = docstore::DocumentStore::LoadFromDirectory(dir);
     ASSERT_TRUE(recovered.ok()) << recovered.status();
-    EXPECT_EQ(recovered->Fingerprint(), meta_before);
+    EXPECT_EQ(recovered->Fingerprint(), meta_after);
   }
   fs::remove_all(dir);
 }
